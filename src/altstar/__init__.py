@@ -20,7 +20,7 @@ from .jordan import (CATALOG, CatalogReport, EntryRun, IdentityEntry,
                      IdentitySample, audit_catalog, catalog_entry,
                      collapse_prefix, jordan_star, q_star, verify_identity)
 from .maps import (AlgebraMap, ConditionReport, IsomorphismReport, MapError,
-                   MapWitness, apply_map, bijective_claim,
+                   MapWitness, bijective_claim,
                    check_jordan_condition, check_star_ring_isomorphism,
                    check_unital, conjugation_map, identity_map,
                    matrix_swap_conjugation, patched_map, sample_pool,
@@ -33,8 +33,7 @@ from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
                      peirce_decompose, random_component, spade_ok,
                      spade_pair)
 from .sampling import (derive_rng, random_combination, random_element,
-                       random_nonzero_combination, random_nonzero_element,
-                       random_scalar)
+                       random_nonzero_combination, random_scalar)
 from .scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO, ZERO,
                       format_scalar, half_power, integer, parse_scalar,
                       rational)
@@ -49,7 +48,7 @@ __all__ = [
     "MapError", "MapWitness", "ONE", "PeirceError", "PeirceRelationsReport",
     "PeirceSplit", "PeirceSystem", "Scalar", "ScalarError", "SpadeResult",
     "TWO", "Witness", "ZERO", "algebra_from_dict", "algebra_to_dict",
-    "apply_map", "audit_catalog", "bijective_claim", "canonical_json",
+    "audit_catalog", "bijective_claim", "canonical_json",
     "catalog_entry", "cayley_dickson", "change_of_basis",
     "check_alternative", "check_axioms", "check_involution",
     "check_jordan_condition", "check_peirce_relations", "check_spade",
@@ -62,7 +61,7 @@ __all__ = [
     "matrix_algebra", "matrix_swap_conjugation", "parse_scalar",
     "patched_map", "peirce_decompose", "q_star", "random_combination",
     "random_component", "random_element", "random_nonzero_combination",
-    "random_nonzero_element", "random_scalar", "rational",
+    "random_scalar", "rational",
     "resolve_algebra", "sample_pool", "scale_map", "spade_ok", "spade_pair",
     "star_as_map", "verify_identity", "zorn_algebra", "zorn_idempotents",
     "zorn_rotation_map",

@@ -13,14 +13,14 @@ from typing import Optional, Sequence
 
 from .algebra import (Algebra, AlgebraError, CheckResult, Element, Witness,
                       check_axioms)
-from .formats import (FormatError, algebra_to_dict, canonical_json,
-                      load_map_file, resolve_algebra, scalar_list)
-from .jordan import CatalogReport, EntryRun, IdentitySample, audit_catalog, q_star
-from .maps import (AlgebraMap, ConditionReport, IsomorphismReport, MapWitness,
-                   check_jordan_condition, check_star_ring_isomorphism,
-                   check_unital)
+from .formats import (algebra_to_dict, canonical_json, load_map_file,
+                      resolve_algebra, scalar_list)
+from .jordan import (CatalogReport, EntryRun, IdentitySample, audit_catalog,
+                     q_star)
+from .maps import (ConditionReport, MapWitness, check_jordan_condition,
+                   check_star_ring_isomorphism, check_unital)
 from .peirce import PeirceSystem, check_peirce_relations, spade_pair
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, ScalarError, parse_scalar
 
 
 class CliInputError(Exception):
@@ -40,6 +40,12 @@ def parse_coords(text: str, a: Algebra, what: str) -> list[Scalar]:
         return [parse_scalar(t, f"{what}[{k}]") for k, t in enumerate(parts)]
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
+
+
+def require_samples(args) -> None:
+    """A run on no samples would report a pass without evidence."""
+    if args.samples < 1:
+        raise CliInputError(f"--samples must be >= 1, got {args.samples}")
 
 
 def pick_idempotent(a: Algebra, idem: dict[str, list[Scalar]],
@@ -163,6 +169,7 @@ def _cmd_check(args) -> tuple[int, Optional[dict]]:
 
 
 def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
+    require_samples(args)
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(a, idem, args.e1)
     rep = check_peirce_relations(p, args.samples, args.seed)
@@ -224,6 +231,7 @@ def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
 
 
 def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
+    require_samples(args)
     if args.n_min < 2 or args.n_max < args.n_min:
         raise CliInputError("need 2 <= --n-min <= --n-max")
     a, idem = resolve_algebra(args.algebra)
@@ -235,6 +243,7 @@ def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
 
 
 def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
+    require_samples(args)
     phi, dom_idem = load_map_file(args.mapfile)
     p = build_peirce(phi.domain, dom_idem, args.e1)
     if not check_unital(phi):
@@ -336,10 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         code, doc = run_cli(argv)
-    except (CliInputError, FormatError, AlgebraError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (CliInputError, AlgebraError, ScalarError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if doc is not None:

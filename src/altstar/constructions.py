@@ -98,7 +98,7 @@ def zorn_algebra() -> Algebra:
     return _validated(Algebra("zorn", dim, labels, s, unit, star))
 
 
-def zorn_idempotents(a: Algebra) -> dict[str, list[Scalar]]:
+def zorn_idempotents() -> dict[str, list[Scalar]]:
     e1 = [ONE] + [ZERO] * 7
     e2 = [ZERO, ONE] + [ZERO] * 6
     return {"e1": e1, "e2": e2}

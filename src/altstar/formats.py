@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .algebra import Algebra, AlgebraError, Element
+from .algebra import Algebra, AlgebraError
 from .constructions import (ConstructionError, cayley_dickson, direct_sum,
                             matrix_algebra, zorn_algebra, zorn_idempotents)
 from .maps import AlgebraMap
@@ -48,11 +48,6 @@ def parse_scalar_list(items, what: str, dim: Optional[int] = None
     if dim is not None and len(items) != dim:
         raise FormatError(f"{what} must have length {dim}")
     return [parse_scalar(t, f"{what}[{k}]") for k, t in enumerate(items)]
-
-
-def element_dict(x: Element) -> dict:
-    return {"label_order": list(x.algebra.basis_labels),
-            "coords": scalar_list(x.coords)}
 
 
 # -- algebra files ----------------------------------------------------------
@@ -151,7 +146,7 @@ def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
 # its halves must themselves be comma-free specs (zorn, matrix:K, a file).
 
 
-def matrix_idempotents(a: Algebra, k: int) -> dict[str, list[Scalar]]:
+def matrix_idempotents(a: Algebra) -> dict[str, list[Scalar]]:
     e1 = [ONE if t == 0 else ZERO for t in range(a.dim)]
     e2 = [u - v for u, v in zip(a.unit.coords, e1)]
     return {"e1": e1, "e2": e2}
@@ -177,7 +172,7 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
         raise FormatError("empty algebra spec")
     if spec == "zorn":
         a = zorn_algebra()
-        return a, zorn_idempotents(a)
+        return a, zorn_idempotents()
     head, _, payload = spec.partition(":")
     if head == "matrix":
         try:
@@ -186,7 +181,7 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
             raise FormatError(f"matrix spec needs an integer size, "
                               f"got {payload!r}") from None
         a = matrix_algebra(k)
-        return a, (matrix_idempotents(a, k) if k >= 2 else {})
+        return a, (matrix_idempotents(a) if k >= 2 else {})
     if head == "cd":
         if not payload:
             raise FormatError("cd spec needs a comma-separated scalar list")

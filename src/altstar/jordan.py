@@ -14,21 +14,22 @@ where several of the catalogued displayed forms lose a power of two.
 Each catalog entry carries two closed forms for the same argument pattern:
 ``derived`` (independently computed from the recursion, the expected truth)
 and ``display`` (the closed form as displayed in the source material this
-catalog audits, transcribed without correction).  ``verbatim_match`` records
-per run whether the displayed form agreed with every sample.
+catalog audits, transcribed without correction).  ``display`` defaults to
+``derived``; only ID-H, J, K and L display a different form.
+``verbatim_match`` records per run whether the displayed form agreed with
+every sample.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .algebra import Algebra, AlgebraError, Element
-from .peirce import IJ_PAIRS, PeirceSystem, peirce_decompose, random_component
+from .algebra import AlgebraError, Element
+from .peirce import PeirceSystem, peirce_decompose, random_component
 from .sampling import derive_rng, random_element
 from .scalars import Scalar, half_power
-
-Rng = object  # random.Random; kept loose for typing brevity
 
 
 def jordan_star(x: Element, y: Element) -> Element:
@@ -44,14 +45,11 @@ def q_star(args: Sequence[Element]) -> Element:
     for x in args[1:]:
         if x.algebra is not a0:
             raise AlgebraError("q_star arguments from different algebras")
-    val = args[0]
-    for x in args[1:]:
-        val = jordan_star(val, x)
-    return val
+    return _q_cached(args, {})
 
 
 def _q_cached(args: Sequence[Element], cache: dict) -> Element:
-    # same left fold as q_star; shared prefixes are computed once
+    # the left fold; prefixes already in cache are not recomputed
     val: Optional[Element] = None
     key: tuple = ()
     for x in args:
@@ -77,10 +75,6 @@ def collapse_prefix(e: Element, m: int) -> list[Element]:
     return [e] * (m - 1) + [e.scale(half_power(m - 1))]
 
 
-def _pow2(k: int) -> Scalar:
-    return Scalar(2 ** k) if k >= 0 else half_power(-k)
-
-
 # -- catalog ---------------------------------------------------------------
 
 
@@ -89,14 +83,21 @@ class IdentityEntry:
     entry_id: str
     pattern: str
     derived_form: str
-    display_form: str
     notes: str
     n_min: int
     variants: Callable[[PeirceSystem], list[str]]
-    sample: Callable[[PeirceSystem, str, Rng], dict[str, Element]]
+    sample: Callable[[PeirceSystem, str, random.Random], dict[str, Element]]
     args: Callable[[PeirceSystem, str, int, dict], list[Element]]
     derived: Callable[[PeirceSystem, str, int, dict], Element]
-    display: Callable[[PeirceSystem, str, int, dict], Element]
+    # both default to the derived form
+    display_form: Optional[str] = None
+    display: Optional[Callable[[PeirceSystem, str, int, dict], Element]] = None
+
+    def __post_init__(self) -> None:
+        if self.display_form is None:
+            object.__setattr__(self, "display_form", self.derived_form)
+        if self.display is None:
+            object.__setattr__(self, "display", self.derived)
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,8 @@ class EntryRun:
     display_counterexample: Optional[IdentitySample]
 
 
-def _dims(p: PeirceSystem) -> dict[tuple[int, int], int]:
-    return p.component_dims()
-
-
 def _offdiag_variants(p: PeirceSystem) -> list[str]:
-    d = _dims(p)
+    d = p.component_dims()
     out = []
     if d[(1, 2)]:
         out.append("i=1,j=2")
@@ -149,15 +146,15 @@ def _single(p: PeirceSystem) -> list[str]:
 
 
 def _need_a12(p: PeirceSystem) -> list[str]:
-    return ["-"] if _dims(p)[(1, 2)] else []
+    return ["-"] if p.component_dims()[(1, 2)] else []
 
 
 def _ei(p: PeirceSystem, variant: str) -> Element:
     return p.idempotent(int(variant[2]))
 
 
-def _t_offdiag(p: PeirceSystem, rng: Rng) -> dict[str, Element]:
-    d = _dims(p)
+def _t_offdiag(p: PeirceSystem, rng: random.Random) -> dict[str, Element]:
+    d = p.component_dims()
     t12 = random_component(p, (1, 2), rng) if d[(1, 2)] else p.algebra.zero()
     t21 = random_component(p, (2, 1), rng) if d[(2, 1)] else p.algebra.zero()
     c12 = random_component(p, (1, 2), rng)
@@ -165,20 +162,20 @@ def _t_offdiag(p: PeirceSystem, rng: Rng) -> dict[str, Element]:
 
 
 def _entry_b() -> IdentityEntry:
+    def rhs(p, v, n, f):
+        e, t = _ei(p, v), f["t"]
+        return (e * t + t * e).scale(half_power(2 - n))
+
     return IdentityEntry(
         entry_id="ID-B",
         pattern="q_n(e_i, ..., e_i, t) with n-1 idempotent slots, t free",
         derived_form="2^(n-2) (e_i t + t e_i)",
-        display_form="2^(n-2) (e_i t + t e_i)",
         notes="",
         n_min=2,
         variants=_both,
         sample=lambda p, v, rng: {"t": random_element(p.algebra, rng)},
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 1) + [f["t"]],
-        derived=lambda p, v, n, f: (_ei(p, v) * f["t"]
-                                    + f["t"] * _ei(p, v)).scale(_pow2(n - 2)),
-        display=lambda p, v, n, f: (_ei(p, v) * f["t"]
-                                    + f["t"] * _ei(p, v)).scale(_pow2(n - 2)),
+        derived=rhs,
     )
 
 
@@ -188,7 +185,6 @@ def _entry_c() -> IdentityEntry:
         pattern=("q_n(e1, ..., (1/2^(n-2)) e1, x12): scaled idempotent prefix "
                  "collapsing to e1, then a free A12 component"),
         derived_form="e1 x12 + x12 e1 (= x12)",
-        display_form="e1 x12 + x12 e1 (= x12)",
         notes=("prefix scale normalized to 1/2^(n-2) so the n-1 leading slots "
                "collapse to exactly e1; the source text's 1/2^(n-1) halves "
                "the displayed value under an arity-n reading"),
@@ -197,7 +193,6 @@ def _entry_c() -> IdentityEntry:
         sample=lambda p, v, rng: {"x12": random_component(p, (1, 2), rng)},
         args=lambda p, v, n, f: collapse_prefix(p.e1, n - 1) + [f["x12"]],
         derived=lambda p, v, n, f: p.e1 * f["x12"] + f["x12"] * p.e1,
-        display=lambda p, v, n, f: p.e1 * f["x12"] + f["x12"] * p.e1,
     )
 
 
@@ -216,7 +211,6 @@ def _entry_d() -> IdentityEntry:
         pattern=("q_n(e2, ..., (1/2^(n-3)) e2, t, c12): collapsed e2 prefix, "
                  "then t with zero diagonal (t = t12 + t21) and c12 in A12"),
         derived_form="t21 c12 + t12 c12 + c12 t21^* + c12 t12^*",
-        display_form="t21 c12 + t12 c12 + c12 t21^* + c12 t12^*",
         notes=("prefix scale normalized to collapse exactly (see ID-C note); "
                "with the collapse the displayed right side is exact"),
         n_min=3,
@@ -224,7 +218,6 @@ def _entry_d() -> IdentityEntry:
         sample=lambda p, v, rng: _t_offdiag(p, rng),
         args=lambda p, v, n, f: _args_d(p, n, f),
         derived=rhs,
-        display=rhs,
     )
 
 
@@ -238,7 +231,6 @@ def _entry_e() -> IdentityEntry:
         pattern=("q_n(e2, ..., (1/2^(n-3)) e2, D, e2) where D is the ID-D "
                  "product for the same t, c12"),
         derived_form="2 (t21 c12 + (t21 c12)^*)",
-        display_form="2 (t21 c12 + (t21 c12)^*)",
         notes="inner argument D is evaluated through the recursion itself",
         n_min=3,
         variants=_need_a12,
@@ -246,14 +238,13 @@ def _entry_e() -> IdentityEntry:
         args=lambda p, v, n, f: collapse_prefix(p.e2, n - 2)
         + [q_star(_args_d(p, n, f)), p.e2],
         derived=rhs,
-        display=rhs,
     )
 
 
 def _entry_f() -> IdentityEntry:
     def rhs(p, v, n, f):
         split = peirce_decompose(p, f["t"])
-        return (split[(1, 1)] - split[(2, 2)]).scale(_pow2(n - 1))
+        return (split[(1, 1)] - split[(2, 2)]).scale(half_power(1 - n))
 
     return IdentityEntry(
         entry_id="ID-F",
@@ -268,7 +259,6 @@ def _entry_f() -> IdentityEntry:
         args=lambda p, v, n, f: [p.algebra.unit] * (n - 2)
         + [p.e1 - p.e2, f["t"]],
         derived=rhs,
-        display=rhs,
     )
 
 
@@ -282,7 +272,6 @@ def _entry_g() -> IdentityEntry:
         pattern=("q_n(1, ..., 1, a12, (1/2^(n-2)) (e2 + b12)) with n-2 unit "
                  "slots and free A12 components a12, b12"),
         derived_form="a12 + a12 b12 + a12^* + b12 a12^*",
-        display_form="a12 + a12 b12 + a12^* + b12 a12^*",
         notes="the unit prefix doubles n-2 times, cancelled by the scale",
         n_min=2,
         variants=_need_a12,
@@ -291,7 +280,6 @@ def _entry_g() -> IdentityEntry:
         args=lambda p, v, n, f: [p.algebra.unit] * (n - 2)
         + [f["a12"], (p.e2 + f["b12"]).scale(half_power(n - 2))],
         derived=rhs,
-        display=rhs,
     )
 
 
@@ -338,13 +326,12 @@ def _entry_h() -> IdentityEntry:
 
 def _entry_i() -> IdentityEntry:
     def rhs(p, v, n, f):
-        return (f["a"] + f["a"].star()).scale(_pow2(n - 2))
+        return (f["a"] + f["a"].star()).scale(half_power(2 - n))
 
     return IdentityEntry(
         entry_id="ID-I",
         pattern="q_n(1, ..., 1, a, 1) with n-2 leading unit slots, a free",
         derived_form="2^(n-2) (a + a^*)",
-        display_form="2^(n-2) (a + a^*)",
         notes="",
         n_min=2,
         variants=_single,
@@ -352,12 +339,17 @@ def _entry_i() -> IdentityEntry:
         args=lambda p, v, n, f: [p.algebra.unit] * (n - 2)
         + [f["a"], p.algebra.unit],
         derived=rhs,
-        display=rhs,
     )
 
 
+def _ab_sym(f: dict, k: int) -> Element:
+    """(a b + b a^*) / 2^k, the derived form of ID-J, K and L."""
+    a, b = f["a"], f["b"]
+    return (a * b + b * a.star()).scale(half_power(k))
+
+
 def _diag_offdiag_variants(p: PeirceSystem) -> list[str]:
-    d = _dims(p)
+    d = p.component_dims()
     out = []
     if d[(1, 1)] and d[(1, 2)]:
         out.append("i=1,j=2")
@@ -384,14 +376,13 @@ def _entry_j() -> IdentityEntry:
         variants=_diag_offdiag_variants,
         sample=sample,
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["a"], f["b"]],
-        derived=lambda p, v, n, f: (f["a"] * f["b"]
-                                    + f["b"] * f["a"].star()).scale(_pow2(n - 2)),
-        display=lambda p, v, n, f: (f["a"] * f["b"]).scale(_pow2(n - 2)),
+        derived=lambda p, v, n, f: _ab_sym(f, 2 - n),
+        display=lambda p, v, n, f: (f["a"] * f["b"]).scale(half_power(2 - n)),
     )
 
 
 def _opposed_variants(p: PeirceSystem) -> list[str]:
-    d = _dims(p)
+    d = p.component_dims()
     out = []
     if d[(1, 2)] and d[(2, 1)]:
         out.append("i=1,j=2")
@@ -417,9 +408,8 @@ def _entry_k() -> IdentityEntry:
         variants=_opposed_variants,
         sample=sample,
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["a"], f["b"]],
-        derived=lambda p, v, n, f: (f["a"] * f["b"]
-                                    + f["b"] * f["a"].star()).scale(_pow2(n - 3)),
-        display=lambda p, v, n, f: (f["a"] * f["b"]).scale(_pow2(n - 3)),
+        derived=lambda p, v, n, f: _ab_sym(f, 3 - n),
+        display=lambda p, v, n, f: (f["a"] * f["b"]).scale(half_power(3 - n)),
     )
 
 
@@ -444,9 +434,8 @@ def _entry_l() -> IdentityEntry:
         variants=_offdiag_variants,
         sample=sample,
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["a"], f["b"]],
-        derived=lambda p, v, n, f: (f["a"] * f["b"]
-                                    + f["b"] * f["a"].star()).scale(_pow2(n - 3)),
-        display=lambda p, v, n, f: (f["a"] * f["b"]).scale(_pow2(n - 2)),
+        derived=lambda p, v, n, f: _ab_sym(f, 3 - n),
+        display=lambda p, v, n, f: (f["a"] * f["b"]).scale(half_power(2 - n)),
     )
 
 
@@ -455,14 +444,12 @@ def _entry_m() -> IdentityEntry:
         entry_id="ID-M",
         pattern="q_n(e1, ..., e1, e2, x) with n-2 idempotent slots, x free",
         derived_form="0",
-        display_form="0",
         notes="the prefix against e2 annihilates: {2^(n-3) e1, e2} = 0",
         n_min=3,
         variants=_single,
         sample=lambda p, v, rng: {"x": random_element(p.algebra, rng)},
         args=lambda p, v, n, f: [p.e1] * (n - 2) + [p.e2, f["x"]],
         derived=lambda p, v, n, f: p.algebra.zero(),
-        display=lambda p, v, n, f: p.algebra.zero(),
     )
 
 
@@ -471,20 +458,19 @@ def _entry_n() -> IdentityEntry:
         e = _ei(p, v)
         x = f["x"]
         xs = x.star()
-        return ((e * x) * e + x * e + e * (xs * e) + e * xs).scale(_pow2(n - 3))
+        return ((e * x) * e + x * e + e * (xs * e)
+                + e * xs).scale(half_power(3 - n))
 
     return IdentityEntry(
         entry_id="ID-N",
         pattern="q_n(e_i, ..., e_i, x, e_i) with n-2 idempotent slots, x free",
         derived_form="2^(n-3) (e_i x e_i + x e_i + e_i x^* e_i + e_i x^*)",
-        display_form="2^(n-3) (e_i x e_i + x e_i + e_i x^* e_i + e_i x^*)",
         notes="e_i x e_i is unambiguous: alternative algebras are flexible",
         n_min=3,
         variants=_both,
         sample=lambda p, v, rng: {"x": random_element(p.algebra, rng)},
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["x"], _ei(p, v)],
         derived=rhs,
-        display=rhs,
     )
 
 
@@ -504,7 +490,8 @@ def catalog_entry(entry_id: str) -> IdentityEntry:
 
 def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
                     samples: int, seed: int) -> EntryRun:
-    """Evaluate the recursion against both closed forms on seeded samples."""
+    """Evaluate the recursion against both closed forms on seeded samples;
+    an entry whose display is its derived form is evaluated once."""
     if n < entry.n_min:
         return EntryRun(entry.entry_id, n, 0,
                         f"requires n >= {entry.n_min}", True, True, None, None)
@@ -525,8 +512,10 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
             res = lhs - want
             if derived_bad is None and not res.is_zero():
                 derived_bad = IdentitySample(v, frees, lhs, want, res)
-            shown = entry.display(p, v, n, frees)
-            res2 = lhs - shown
+            shown, res2 = want, res
+            if entry.display is not entry.derived:
+                shown = entry.display(p, v, n, frees)
+                res2 = lhs - shown
             if display_bad is None and not res2.is_zero():
                 display_bad = IdentitySample(v, frees, lhs, shown, res2)
     return EntryRun(entry.entry_id, n, samples, None,

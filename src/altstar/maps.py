@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element
-from .jordan import jordan_star, q_star
+from .jordan import q_star
 from .peirce import (IJ_PAIRS, PeirceSystem, classify_idempotent,
                      peirce_decompose, random_component)
 from .sampling import derive_rng, random_element
@@ -75,10 +75,6 @@ class AlgebraMap:
         if hit is not None:
             return hit
         return self._core(x)
-
-
-def apply_map(phi: AlgebraMap, x: Element) -> Element:
-    return phi(x)
 
 
 def bijective_claim(phi: AlgebraMap) -> bool:
@@ -252,33 +248,24 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
         raise MapError("jordan condition requires a unital map")
     if peirce.algebra is not phi.domain:
         raise MapError("Peirce system must live on the map's domain")
-    xis = (("1", phi.domain.unit), ("e1", peirce.e1), ("e2", peirce.e2))
-    prefix_dom = {}
-    prefix_cod = {}
-    for tag, xi in xis:
-        dom = None
-        for _ in range(n - 2):
-            dom = xi if dom is None else jordan_star(dom, xi)
-        prefix_dom[tag] = dom  # None when n == 2
-        img = phi(xi)
-        cod = None
-        for _ in range(n - 2):
-            cod = img if cod is None else jordan_star(cod, img)
-        prefix_cod[tag] = cod
+    # the n-2 leading xi slots fold to one prefix value (none when n = 2)
+    prefixes = []
+    for tag, xi in (("1", phi.domain.unit), ("e1", peirce.e1),
+                    ("e2", peirce.e2)):
+        if n == 2:
+            prefixes.append((tag, [], []))
+        else:
+            prefixes.append((tag, [q_star([xi] * (n - 2))],
+                             [q_star([phi(xi)] * (n - 2))]))
 
     pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
     run = 0
     for a, b in _pairs(pool, samples, seed):
         run += 1
-        for tag, xi in xis:
-            dom = prefix_dom[tag]
-            val = a if dom is None else jordan_star(dom, a)
-            val = jordan_star(val, b)
-            lhs = phi(val)
-            cod = prefix_cod[tag]
-            img_a, img_b = phi(a), phi(b)
-            rval = img_a if cod is None else jordan_star(cod, img_a)
-            rval = jordan_star(rval, img_b)
+        img_a, img_b = phi(a), phi(b)
+        for tag, dom, cod in prefixes:
+            lhs = phi(q_star(dom + [a, b]))
+            rval = q_star(cod + [img_a, img_b])
             if not (lhs - rval).is_zero():
                 return ConditionReport(
                     phi.name, "jordan_condition", n, run, True,

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .algebra import (Algebra, AlgebraError, AxiomReport, CheckResult,
-                      Element, Witness)
+from .algebra import Algebra, AlgebraError, CheckResult, Element, Witness
 from .sampling import (derive_rng, random_combination,
                        random_nonzero_combination)
 from .scalars import I, Scalar, ZERO, half_power
@@ -83,6 +82,20 @@ def find_symmetric_idempotents(a: Algebra,
     return out
 
 
+@dataclass(frozen=True)
+class PeirceSplit:
+    parts: dict  # (i, j) -> Element
+
+    def __getitem__(self, ij: tuple[int, int]) -> Element:
+        return self.parts[ij]
+
+    def recombined(self) -> Element:
+        out = None
+        for ij in IJ_PAIRS:
+            out = self.parts[ij] if out is None else out + self.parts[ij]
+        return out
+
+
 class PeirceSystem:
     """A validated pair (e1, e2 = 1 - e1) with the four component bases."""
 
@@ -98,20 +111,30 @@ class PeirceSystem:
         self.e1 = e1
         self.e2 = algebra.unit - e1
 
-        # compatibility (e_i b) e_j = e_i (b e_j) on the basis extends linearly
-        for b in algebra.basis():
-            for ei in (self.e1, self.e2):
-                for ej in (self.e1, self.e2):
-                    if not ((ei * b) * ej - ei * (b * ej)).is_zero():
-                        raise PeirceError(
-                            "idempotent fails Peirce compatibility "
-                            f"(e_i b) e_j != e_i (b e_j) at basis {b!r}")
+        # Both laws below are linear in x, so checking them on the basis
+        # decides them for every x: the two parenthesizations of a projection
+        # agree, and the four projections recombine to x.
+        basis = algebra.basis()
+        projected = {ij: [self.project(b, ij) for b in basis]
+                     for ij in IJ_PAIRS}
+        for k, b in enumerate(basis):
+            for i, j in IJ_PAIRS:
+                ei, ej = self.idempotent(i), self.idempotent(j)
+                if not ((ei * b) * ej - projected[(i, j)][k]).is_zero():
+                    raise PeirceError(
+                        "idempotent fails Peirce compatibility "
+                        f"(e_i b) e_j != e_i (b e_j) at basis {b!r}")
+        for k, b in enumerate(basis):
+            split = PeirceSplit({ij: projected[ij][k] for ij in IJ_PAIRS})
+            if not (split.recombined() - b).is_zero():
+                raise PeirceError("Peirce components do not recombine to "
+                                  f"basis {b!r}")
 
         bases: dict[tuple[int, int], list[Element]] = {}
         for ij in IJ_PAIRS:
-            projected = [self.project(b, ij) for b in algebra.basis()]
-            keep = linalg.independent_subset([p.coords for p in projected])
-            bases[ij] = [projected[t] for t in keep]
+            keep = linalg.independent_subset(
+                [x.coords for x in projected[ij]])
+            bases[ij] = [projected[ij][t] for t in keep]
         self.component_bases = bases
         if sum(len(v) for v in bases.values()) != algebra.dim:
             raise PeirceError("Peirce components do not span the algebra")
@@ -130,36 +153,13 @@ class PeirceSystem:
         return {ij: len(self.component_bases[ij]) for ij in IJ_PAIRS}
 
 
-@dataclass(frozen=True)
-class PeirceSplit:
-    parts: dict  # (i, j) -> Element
-
-    def __getitem__(self, ij: tuple[int, int]) -> Element:
-        return self.parts[ij]
-
-    def recombined(self) -> Element:
-        out = None
-        for ij in IJ_PAIRS:
-            out = self.parts[ij] if out is None else out + self.parts[ij]
-        return out
-
-
 def peirce_decompose(p: PeirceSystem, x: Element) -> PeirceSplit:
-    """Split x into its four components; exact, and verified to recombine."""
-    parts = {}
-    for ij in IJ_PAIRS:
-        i, j = ij
-        ei, ej = p.idempotent(i), p.idempotent(j)
-        left_first = (ei * x) * ej
-        right_first = ei * (x * ej)
-        if not (left_first - right_first).is_zero():
-            raise PeirceError(
-                "compatibility failure: (e_i x) e_j != e_i (x e_j)")
-        parts[ij] = right_first
-    split = PeirceSplit(parts)
-    if not (split.recombined() - x).is_zero():
-        raise PeirceError("Peirce components do not recombine to x")
-    return split
+    """Split x into its four components e_i (x e_j).
+
+    Exact: PeirceSystem has checked on a basis, hence for every x, that both
+    parenthesizations agree and that the components recombine to x.
+    """
+    return PeirceSplit({ij: p.project(x, ij) for ij in IJ_PAIRS})
 
 
 def component_of(p: PeirceSystem, x: Element, ij: tuple[int, int]) -> bool:

@@ -28,13 +28,6 @@ def random_element(a: Algebra, rng: random.Random) -> Element:
     return a.element([random_scalar(rng) for _ in range(a.dim)])
 
 
-def random_nonzero_element(a: Algebra, rng: random.Random) -> Element:
-    while True:
-        x = random_element(a, rng)
-        if not x.is_zero():
-            return x
-
-
 def random_combination(basis: Sequence[Element],
                        rng: random.Random) -> Element:
     if not basis:

@@ -34,14 +34,6 @@ class Scalar:
         self.b = b
         self.d = d
 
-    @staticmethod
-    def from_rationals(re: Fraction, im: Fraction = Fraction(0)) -> "Scalar":
-        re = Fraction(re)
-        im = Fraction(im)
-        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-        return Scalar(re.numerator * (d // re.denominator),
-                      im.numerator * (d // im.denominator), d)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)

@@ -219,6 +219,49 @@ def test_bad_builtin_parameter_exits_2():
     assert code == 2
 
 
+def _matrix2_file(tmp_path, name, **overrides):
+    """The matrix:2 algebra file with some top-level fields replaced."""
+    doc = json.loads(run(["gen", "matrix:2"])[1])
+    doc.update(overrides)
+    path = tmp_path / name
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["spec", "file"])
+def test_malformed_scalar_literal_exits_2(tmp_path, source):
+    target = "cd:1/0" if source == "spec" else _matrix2_file(
+        tmp_path, "m2.alg", unit=["1/0", "0", "0", "1"])
+    code, out, err = run(["check", target])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["peirce", "spade"])
+def test_unit_that_does_not_recombine_exits_2(tmp_path, command):
+    # e1 = E11 is still a symmetric idempotent and every Peirce component
+    # stays 1-dimensional; only the recombination check rejects the file
+    path = _matrix2_file(tmp_path, "m2.alg", unit=["1", "0", "0", "2"])
+    code, out, err = run([command, path])
+    assert code == 2
+    assert err.startswith("error:") and "recombine" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("command", ["peirce", "lemmas", "mapcheck"])
+def test_runs_without_samples_are_input_errors(tmp_path, zorn, command,
+                                               samples):
+    target = "zorn"
+    if command == "mapcheck":
+        target = _write_map(tmp_path, st.zorn_rotation_map(zorn), "rot.map")
+    code, out, err = run([command, target, "--samples", samples])
+    assert code == 2
+    assert "--samples" in err
+    assert out == ""
+
+
 def test_installed_entry_point():
     proc = subprocess.run([sys.executable, "-m", "altstar.cli", "spade",
                            "zorn", "--e", "e1"],

@@ -156,6 +156,38 @@ def test_catalog_shape():
         catalog_entry("ID-A")
 
 
+def test_display_defaults_to_derived():
+    own_display = {"ID-H", "ID-J", "ID-K", "ID-L"}
+    for e in CATALOG:
+        assert (e.display is e.derived) == (e.entry_id not in own_display)
+        assert callable(e.display)
+    own_text = own_display | {"ID-F"}
+    for e in CATALOG:
+        assert (e.display_form == e.derived_form) \
+            == (e.entry_id not in own_text)
+
+
+def test_shared_display_form_is_evaluated_once(m2_peirce):
+    base = catalog_entry("ID-B")
+    calls = []
+
+    def derived(p, v, n, f):
+        calls.append(v)
+        return base.derived(p, v, n, f)
+
+    entry = st.IdentityEntry(
+        entry_id="ID-B", pattern=base.pattern,
+        derived_form=base.derived_form, notes=base.notes, n_min=base.n_min,
+        variants=base.variants, sample=base.sample, args=base.args,
+        derived=derived)
+    assert entry.display is derived
+    assert entry.display_form == base.derived_form
+    run = verify_identity(entry, m2_peirce, 3, 7, seed=2)
+    assert run.derived_ok and run.verbatim_match
+    assert len(calls) == 7 * len(base.variants(m2_peirce))
+    assert run == verify_identity(base, m2_peirce, 3, 7, seed=2)
+
+
 def test_run_below_minimum_arity_is_skipped(m2_peirce):
     run = verify_identity(catalog_entry("ID-K"), m2_peirce, 2, 10, seed=1)
     assert run.skipped is not None

@@ -23,7 +23,7 @@ def test_apply_linear_core(m2):
     rng = derive_rng(501, "apply")
     for _ in range(20):
         x = random_element(m2, rng)
-        assert st.apply_map(phi, x) == x
+        assert phi(x) == x
 
 
 def test_patch_lookup_precedes_linear_core(zorn):
@@ -179,6 +179,24 @@ def test_patched_map_is_refuted_with_reproducible_witness(
           "e2": zorn_peirce.e2}[tag]
     lhs = phi(st.q_star([xi, a, b]))
     rhs = st.q_star([phi(xi), phi(a), phi(b)])
+    assert lhs == w.lhs and rhs == w.rhs
+    assert lhs != rhs
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_patched_rotation_refuted_at_deep_arity(zorn, zorn_peirce, n):
+    # n > 3 folds the n-2 leading slots into one prefix value first
+    u1 = zorn.basis_element(2)
+    phi = st.patched_map(st.zorn_rotation_map(zorn), {u1: u1.scale(TWO)},
+                         name="rot-patched")
+    rep = st.check_jordan_condition(phi, zorn_peirce, n, 500, seed=5)
+    assert rep.refuted and rep.n == n
+    w = rep.witness
+    a, b = w.inputs
+    xi = {"1": zorn.unit, "e1": zorn_peirce.e1,
+          "e2": zorn_peirce.e2}[w.kind.split("=", 1)[1]]
+    lhs = phi(st.q_star([xi] * (n - 2) + [a, b]))
+    rhs = st.q_star([phi(xi)] * (n - 2) + [phi(a), phi(b)])
     assert lhs == w.lhs and rhs == w.rhs
     assert lhs != rhs
 

@@ -3,6 +3,7 @@
 import pytest
 
 import altstar as st
+from altstar.linalg import rank
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, TWO, ZERO, half_power
 
@@ -89,6 +90,41 @@ def test_projection_parenthesizations_agree(zorn, zorn_peirce):
             for j in (1, 2):
                 ei, ej = p.idempotent(i), p.idempotent(j)
                 assert (ei * x) * ej == ei * (x * ej)
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:3", "cd:-1,-1,-1"])
+def test_decomposition_oracle(spec):
+    # both parenthesizations and the recombination, recomputed per element
+    a, idem = st.resolve_algebra(spec)
+    e1 = a.element(idem["e1"]) if idem else st.find_symmetric_idempotents(a)[0]
+    p = st.PeirceSystem(a, e1)
+    rng = derive_rng(303, "oracle", spec)
+    for _ in range(15):
+        x = random_element(a, rng)
+        split = st.peirce_decompose(p, x)
+        total = a.zero()
+        for i, j in st.IJ_PAIRS:
+            ei, ej = p.idempotent(i), p.idempotent(j)
+            assert split[(i, j)] == (ei * x) * ej
+            assert split[(i, j)] == ei * (x * ej)
+            total = total + split[(i, j)]
+        assert total == x
+
+
+def test_system_rejects_unit_that_does_not_recombine(m2):
+    doc = st.algebra_to_dict(m2)
+    doc["unit"] = ["1", "0", "0", "2"]
+    bad, _ = st.algebra_from_dict(doc)
+    e1 = bad.basis_element(0)
+    # E11 is still a symmetric idempotent with four 1-dimensional
+    # projections, so only the recombination check can reject it
+    assert st.is_symmetric_idempotent(bad, e1)
+    e = {1: e1, 2: bad.unit - e1}
+    for i, j in st.IJ_PAIRS:
+        images = [list((e[i] * (b * e[j])).coords) for b in bad.basis()]
+        assert rank(images) == 1
+    with pytest.raises(st.PeirceError, match="recombine"):
+        st.PeirceSystem(bad, e1)
 
 
 @pytest.mark.parametrize("fixture,samples", [("m2_peirce", 100),
