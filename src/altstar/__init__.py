@@ -33,7 +33,7 @@ from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
                      peirce_decompose, random_component, spade_ok,
                      spade_pair)
 from .sampling import (derive_rng, random_combination, random_element,
-                       random_nonzero_combination, random_scalar)
+                       random_scalar)
 from .scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO, ZERO,
                       format_scalar, half_power, integer, parse_scalar,
                       rational)
@@ -60,7 +60,7 @@ __all__ = [
     "load_algebra_file", "load_map_file", "map_from_dict", "map_to_dict",
     "matrix_algebra", "matrix_swap_conjugation", "parse_scalar",
     "patched_map", "peirce_decompose", "q_star", "random_combination",
-    "random_component", "random_element", "random_nonzero_combination",
+    "random_component", "random_element",
     "random_scalar", "rational",
     "resolve_algebra", "sample_pool", "scale_map", "spade_ok", "spade_pair",
     "star_as_map", "verify_identity", "zorn_algebra", "zorn_idempotents",

@@ -202,8 +202,7 @@ def change_of_basis(a: Algebra, m: Sequence[Sequence[Scalar]],
     def to_new(coords: Sequence[Scalar]) -> list[Scalar]:
         return linalg.mat_vec(minv, coords)
 
-    cols = [[m[r][c] for r in range(dim)] for c in range(dim)]
-    new_basis_old = [a.element(col) for col in cols]
+    new_basis_old = [a.element(col) for col in zip(*m)]
     structure = {}
     for i in range(dim):
         for j in range(dim):
@@ -212,17 +211,8 @@ def change_of_basis(a: Algebra, m: Sequence[Sequence[Scalar]],
                 if not c.is_zero():
                     structure[(i, j, k)] = c
     unit = to_new(a.unit.coords)
-    # star'(y) = M^{-1} S conj(M) conj(y)
-    s_old = a.star_matrix()
-    sm = [[ZERO] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(dim):
-            acc = ZERO
-            for t in range(dim):
-                acc = acc + s_old[r][t] * m[t][c].conj()
-            sm[r][c] = acc
-    star = [linalg.mat_vec(minv, [sm[r][c] for r in range(dim)])
-            for c in range(dim)]
-    star_rows = [[star[c][r] for c in range(dim)] for r in range(dim)]
+    # column c of the new star matrix is the star of new basis vector c
+    star = linalg.from_columns([to_new(b.star().coords)
+                                for b in new_basis_old])
     return _validated(Algebra(name or f"{a.name}~", dim, a.basis_labels,
-                              structure, unit, star_rows))
+                              structure, unit, star))

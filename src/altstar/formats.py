@@ -144,6 +144,10 @@ def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
 # Builtins are tried first; anything that does not parse as a builtin is
 # treated as a file path.  dsum splits its payload on the first comma, so
 # its halves must themselves be comma-free specs (zorn, matrix:K, a file).
+#
+# matrix:K builds K^3 structure entries and validates in time growing as K^8,
+# so K is bounded before anything is allocated.
+MAX_MATRIX_SIZE = 8
 
 
 def matrix_idempotents(a: Algebra) -> dict[str, list[Scalar]]:
@@ -180,6 +184,9 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
         except ValueError:
             raise FormatError(f"matrix spec needs an integer size, "
                               f"got {payload!r}") from None
+        if k > MAX_MATRIX_SIZE:
+            raise FormatError(f"matrix:K supports K <= {MAX_MATRIX_SIZE} "
+                              f"(dim {MAX_MATRIX_SIZE ** 2}), got {k}")
         a = matrix_algebra(k)
         return a, (matrix_idempotents(a) if k >= 2 else {})
     if head == "cd":
@@ -245,6 +252,7 @@ def map_from_dict(d: dict) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
         raise FormatError(f"{what}: field 'conjugates_scalars' must be a "
                           "boolean")
     patches = {}
+    first_index = {}  # patch input -> index of its entry
     for t, entry in enumerate(d.get("patches", [])):
         if not isinstance(entry, dict):
             raise FormatError(f"{what}: patches[{t}] must be an object")
@@ -253,6 +261,10 @@ def map_from_dict(d: dict) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
                                              f"{ew}.in", domain.dim))
         y = codomain.element(parse_scalar_list(_req(entry, "out", list, ew),
                                                f"{ew}.out", codomain.dim))
+        if x in first_index:
+            raise FormatError(f"{what}: duplicate patch input in "
+                              f"patches[{first_index[x]}] and {ew}")
+        first_index[x] = t
         patches[x] = y
     try:
         phi = AlgebraMap(domain, codomain, matrix, conj, patches, name)

@@ -92,18 +92,11 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:
     return out
 
 
+def from_columns(cols: Sequence[Sequence[Scalar]]) -> Matrix:
+    """The matrix whose k-th column is cols[k]."""
+    return [list(row) for row in zip(*cols)]
+
+
 def independent_subset(vectors: Sequence[Sequence[Scalar]]) -> list[int]:
     """Indices of a maximal independent subset, scanning in the given order."""
-    kept: list[int] = []
-    stack: Matrix = []
-    r = 0
-    for idx, v in enumerate(vectors):
-        if all(x.is_zero() for x in v):
-            continue
-        stack.append(list(v))
-        if rank(stack) > r:
-            kept.append(idx)
-            r += 1
-        else:
-            stack.pop()
-    return kept
+    return rref(from_columns(vectors))[1]

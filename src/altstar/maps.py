@@ -55,9 +55,6 @@ class AlgebraMap:
         for x, y in patches.items():
             if x.algebra is not domain or y.algebra is not codomain:
                 raise MapError("patch endpoints must live in domain/codomain")
-        ins = list(patches.keys())
-        if len(set(ins)) != len(ins):
-            raise MapError("patch inputs must be pairwise distinct")
         outs = list(patches.values())
         if len({o.coords for o in outs}) != len(outs):
             raise MapError("patch outputs must be pairwise distinct")
@@ -146,10 +143,7 @@ def matrix_swap_conjugation(a: Algebra) -> AlgebraMap:
     if a.name != "matrix:2":
         raise MapError("matrix_swap_conjugation expects matrix:2")
     u = a.element([ZERO, ONE, ONE, ZERO])
-    cols = []
-    for b in a.basis():
-        cols.append((u * b) * u)
-    m = [[cols[j].coords[i] for j in range(4)] for i in range(4)]
+    m = linalg.from_columns([((u * b) * u).coords for b in a.basis()])
     return AlgebraMap(a, a, m, name="swap-conjugation")
 
 

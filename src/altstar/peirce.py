@@ -11,6 +11,10 @@ component relations checked here:
   (iv)  x*x = 0  for x in A_12 or A_21
   (v)   star maps A_ij into A_ji
 
+Each projection x -> e_i (x e_j) is linear.  PeirceSystem computes it once
+as a matrix from the images of the basis, so a projection, a decomposition
+or a membership test costs matrix-vector products and no algebra product.
+
 The annihilator condition ("spade") for an idempotent e:
 x * (a e) = 0 for all a implies x = 0; note the parenthesization, the
 products are x(ae), never (xa)e.  It is decided exactly via the nullspace
@@ -24,9 +28,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, CheckResult, Element, Witness
-from .sampling import (derive_rng, random_combination,
-                       random_nonzero_combination)
-from .scalars import I, Scalar, ZERO, half_power
+from .sampling import derive_rng, random_combination
+from .scalars import I, half_power
 
 IJ_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -97,7 +100,8 @@ class PeirceSplit:
 
 
 class PeirceSystem:
-    """A validated pair (e1, e2 = 1 - e1) with the four component bases."""
+    """A validated pair (e1, e2 = 1 - e1) with the four projection
+    matrices and component bases."""
 
     def __init__(self, algebra: Algebra, e1: Element):
         info = classify_idempotent(algebra, e1)
@@ -111,12 +115,15 @@ class PeirceSystem:
         self.e1 = e1
         self.e2 = algebra.unit - e1
 
-        # Both laws below are linear in x, so checking them on the basis
-        # decides them for every x: the two parenthesizations of a projection
-        # agree, and the four projections recombine to x.
+        # Each projection x -> e_i (x e_j) is linear, so it is stored once as
+        # the matrix whose columns are the images of the basis.  The laws
+        # below are linear too, so checking them on the basis decides them
+        # for every x: the two parenthesizations of a projection agree, and
+        # the four projections recombine to x.
         basis = algebra.basis()
-        projected = {ij: [self.project(b, ij) for b in basis]
-                     for ij in IJ_PAIRS}
+        projected = {(i, j): [self.idempotent(i) * (b * self.idempotent(j))
+                              for b in basis]
+                     for i, j in IJ_PAIRS}
         for k, b in enumerate(basis):
             for i, j in IJ_PAIRS:
                 ei, ej = self.idempotent(i), self.idempotent(j)
@@ -130,11 +137,11 @@ class PeirceSystem:
                 raise PeirceError("Peirce components do not recombine to "
                                   f"basis {b!r}")
 
-        bases: dict[tuple[int, int], list[Element]] = {}
-        for ij in IJ_PAIRS:
-            keep = linalg.independent_subset(
-                [x.coords for x in projected[ij]])
-            bases[ij] = [projected[ij][t] for t in keep]
+        self._matrices = {ij: linalg.from_columns([x.coords for x in cols])
+                          for ij, cols in projected.items()}
+        # each component basis is the pivot columns of its matrix
+        bases = {ij: [projected[ij][t] for t in linalg.rref(m)[1]]
+                 for ij, m in self._matrices.items()}
         self.component_bases = bases
         if sum(len(v) for v in bases.values()) != algebra.dim:
             raise PeirceError("Peirce components do not span the algebra")
@@ -146,8 +153,11 @@ class PeirceSystem:
         return self.e1 if i == 1 else self.e2
 
     def project(self, x: Element, ij: tuple[int, int]) -> Element:
-        i, j = ij
-        return self.idempotent(i) * (x * self.idempotent(j))
+        """e_i (x e_j), as one matrix-vector product."""
+        if x.algebra is not self.algebra:
+            raise PeirceError("element does not live in the Peirce algebra")
+        return Element(self.algebra, linalg.mat_vec(self._matrices[ij],
+                                                    x.coords))
 
     def component_dims(self) -> dict[tuple[int, int], int]:
         return {ij: len(self.component_bases[ij]) for ij in IJ_PAIRS}
@@ -156,26 +166,24 @@ class PeirceSystem:
 def peirce_decompose(p: PeirceSystem, x: Element) -> PeirceSplit:
     """Split x into its four components e_i (x e_j).
 
-    Exact: PeirceSystem has checked on a basis, hence for every x, that both
-    parenthesizations agree and that the components recombine to x.
+    Each component is one matrix-vector product with a projection matrix
+    that PeirceSystem computed once; no algebra product is made.
     """
     return PeirceSplit({ij: p.project(x, ij) for ij in IJ_PAIRS})
 
 
 def component_of(p: PeirceSystem, x: Element, ij: tuple[int, int]) -> bool:
-    """True iff x lies in A_ij (all other components vanish)."""
-    split = peirce_decompose(p, x)
-    return all(split[kl].is_zero() for kl in IJ_PAIRS if kl != ij) \
-        and (split[ij] - x).is_zero()
+    """True iff x lies in A_ij, decided by its stored projection matrix."""
+    # PeirceSystem checked on the basis that the four projections recombine
+    # to x and that their images are independent, so A11 + A12 + A21 + A22
+    # is a direct sum: x lies in A_ij exactly when its A_ij projection is x.
+    return p.project(x, ij) == x
 
 
-def random_component(p: PeirceSystem, ij: tuple[int, int], rng,
-                     nonzero: bool = False) -> Element:
+def random_component(p: PeirceSystem, ij: tuple[int, int], rng) -> Element:
     basis = p.component_bases[ij]
     if not basis:
         raise PeirceError(f"A_{ij[0]}{ij[1]} is zero-dimensional")
-    if nonzero:
-        return random_nonzero_combination(basis, rng)
     return random_combination(basis, rng)
 
 
@@ -196,7 +204,8 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
                            seed: int) -> PeirceRelationsReport:
     """Sampled membership checks for relations (i)-(v) above.
 
-    Membership is decided by exact re-decomposition of each product.  The
+    Membership is decided exactly, as in component_of: the residual of x
+    in A_ij is x - e_i (x e_j), one product with a projection matrix.  The
     report also carries the first nonzero A12*A12 product encountered,
     which witnesses the genuinely alternative (nonassociative) case.
     """
@@ -209,12 +218,7 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
             failures[name] = Witness(args, residual)
 
     def membership_residual(x: Element, ij: tuple[int, int]) -> Element:
-        split = peirce_decompose(p, x)
-        out = a.zero()
-        for kl in IJ_PAIRS:
-            if kl != ij:
-                out = out + split[kl]
-        return out
+        return x - p.project(x, ij)
 
     for i, j in IJ_PAIRS:
         for k, l in IJ_PAIRS:
@@ -287,29 +291,21 @@ def check_spade(a: Algebra, e: Element) -> SpadeResult:
 
     Builds the matrix of x -> (x (b_k e))_k over the basis and computes its
     nullspace; a nonzero nullspace vector is returned as the witness after
-    re-verifying that it annihilates every column generator.
+    re-verifying that the matrix sends it to zero.
     """
     if not (e * e - e).is_zero():
         raise PeirceError("spade check requires an idempotent e")
-    dim = a.dim
     gens = [b * e for b in a.basis()]
-    rows: list[list[Scalar]] = []
-    for g in gens:
-        # row block: output coordinate l of b_i * g, unknowns indexed by i
-        block = [[ZERO] * dim for _ in range(dim)]
-        for i in range(dim):
-            prod = a.basis_element(i) * g
-            for l, c in enumerate(prod.coords):
-                block[l][i] = c
-        rows.extend(block)
+    # one row block per generator g: the matrix of x -> x g
+    rows = [row for g in gens
+            for row in linalg.from_columns([(b * g).coords
+                                            for b in a.basis()])]
     null = linalg.nullspace(rows)
     if not null:
         return SpadeResult(True, None)
-    x = a.element(null[0])
-    for g in gens:
-        if not (x * g).is_zero():
-            raise PeirceError("internal error: spade witness fails to verify")
-    return SpadeResult(False, x)
+    if not all(c.is_zero() for c in linalg.mat_vec(rows, null[0])):
+        raise PeirceError("internal error: spade witness fails to verify")
+    return SpadeResult(False, a.element(null[0]))
 
 
 def spade_pair(p: PeirceSystem) -> tuple[SpadeResult, SpadeResult]:

@@ -37,10 +37,3 @@ def random_combination(basis: Sequence[Element],
         out = out + b.scale(random_scalar(rng))
     return out
 
-
-def random_nonzero_combination(basis: Sequence[Element],
-                               rng: random.Random) -> Element:
-    while True:
-        x = random_combination(basis, rng)
-        if not x.is_zero():
-            return x

@@ -1,6 +1,7 @@
 import pytest
 
 import altstar as st
+from altstar.scalars import I, MINUS_ONE, ONE, ZERO
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,19 @@ def zorn_peirce(zorn):
 def dsum_m2_m2():
     a = st.matrix_algebra(2)
     return st.direct_sum(a, st.matrix_algebra(2))
+
+
+@pytest.fixture(scope="session")
+def zorn_moved_basis():
+    """I + N with N nilpotent (N^2 = 0) and one imaginary entry, so that the
+    transported star is not a permutation; sparse, to keep basis scans cheap."""
+    m = [[ONE if r == c else ZERO for c in range(8)] for r in range(8)]
+    m[0][2] = ONE
+    m[6][1] = I
+    m[3][7] = MINUS_ONE
+    return m
+
+
+@pytest.fixture(scope="session")
+def zorn_transported(zorn, zorn_moved_basis):
+    return st.change_of_basis(zorn, zorn_moved_basis, name="zorn~")

@@ -2,12 +2,13 @@
 oracle: elements of matrix_algebra(k) are mapped to k x k grids of
 (re, im) Fraction pairs and multiplied with schoolbook complex arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import altstar as st
-from altstar.algebra import Algebra, check_axioms
+from altstar.algebra import Algebra, Witness, check_axioms
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, MINUS_ONE, ONE, Scalar, TWO, ZERO
 
@@ -175,6 +176,43 @@ def test_witness_residual_reproducible_on_sedenions():
     again = a.associator(x, y, z) + a.associator(y, x, z)
     assert again == c.witness.residual
     assert not again.is_zero()
+
+
+def _separate_scans(a):
+    """Reference: one scan over the basis triples per linearized law."""
+    assoc = a.associator
+    laws = (
+        ("left_alternative_linearized",
+         lambda x, y, z: assoc(x, y, z) + assoc(y, x, z)),
+        ("right_alternative_linearized",
+         lambda x, y, z: assoc(x, y, z) + assoc(x, z, y)),
+        ("flexible_linearized",
+         lambda x, y, z: assoc(x, y, z) + assoc(z, y, x)),
+    )
+    out = {}
+    for name, law in laws:
+        out[name] = None
+        for t in itertools.product(a.basis(), repeat=3):
+            r = law(*t)
+            if not r.is_zero():
+                out[name] = Witness(t, r)
+                break
+    return out
+
+
+@pytest.mark.parametrize("spec", ["cd:-1,-1,-1,-1", "zorn", "matrix:2",
+                                  "zorn~"])
+def test_one_scan_matches_separate_scans(spec, zorn_transported):
+    a = zorn_transported if spec == "zorn~" else st.resolve_algebra(spec)[0]
+    rep = st.check_alternative(a)
+    ref = _separate_scans(a)
+    assert [c.name for c in rep.checks] == list(ref)
+    for c in rep.checks:
+        assert c.witness == ref[c.name], c.name
+        assert c.passed == (ref[c.name] is None)
+    # the sedenions are flexible but neither left nor right alternative
+    if spec.startswith("cd"):
+        assert [c.passed for c in rep.checks] == [False, False, True]
 
 
 def test_validation_errors():

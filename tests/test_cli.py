@@ -219,6 +219,31 @@ def test_bad_builtin_parameter_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["gen", "matrix:9"],
+                                     ["check", "dsum:zorn,matrix:9"]],
+                         ids=["alone", "dsum-part"])
+def test_matrix_size_is_bounded(command):
+    code, out, err = run(command)
+    assert code == 2
+    assert "K <= 8" in err
+    assert out == ""
+
+
+def test_duplicate_patch_inputs_exit_2(tmp_path, zorn):
+    u1 = zorn.basis_element(2)
+    phi = st.patched_map(st.identity_map(zorn), {u1: u1.scale(st.TWO)})
+    doc = map_to_dict(phi, "zorn", "zorn")
+    # the same input again, with another output
+    doc["patches"].append({"in": doc["patches"][0]["in"],
+                           "out": ["0", "0", "3", "0", "0", "0", "0", "0"]})
+    path = tmp_path / "dup.map"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, err = run(["mapcheck", str(path)])
+    assert code == 2
+    assert "duplicate" in err and "patches[0]" in err and "patches[1]" in err
+    assert out == ""
+
+
 def _matrix2_file(tmp_path, name, **overrides):
     """The matrix:2 algebra file with some top-level fields replaced."""
     doc = json.loads(run(["gen", "matrix:2"])[1])

@@ -309,6 +309,20 @@ def test_change_of_basis_transports_products(m2):
     assert to_old(b.unit) == m2.unit
 
 
+def test_change_of_basis_transports_a_complex_star(zorn, zorn_transported,
+                                                  zorn_moved_basis):
+    from altstar import linalg
+    b, m = zorn_transported, zorn_moved_basis
+    assert st.check_axioms(b).ok
+    # the new star matrix M^-1 S conj(M) has imaginary entries here
+    assert any(c.b != 0 for row in b.star_matrix() for c in row)
+    rng = derive_rng(206, "cob-star")
+    for _ in range(10):
+        x = random_element(b, rng)
+        old = zorn.element(linalg.mat_vec(m, x.coords))
+        assert zorn.element(linalg.mat_vec(m, x.star().coords)) == old.star()
+
+
 def test_change_of_basis_rejects_singular(m2):
     singular = [[ZERO] * 4 for _ in range(4)]
     with pytest.raises(st.ConstructionError):

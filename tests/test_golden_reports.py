@@ -1,0 +1,50 @@
+"""CLI reports stay byte-identical to the benchmark's golden table.
+
+``perfbench/golden.json`` holds, for every benchmark job, its exit code and
+the sha256 of its stdout.  This replays the seed-1 jobs of every workload
+through ``altstar.cli.main`` and compares.  ``perfbench/workloads.py`` is
+loaded by path and only read; reports contain no file paths, so the digests
+do not depend on where the inputs are written.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from altstar.cli import main as cli_main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 1
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", ["catalog", "falsify", "dense-basis"])
+def test_reports_match_golden_digests(workload, golden, tmp_path):
+    jobs = _load_workloads().build(workload, SEED, str(tmp_path))
+    assert jobs
+    for job in jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(list(job.argv))
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert [code, digest] == golden[f"{workload}/{SEED}/{job.name}"], \
+            job.name

@@ -3,6 +3,7 @@
 import pytest
 
 import altstar as st
+from altstar.algebra import Algebra
 from altstar.linalg import rank
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, TWO, ZERO, half_power
@@ -109,6 +110,40 @@ def test_decomposition_oracle(spec):
             assert split[(i, j)] == ei * (x * ej)
             total = total + split[(i, j)]
         assert total == x
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:3", "cd:-1,-1,-1",
+                                  "zorn~"])
+def test_projection_is_one_matrix_product(spec, zorn_transported,
+                                          monkeypatch):
+    if spec == "zorn~":
+        a = zorn_transported
+        e1 = st.find_symmetric_idempotents(a)[0]
+    else:
+        a, idem = st.resolve_algebra(spec)
+        e1 = a.element(idem["e1"]) if idem \
+            else st.find_symmetric_idempotents(a)[0]
+    p = st.PeirceSystem(a, e1)
+    rng = derive_rng(304, "project", spec)
+    cases = []
+    for _ in range(6):
+        x = random_element(a, rng)
+        parts = {(i, j): p.idempotent(i) * (x * p.idempotent(j))
+                 for i, j in st.IJ_PAIRS}
+        cases.append((x, parts))
+
+    def no_product(self, x, y):
+        raise AssertionError("an algebra product was made")
+
+    monkeypatch.setattr(Algebra, "multiply", no_product)
+    for x, parts in cases:
+        split = st.peirce_decompose(p, x)
+        for ij in st.IJ_PAIRS:
+            assert p.project(x, ij) == parts[ij]
+            assert split[ij] == parts[ij]
+            assert st.component_of(p, parts[ij], ij)
+            # a dense random element lies in no single component
+            assert not st.component_of(p, x, ij)
 
 
 def test_system_rejects_unit_that_does_not_recombine(m2):
