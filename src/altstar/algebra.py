@@ -5,6 +5,16 @@ b_i * b_j = sum_k c[i][j][k] b_k, a distinguished two-sided unit, and a
 conjugate-linear involution ``star`` given by a matrix S applied to the
 entrywise-conjugated coordinate vector.
 
+An Element stores its coordinates as Gaussian-integer numerators over one
+shared denominator: coordinate k is (re[k] + i im[k]) / den.  The form is
+canonical (den > 0 and gcd(den, *re, *im) = 1), so equal values have equal
+fields and equal hashes.  The structure tensor and every linear map on
+elements (star, Peirce projections, map cores) are compiled once to sparse
+integer entries over one common denominator, so products, stars, sums and
+projections run on plain ints and normalise each result with one gcd.
+Scalars appear only at the edges: construction from coordinates, the
+``coords`` view, and the structure accessors.
+
 The axiom checkers verify the *linearized* alternative laws over all basis
 triples; over a field of characteristic zero that is equivalent to the
 alternative laws themselves (substitute y = x to recover them, and the
@@ -13,11 +23,12 @@ linearization of a quadratic identity is sum-of-substitutions).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress, product
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import linalg
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -26,48 +37,67 @@ class AlgebraError(ValueError):
 
 
 class Element:
-    """Coordinate vector tied to its parent algebra; immutable and hashable."""
+    """Coordinate vector tied to its parent algebra; immutable and hashable.
 
-    __slots__ = ("algebra", "coords")
+    Coordinate k is (re[k] + i im[k]) / den, in the canonical form described
+    in the module docstring.
+    """
+
+    __slots__ = ("algebra", "re", "im", "den")
 
     def __init__(self, algebra: "Algebra", coords: Sequence[Scalar]):
         if len(coords) != algebra.dim:
             raise AlgebraError(
                 f"coordinate length {len(coords)} != dim {algebra.dim}")
+        # each Scalar is in lowest terms, so over the lcm of the
+        # denominators no prime divides every numerator and den
+        den = lcm(*(c.d for c in coords))
         self.algebra = algebra
-        self.coords = tuple(coords)
+        self.re = tuple(c.a * (den // c.d) for c in coords)
+        self.im = tuple(c.b * (den // c.d) for c in coords)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Scalar, ...]:
+        """The coordinates as Scalars, built on demand for the edges."""
+        d = self.den
+        # zeros share one Scalar: sparse vectors fill linalg's matrices
+        return tuple(Scalar(a, b, d) if a or b else ZERO
+                     for a, b in zip(self.re, self.im))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not (any(self.re) or any(self.im))
 
     def __add__(self, o: "Element") -> "Element":
-        _same_algebra(self, o)
-        return Element(self.algebra,
-                       [a + b for a, b in zip(self.coords, o.coords)])
+        return _sum(self, o, 1)
 
     def __sub__(self, o: "Element") -> "Element":
-        _same_algebra(self, o)
-        return Element(self.algebra,
-                       [a - b for a, b in zip(self.coords, o.coords)])
+        return _sum(self, o, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, [-a for a in self.coords])
+        return _raw(self.algebra, tuple(-a for a in self.re),
+                    tuple(-b for b in self.im), self.den)
 
     def __mul__(self, o: "Element") -> "Element":
         return self.algebra.multiply(self, o)
 
     def scale(self, s: Scalar) -> "Element":
-        return Element(self.algebra, [s * a for a in self.coords])
+        p, q = s.a, s.b
+        return _element(self.algebra,
+                        [p * a - q * b for a, b in zip(self.re, self.im)],
+                        [p * b + q * a for a, b in zip(self.re, self.im)],
+                        s.d * self.den)
 
     def star(self) -> "Element":
         return self.algebra.star(self)
 
     def __eq__(self, o: object) -> bool:
         return (isinstance(o, Element) and self.algebra is o.algebra
-                and self.coords == o.coords)
+                and self.den == o.den and self.re == o.re
+                and self.im == o.im)
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coords))
+        return hash((id(self.algebra), self.den, self.re, self.im))
 
     def __repr__(self) -> str:
         terms = [f"{c}*{self.algebra.basis_labels[k]}"
@@ -75,9 +105,88 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
+def _raw(algebra: "Algebra", re: tuple, im: tuple, den: int) -> Element:
+    """An element from fields already in canonical form."""
+    x = object.__new__(Element)
+    x.algebra = algebra
+    x.re = re
+    x.im = im
+    x.den = den
+    return x
+
+
+def _element(algebra: "Algebra", re: list, im: list, den: int) -> Element:
+    """An element from int numerators over den > 0, reduced by one gcd."""
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [a // g for a in re]
+            im = [b // g for b in im]
+            den //= g
+    return _raw(algebra, tuple(re), tuple(im), den)
+
+
+def _sum(x: Element, y: Element, sign: int) -> Element:
+    """x + sign * y over the least common denominator."""
+    _same_algebra(x, y)
+    g = gcd(x.den, y.den)
+    fx, fy = y.den // g, sign * (x.den // g)
+    return _element(x.algebra, [a * fx + b * fy for a, b in zip(x.re, y.re)],
+                    [a * fx + b * fy for a, b in zip(x.im, y.im)],
+                    x.den * fx)
+
+
 def _same_algebra(x: Element, y: Element) -> None:
     if x.algebra is not y.algebra:
         raise AlgebraError("algebra mismatch between operands")
+
+
+class IntMatrix:
+    """A Scalar matrix compiled once to sparse Gaussian-integer columns.
+
+    Entry (k, t) is (re + i im) / den with one common den; column t keeps
+    only its nonzero entries as (k, re, im).  ``apply`` is the one kernel
+    for linear maps on elements: star, Peirce projections and map cores.
+    """
+
+    __slots__ = ("nrows", "ncols", "_cols", "_den")
+
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        den = lcm(*(c.d for row in rows for c in row))
+        cols: list[list[tuple[int, int, int]]] = [
+            [] for _ in range(self.ncols)]
+        for k, row in enumerate(rows):
+            for t, c in enumerate(row):
+                if not c.is_zero():
+                    f = den // c.d
+                    cols[t].append((k, c.a * f, c.b * f))
+        self._cols = tuple(tuple(col) for col in cols)
+        self._den = den
+
+    def apply(self, x: Element, out: "Algebra",
+              conjugate: bool = False) -> Element:
+        """This matrix times the coordinates of x (entrywise conjugated
+        first if *conjugate*), as an element of *out*."""
+        ore = [0] * self.nrows
+        oim = [0] * self.nrows
+        cols = self._cols
+        xre, xim = x.re, x.im
+        for t in compress(range(self.ncols), map(or_, xre, xim)):
+            a = xre[t]
+            b = -xim[t] if conjugate else xim[t]
+            for k, c, d in cols[t]:
+                ore[k] += a * c - b * d
+                oim[k] += a * d + b * c
+        return _element(out, ore, oim, x.den * self._den)
+
+    def scalar_rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
+        for t, col in enumerate(self._cols):
+            for k, c, d in col:
+                rows[k][t] = Scalar(c, d, self._den)
+        return tuple(tuple(row) for row in rows)
 
 
 class Algebra:
@@ -94,23 +203,26 @@ class Algebra:
         self.name = name
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
-        rows: list[list[list[tuple[int, Scalar]]]] = [
-            [[] for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in structure.items():
+        for i, j, k in structure:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AlgebraError(f"structure index ({i},{j},{k}) out of range")
+        # c[i][j][k] = (re + i im) / den with one common den; products
+        # iterate only the nonzero support (k, re, im) of each basis pair
+        den = lcm(*(c.d for c in structure.values()))
+        rows: list[list[list[tuple[int, int, int]]]] = [
+            [[] for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k), c in structure.items():
             if not c.is_zero():
-                rows[i][j].append((k, c))
-        for i in range(dim):
-            for j in range(dim):
-                rows[i][j].sort(key=lambda e: e[0])
-        # products iterate only the nonzero support of each basis pair
-        self._rows = tuple(tuple(tuple(cell) for cell in row) for row in rows)
-        self._star_matrix = tuple(tuple(row) for row in star_matrix)
-        if len(self._star_matrix) != dim or any(len(r) != dim
-                                                for r in self._star_matrix):
+                f = den // c.d
+                rows[i][j].append((k, c.a * f, c.b * f))
+        self._rows = tuple(tuple(tuple(sorted(cell)) for cell in row)
+                           for row in rows)
+        self._den = den
+        if len(star_matrix) != dim or any(len(r) != dim for r in star_matrix):
             raise AlgebraError("star matrix must be dim x dim")
+        self._star = IntMatrix(star_matrix)
         self.unit = Element(self, unit_coords)
+        self._zero = Element(self, [ZERO] * dim)
         self._basis = tuple(
             Element(self, [ONE if t == k else ZERO for t in range(dim)])
             for k in range(dim))
@@ -121,7 +233,7 @@ class Algebra:
         return Element(self, coords)
 
     def zero(self) -> Element:
-        return Element(self, [ZERO] * self.dim)
+        return self._zero
 
     def basis_element(self, k: int) -> Element:
         return self._basis[k]
@@ -132,42 +244,47 @@ class Algebra:
     # -- core operations ---------------------------------------------------
 
     def structure_constant(self, i: int, j: int, k: int) -> Scalar:
-        for kk, c in self._rows[i][j]:
+        for kk, a, b in self._rows[i][j]:
             if kk == k:
-                return c
+                return Scalar(a, b, self._den)
         return ZERO
 
     def structure_entries(self) -> Iterable[tuple[int, int, int, Scalar]]:
         for i in range(self.dim):
             for j in range(self.dim):
-                for k, c in self._rows[i][j]:
-                    yield i, j, k, c
+                for k, a, b in self._rows[i][j]:
+                    yield i, j, k, Scalar(a, b, self._den)
 
     def multiply(self, x: Element, y: Element) -> Element:
         if x.algebra is not self or y.algebra is not self:
             raise AlgebraError("algebra mismatch in multiply")
-        out = [ZERO] * self.dim
+        n = self.dim
+        ore = [0] * n
+        oim = [0] * n
         rows = self._rows
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
+        xre, xim, yre, yim = x.re, x.im, y.re, y.im
+        # the nonzero coordinates: a | b == 0 iff a == b == 0
+        ys = [(j, yre[j], yim[j])
+              for j in compress(range(n), map(or_, yre, yim))]
+        for i in compress(range(n), map(or_, xre, xim)):
+            a = xre[i]
+            b = xim[i]
             row = rows[i]
-            for j, yj in enumerate(y.coords):
-                if yj.is_zero():
-                    continue
-                f = xi * yj
-                for k, c in row[j]:
-                    out[k] = out[k] + f * c
-        return Element(self, out)
+            for j, c, d in ys:
+                fr = a * c - b * d
+                fi = a * d + b * c
+                for k, p, q in row[j]:
+                    ore[k] += fr * p - fi * q
+                    oim[k] += fr * q + fi * p
+        return _element(self, ore, oim, x.den * y.den * self._den)
 
     def star(self, x: Element) -> Element:
         if x.algebra is not self:
             raise AlgebraError("algebra mismatch in star")
-        return Element(self, linalg.mat_vec(self._star_matrix,
-                                            [c.conj() for c in x.coords]))
+        return self._star.apply(x, self, conjugate=True)
 
     def star_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._star_matrix
+        return self._star.scalar_rows()
 
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         return (x * y) * z - x * (y * z)
@@ -220,7 +337,7 @@ def check_alternative(a: Algebra) -> AxiomReport:
                 ("right_alternative_linearized", (0, 2, 1)),
                 ("flexible_linearized", (2, 1, 0)))
     found: dict[str, Witness] = {}
-    for t in itertools.product(a.basis(), repeat=3):
+    for t in product(a.basis(), repeat=3):
         if len(found) == len(partners):
             break
         base = a.associator(*t)

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 from .algebra import AlgebraError, Element
 from .peirce import PeirceSystem, peirce_decompose, random_component
 from .sampling import derive_rng, random_element
-from .scalars import Scalar, half_power
+from .scalars import TWO, half_power
 
 
 def jordan_star(x: Element, y: Element) -> Element:
@@ -53,7 +53,7 @@ def _q_cached(args: Sequence[Element], cache: dict) -> Element:
     val: Optional[Element] = None
     key: tuple = ()
     for x in args:
-        key = key + (x.coords,)
+        key = key + (x,)
         hit = cache.get(key)
         if hit is not None:
             val = hit
@@ -224,7 +224,7 @@ def _entry_d() -> IdentityEntry:
 def _entry_e() -> IdentityEntry:
     def rhs(p, v, n, f):
         prod = f["t21"] * f["c12"]
-        return (prod + prod.star()).scale(Scalar(2))
+        return (prod + prod.star()).scale(TWO)
 
     return IdentityEntry(
         entry_id="ID-E",

@@ -12,8 +12,9 @@ component relations checked here:
   (v)   star maps A_ij into A_ji
 
 Each projection x -> e_i (x e_j) is linear.  PeirceSystem computes it once
-as a matrix from the images of the basis, so a projection, a decomposition
-or a membership test costs matrix-vector products and no algebra product.
+as a matrix from the images of the basis and compiles it to an IntMatrix,
+so a projection, a decomposition or a membership test costs integer
+matrix-vector products and no algebra product.
 
 The annihilator condition ("spade") for an idempotent e:
 x * (a e) = 0 for all a implies x = 0; note the parenthesization, the
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, CheckResult, Element, Witness
+from .algebra import (Algebra, AlgebraError, CheckResult, Element,
+                      IntMatrix, Witness)
 from .sampling import derive_rng, random_combination
 from .scalars import I, half_power
 
@@ -76,9 +78,9 @@ def find_symmetric_idempotents(a: Algebra,
     out: list[Element] = []
     seen = set()
     for e in candidates:
-        if e.coords in seen:
+        if e in seen:
             continue
-        seen.add(e.coords)
+        seen.add(e)
         info = classify_idempotent(a, e)
         if info.is_idempotent and info.is_symmetric and not info.is_trivial:
             out.append(e)
@@ -137,11 +139,12 @@ class PeirceSystem:
                 raise PeirceError("Peirce components do not recombine to "
                                   f"basis {b!r}")
 
-        self._matrices = {ij: linalg.from_columns([x.coords for x in cols])
-                          for ij, cols in projected.items()}
+        columns = {ij: linalg.from_columns([x.coords for x in cols])
+                   for ij, cols in projected.items()}
+        self._matrices = {ij: IntMatrix(m) for ij, m in columns.items()}
         # each component basis is the pivot columns of its matrix
         bases = {ij: [projected[ij][t] for t in linalg.rref(m)[1]]
-                 for ij, m in self._matrices.items()}
+                 for ij, m in columns.items()}
         self.component_bases = bases
         if sum(len(v) for v in bases.values()) != algebra.dim:
             raise PeirceError("Peirce components do not span the algebra")
@@ -156,8 +159,7 @@ class PeirceSystem:
         """e_i (x e_j), as one matrix-vector product."""
         if x.algebra is not self.algebra:
             raise PeirceError("element does not live in the Peirce algebra")
-        return Element(self.algebra, linalg.mat_vec(self._matrices[ij],
-                                                    x.coords))
+        return self._matrices[ij].apply(x, self.algebra)
 
     def component_dims(self) -> dict[tuple[int, int], int]:
         return {ij: len(self.component_bases[ij]) for ij in IJ_PAIRS}

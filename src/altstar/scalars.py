@@ -4,6 +4,11 @@ A scalar is (a + b*i)/d with integer a, b and d > 0, kept in lowest terms
 (gcd(a, b, d) = 1), so equality of values is structural equality of the
 canonical form.  Literal syntax: ``[-]p[/q][(+|-)r[/s]i]``, e.g. ``3``,
 ``-1/2``, ``0+1i``, ``2/3-5i``.
+
+Scalar is the edge representation: parsing, formatting, ``linalg``, the
+structure accessors and the ``coords`` a user reads.  Elements keep
+integer numerators over one shared denominator instead, and the hot path
+(products, stars, sums, projections) builds no Scalar.
 """
 
 from __future__ import annotations

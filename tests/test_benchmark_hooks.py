@@ -54,3 +54,17 @@ def test_oracle_imports_resolve():
     for modname, name in imported:
         mod = importlib.import_module(modname)
         assert hasattr(mod, name), f"{modname}.{name}"
+
+
+def test_tracer_readers_take_an_element():
+    """The tracer's probes read ``x.coords`` as Scalars (.a, .b, .d,
+    .is_zero()); coords is derived from the integer fields of an Element."""
+    tracer = _load_tracer()
+    from altstar import zorn_algebra
+    from altstar.scalars import ZERO, Scalar
+    a = zorn_algebra()
+    x = a.element([Scalar(3, -5, 4), ZERO, Scalar(1, 0, 1024)] + [ZERO] * 5)
+    assert (x.den, x.re[:3], x.im[:3]) == (1024, (768, 0, 1), (-1280, 0, 0))
+    assert tracer._nonzero(x) == 2
+    assert tracer._max_bits(x) == 11          # the denominator 1024
+    assert tracer._nonzero(a.zero()) == 0 and tracer._max_bits(a.zero()) == 1

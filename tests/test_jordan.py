@@ -10,7 +10,7 @@ import altstar as st
 from altstar.jordan import (CATALOG, catalog_entry, collapse_prefix,
                             jordan_star, q_star, verify_identity)
 from altstar.sampling import derive_rng, random_element
-from altstar.scalars import I, ONE, Scalar, TWO, ZERO, half_power, integer
+from altstar.scalars import I, ONE, Scalar, TWO, ZERO, integer
 
 
 def q_oracle(args):

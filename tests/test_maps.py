@@ -255,3 +255,43 @@ def test_rotation_map_requires_zorn(m2):
 def test_swap_conjugation_requires_m2(zorn):
     with pytest.raises(st.MapError):
         st.matrix_swap_conjugation(zorn)
+
+
+def test_bijective_claim_across_copies_of_one_algebra():
+    # a map file resolves domain and codomain to two Algebra objects
+    a, b = st.matrix_algebra(2), st.matrix_algebra(2)
+    eye = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    swap = {a.basis_element(0): b.basis_element(3),
+            a.basis_element(3): b.basis_element(0)}
+    assert st.bijective_claim(st.AlgebraMap(a, b, eye, patches=swap))
+    moved = {a.basis_element(0): b.basis_element(3)}
+    assert not st.bijective_claim(st.AlgebraMap(a, b, eye, patches=moved))
+
+
+def test_peirce_block_check_projects_once_on_the_pass_path(
+        zorn, zorn_peirce, monkeypatch):
+    def no_split(p, x):
+        raise AssertionError("peirce_decompose on the pass path")
+
+    monkeypatch.setattr(st.maps, "peirce_decompose", no_split)
+    rep = st.check_star_ring_isomorphism(st.zorn_rotation_map(zorn),
+                                         zorn_peirce, 50, seed=3)
+    assert not rep.check("peirce_blocks").refuted
+
+
+def test_peirce_block_witness_removes_the_first_off_block_part(
+        m2, m2_peirce):
+    # the conjugate transpose fixes e1 = E11 and sends A12 into A21
+    phi = st.star_as_map(m2)
+    blocks = st.check_star_ring_isomorphism(phi, m2_peirce, 10,
+                                            seed=0).check("peirce_blocks")
+    assert blocks.refuted
+    w = blocks.witness
+    (x,) = w.inputs
+    ij = (int(w.kind[-2]), int(w.kind[-1]))
+    assert st.component_of(m2_peirce, x, ij) and w.lhs == phi(x)
+    split = st.peirce_decompose(st.PeirceSystem(m2, phi(m2_peirce.e1)),
+                                w.lhs)
+    off = [split[kl] for kl in st.IJ_PAIRS
+           if kl != ij and not split[kl].is_zero()]
+    assert off and w.rhs == w.lhs - off[0]

@@ -6,7 +6,7 @@ import altstar as st
 from altstar.algebra import Algebra
 from altstar.linalg import rank
 from altstar.sampling import derive_rng, random_element
-from altstar.scalars import I, ONE, Scalar, TWO, ZERO, half_power
+from altstar.scalars import I, ONE, Scalar, ZERO
 
 
 def test_classify_idempotent(m2):
