@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress, product
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -326,6 +326,22 @@ class AxiomReport:
         raise KeyError(name)
 
 
+def _first_witness(cases: Iterable[tuple[Element, ...]],
+                   residual: Callable[..., Element]) -> Optional[Witness]:
+    """The first case, in order, whose residual is nonzero, as a Witness."""
+    for args in cases:
+        r = residual(*args)
+        if not r.is_zero():
+            return Witness(args, r)
+    return None
+
+
+def _report(a: Algebra, found: Mapping[str, Optional[Witness]]) -> AxiomReport:
+    """One CheckResult per law, in order; a law passes without a witness."""
+    return AxiomReport(a.name, tuple(CheckResult(name, w is None, w)
+                                     for name, w in found.items()))
+
+
 def check_alternative(a: Algebra) -> AxiomReport:
     """Linearized left/right alternative and flexible laws over basis triples.
 
@@ -346,25 +362,16 @@ def check_alternative(a: Algebra) -> AxiomReport:
                 r = base + a.associator(*(t[k] for k in perm))
                 if not r.is_zero():
                     found[name] = Witness(t, r)
-    return AxiomReport(a.name, tuple(
-        CheckResult(name, name not in found, found.get(name))
-        for name, _ in partners))
+    return _report(a, {name: found.get(name) for name, _ in partners})
 
 
 def check_unit(a: Algebra) -> AxiomReport:
-    results = []
-    w = None
-    for b in a.basis():
-        left = a.unit * b - b
-        if not left.is_zero():
-            w = Witness((a.unit, b), left)
-            break
-        right = b * a.unit - b
-        if not right.is_zero():
-            w = Witness((b, a.unit), right)
-            break
-    results.append(CheckResult("two_sided_unit", w is None, w))
-    return AxiomReport(a.name, tuple(results))
+    """u b = b, then b u = b, for each basis vector b in order."""
+    u = a.unit
+    cases = ((x, y) for b in a.basis() for x, y in ((u, b), (b, u)))
+    # one factor is u, so x + y - u is the other one
+    return _report(a, {"two_sided_unit": _first_witness(
+        cases, lambda x, y: x * y - (x + y - u))})
 
 
 def check_involution(a: Algebra) -> AxiomReport:
@@ -374,32 +381,15 @@ def check_involution(a: Algebra) -> AxiomReport:
     to conjugated coordinates), so it is not re-checked here.
     """
     basis = a.basis()
-    results = []
-
-    w = None
-    for b in basis:
-        r = b.star().star() - b
-        if not r.is_zero():
-            w = Witness((b,), r)
-            break
-    results.append(CheckResult("involutive", w is None, w))
-
-    r = a.unit.star() - a.unit
-    results.append(CheckResult(
-        "unit_fixed", r.is_zero(),
-        None if r.is_zero() else Witness((a.unit,), r)))
-
-    w = None
-    for x in basis:
-        for y in basis:
-            r = (x * y).star() - y.star() * x.star()
-            if not r.is_zero():
-                w = Witness((x, y), r)
-                break
-        if w is not None:
-            break
-    results.append(CheckResult("anti_automorphism", w is None, w))
-    return AxiomReport(a.name, tuple(results))
+    return _report(a, {
+        "involutive": _first_witness(
+            ((b,) for b in basis), lambda b: b.star().star() - b),
+        "unit_fixed": _first_witness(
+            [(a.unit,)], lambda u: u.star() - u),
+        "anti_automorphism": _first_witness(
+            product(basis, repeat=2),
+            lambda x, y: (x * y).star() - y.star() * x.star()),
+    })
 
 
 def check_axioms(a: Algebra) -> AxiomReport:

@@ -130,26 +130,21 @@ def cayley_dickson(gammas: Sequence[Scalar]) -> Algebra:
         old = mul
         new_mul: list[list[list[tuple[int, Scalar]]]] = [
             [[] for _ in range(2 * n)] for _ in range(2 * n)]
-
-        def put(i: int, j: int, terms: list[tuple[int, Scalar]],
-                acc=new_mul) -> None:
-            merged: dict[int, Scalar] = {}
-            for k, c in terms:
-                merged[k] = merged.get(k, ZERO) + c
-            acc[i][j] = sorted(((k, c) for k, c in merged.items()
-                                if not c.is_zero()))
-
+        # each cell maps one old cell term by term, so its indices stay
+        # distinct and ascending and its coefficients nonzero (g != 0,
+        # sigma = +-1)
         for i in range(n):
             for j in range(n):
-                ac = old[i][j]
                 # (a,0)(c,0) = (ac, 0)
-                put(i, j, [(k, c) for k, c in ac])
+                new_mul[i][j] = old[i][j]
                 # (a,0)(0,d) = (0, da)
-                put(i, n + j, [(n + k, c) for k, c in old[j][i]])
+                new_mul[i][n + j] = [(n + k, c) for k, c in old[j][i]]
                 # (0,b)(c,0) = (0, b*sigma(c))
-                put(n + i, j, [(n + k, c * sigma[j]) for k, c in old[i][j]])
+                new_mul[n + i][j] = [(n + k, c * sigma[j])
+                                     for k, c in old[i][j]]
                 # (0,b)(0,d) = (g*sigma(d)*b, 0)
-                put(n + i, n + j, [(k, g * sigma[j] * c) for k, c in old[j][i]])
+                new_mul[n + i][n + j] = [(k, g * sigma[j] * c)
+                                         for k, c in old[j][i]]
         mul = new_mul
         # sigma(a, b) = (sigma(a), -b): the doubled half is negated outright
         sigma = sigma + [MINUS_ONE] * len(sigma)

@@ -240,8 +240,12 @@ def map_from_dict(d: dict) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
     name = d.get("name", "map")
     if not isinstance(name, str):
         raise FormatError(f"{what}: field 'name' has the wrong type")
-    domain, dom_idem = resolve_algebra(_req(d, "domain", str, what))
-    codomain, _ = resolve_algebra(_req(d, "codomain", str, what))
+    dom_spec = _req(d, "domain", str, what)
+    cod_spec = _req(d, "codomain", str, what)
+    domain, dom_idem = resolve_algebra(dom_spec)
+    # equal specs name one algebra: build and validate it once
+    codomain = (domain if cod_spec == dom_spec
+                else resolve_algebra(cod_spec)[0])
     rows = _req(d, "matrix", list, what)
     if len(rows) != codomain.dim:
         raise FormatError(f"{what}: matrix must have {codomain.dim} rows")
@@ -251,9 +255,12 @@ def map_from_dict(d: dict) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
     if not isinstance(conj, bool):
         raise FormatError(f"{what}: field 'conjugates_scalars' must be a "
                           "boolean")
+    entries = d.get("patches", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{what}: field 'patches' must be a list")
     patches = {}
     first_index = {}  # patch input -> index of its entry
-    for t, entry in enumerate(d.get("patches", [])):
+    for t, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"{what}: patches[{t}] must be an object")
         ew = f"patches[{t}]"

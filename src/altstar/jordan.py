@@ -536,9 +536,6 @@ class CatalogReport:
     def derived_all_ok(self) -> bool:
         return all(r.derived_ok for r in self.runs)
 
-    def runs_for(self, entry_id: str) -> list[EntryRun]:
-        return [r for r in self.runs if r.entry_id == entry_id]
-
 
 def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
                   seed: int) -> CatalogReport:

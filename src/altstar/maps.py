@@ -19,7 +19,7 @@ Two checkers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, IntMatrix
@@ -80,9 +80,9 @@ def bijective_claim(phi: AlgebraMap) -> bool:
     """Invertible linear part and a patch table that permutes its inputs."""
     if not linalg.is_invertible(list(map(list, phi.linear_part))):
         return False
-    # inputs and outputs may live in two Algebra objects for one spec (a
-    # map file resolves domain and codomain separately), so compare the
-    # numeric fields, not the elements
+    # a map built through the API may send one algebra to a copy of it,
+    # another Algebra object, so compare the numeric fields, not the
+    # elements
     ins = {(x.den, x.re, x.im) for x in phi.patches}
     outs = {(y.den, y.re, y.im) for y in phi.patches.values()}
     return ins == outs
@@ -237,6 +237,31 @@ class ConditionReport:
                 else f"not refuted ({self.samples_run} samples)")
 
 
+def _first_refutation(phi: AlgebraMap, check: str, n: Optional[int],
+                      cases: Iterable[tuple],
+                      law: Callable[..., Optional[MapWitness]]
+                      ) -> ConditionReport:
+    """Run law on each case in order; the first witness refutes the map.
+
+    samples_run counts the cases tried, the refuting one included.
+    """
+    run = 0
+    for case in cases:
+        run += 1
+        w = law(*case)
+        if w is not None:
+            return ConditionReport(phi.name, check, n, run, True, w)
+    return ConditionReport(phi.name, check, n, run, False, None)
+
+
+def _equation(kind: str, sides: Callable[..., tuple]) -> Callable:
+    """The law lhs == rhs, where sides(*case) = (inputs, lhs, rhs)."""
+    def law(*case) -> Optional[MapWitness]:
+        w = MapWitness(kind, *sides(*case))
+        return None if (w.lhs - w.rhs).is_zero() else w
+    return law
+
+
 def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
                            samples: int, seed: int) -> ConditionReport:
     """phi(q_n(xi,...,xi,a,b)) = q_n(phi(xi),...,phi(xi),phi(a),phi(b)) for
@@ -257,19 +282,18 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
             prefixes.append((tag, [q_star([xi] * (n - 2))],
                              [q_star([phi(xi)] * (n - 2))]))
 
-    pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
-    run = 0
-    for a, b in _pairs(pool, samples, seed):
-        run += 1
+    def law(a: Element, b: Element) -> Optional[MapWitness]:
         img_a, img_b = phi(a), phi(b)
         for tag, dom, cod in prefixes:
             lhs = phi(q_star(dom + [a, b]))
             rval = q_star(cod + [img_a, img_b])
             if not (lhs - rval).is_zero():
-                return ConditionReport(
-                    phi.name, "jordan_condition", n, run, True,
-                    MapWitness(f"xi={tag}", (a, b), lhs, rval))
-    return ConditionReport(phi.name, "jordan_condition", n, run, False, None)
+                return MapWitness(f"xi={tag}", (a, b), lhs, rval)
+        return None
+
+    pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
+    return _first_refutation(phi, "jordan_condition", n,
+                             _pairs(pool, samples, seed), law)
 
 
 @dataclass(frozen=True)
@@ -289,6 +313,16 @@ class IsomorphismReport:
         raise KeyError(name)
 
 
+def _block_cases(p: PeirceSystem, samples: int, seed: int):
+    """Seeded (x, ij) with x drawn from each nonzero component A_ij."""
+    dims = p.component_dims()
+    for s in range(samples):
+        rng = derive_rng(seed, "blocks", s)
+        for ij in IJ_PAIRS:
+            if dims[ij]:
+                yield random_component(p, ij, rng), ij
+
+
 def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                 samples: int, seed: int) -> IsomorphismReport:
     """Additivity, multiplicativity, star preservation, exact bijectivity,
@@ -296,44 +330,16 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
     if peirce.algebra is not phi.domain:
         raise MapError("Peirce system must live on the map's domain")
     pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
-    reports: list[ConditionReport] = []
-
-    def scan(check: str, law) -> None:
-        run = 0
-        for a, b in _pairs(pool, samples, seed):
-            run += 1
-            w = law(a, b)
-            if w is not None:
-                reports.append(ConditionReport(phi.name, check, None, run,
-                                               True, w))
-                return
-        reports.append(ConditionReport(phi.name, check, None, run, False,
-                                       None))
-
-    def additivity(a: Element, b: Element) -> Optional[MapWitness]:
-        lhs = phi(a + b)
-        rhs = phi(a) + phi(b)
-        if not (lhs - rhs).is_zero():
-            return MapWitness("additivity", (a, b), lhs, rhs)
-        return None
-
-    def multiplicativity(a: Element, b: Element) -> Optional[MapWitness]:
-        lhs = phi(a * b)
-        rhs = phi(a) * phi(b)
-        if not (lhs - rhs).is_zero():
-            return MapWitness("multiplicativity", (a, b), lhs, rhs)
-        return None
-
-    def star_preservation(a: Element, b: Element) -> Optional[MapWitness]:
-        lhs = phi(a.star())
-        rhs = phi(a).star()
-        if not (lhs - rhs).is_zero():
-            return MapWitness("star_preservation", (a,), lhs, rhs)
-        return None
-
-    scan("additivity", additivity)
-    scan("multiplicativity", multiplicativity)
-    scan("star_preservation", star_preservation)
+    laws = {
+        "additivity": lambda a, b: ((a, b), phi(a + b), phi(a) + phi(b)),
+        "multiplicativity": lambda a, b: ((a, b), phi(a * b),
+                                          phi(a) * phi(b)),
+        "star_preservation": lambda a, b: ((a,), phi(a.star()),
+                                           phi(a).star()),
+    }
+    reports = [_first_refutation(phi, check, None, _pairs(pool, samples, seed),
+                                 _equation(check, sides))
+               for check, sides in laws.items()]
 
     bij = bijective_claim(phi)
     reports.append(ConditionReport(
@@ -342,50 +348,38 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                     phi.domain.unit)))
 
     # images of the idempotents must again be symmetric idempotents
+    f1, f2 = phi(peirce.e1), phi(peirce.e2)
+    info1 = classify_idempotent(phi.codomain, f1)
     f_ok = True
-    f1 = phi(peirce.e1)
-    for tag, f in (("f1", f1), ("f2", phi(peirce.e2))):
-        info = classify_idempotent(phi.codomain, f)
-        if not (info.is_idempotent and info.is_symmetric):
-            f_ok = False
-            reports.append(ConditionReport(
-                phi.name, f"idempotent_image_{tag}", None, 0, True,
-                MapWitness(f"idempotent_image_{tag}", (f,), f * f, f)))
-        else:
-            reports.append(ConditionReport(
-                phi.name, f"idempotent_image_{tag}", None, 0, False, None))
+    for tag, f, info in (("f1", f1, info1),
+                         ("f2", f2, classify_idempotent(phi.codomain, f2))):
+        ok = info.is_idempotent and info.is_symmetric
+        f_ok = f_ok and ok
+        reports.append(ConditionReport(
+            phi.name, f"idempotent_image_{tag}", None, 0, not ok,
+            None if ok else MapWitness(f"idempotent_image_{tag}", (f,),
+                                       f * f, f)))
 
     # block preservation phi(A_ij) in A'_ij for the image system, when the
     # image idempotent is usable
-    info = classify_idempotent(phi.codomain, f1)
-    if f_ok and info.is_idempotent and info.is_symmetric \
-            and not info.is_trivial:
+    if f_ok and not info1.is_trivial:
         cod_p = PeirceSystem(phi.codomain, f1)
-        witness = None
-        run = 0
-        dims = peirce.component_dims()
-        for s in range(samples):
-            rng = derive_rng(seed, "blocks", s)
-            for ij in IJ_PAIRS:
-                if not dims[ij]:
-                    continue
-                x = random_component(peirce, ij, rng)
-                run += 1
-                img = phi(x)
-                if component_of(cod_p, img, ij):
-                    continue
-                # the sum of the blocks is direct, so some off-block part
-                # is nonzero; the witness removes the first one
-                split = peirce_decompose(cod_p, img)
-                bad = next(split[kl] for kl in IJ_PAIRS
-                           if kl != ij and not split[kl].is_zero())
-                witness = MapWitness(f"peirce_block_{ij[0]}{ij[1]}",
-                                     (x,), img, img - bad)
-                break
-            if witness is not None:
-                break
-        reports.append(ConditionReport(phi.name, "peirce_blocks", None, run,
-                                       witness is not None, witness))
+
+        def block(x: Element, ij: tuple[int, int]) -> Optional[MapWitness]:
+            img = phi(x)
+            if component_of(cod_p, img, ij):
+                return None
+            # the sum of the blocks is direct, so some off-block part is
+            # nonzero; the witness removes the first one
+            split = peirce_decompose(cod_p, img)
+            bad = next(split[kl] for kl in IJ_PAIRS
+                       if kl != ij and not split[kl].is_zero())
+            return MapWitness(f"peirce_block_{ij[0]}{ij[1]}", (x,), img,
+                              img - bad)
+
+        reports.append(_first_refutation(
+            phi, "peirce_blocks", None, _block_cases(peirce, samples, seed),
+            block))
     else:
         reports.append(ConditionReport(
             phi.name, "peirce_blocks", None, 0, not f_ok,

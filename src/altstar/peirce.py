@@ -146,11 +146,14 @@ class PeirceSystem:
         bases = {ij: [projected[ij][t] for t in linalg.rref(m)[1]]
                  for ij, m in columns.items()}
         self.component_bases = bases
-        if sum(len(v) for v in bases.values()) != algebra.dim:
-            raise PeirceError("Peirce components do not span the algebra")
-        stacked = [list(v.coords) for ij in IJ_PAIRS for v in bases[ij]]
-        if linalg.rank(stacked) != algebra.dim:
-            raise PeirceError("Peirce components are not independent")
+        # the projections recombine to the identity, so the components span
+        # the algebra; they form a direct sum exactly when their dimensions
+        # add up to dim, and otherwise they overlap
+        total = sum(len(v) for v in bases.values())
+        if total != algebra.dim:
+            raise PeirceError(
+                f"Peirce components overlap: their dimensions sum to {total} "
+                f"> dim {algebra.dim}, so the sum is not direct")
 
     def idempotent(self, i: int) -> Element:
         return self.e1 if i == 1 else self.e2
@@ -177,8 +180,9 @@ def peirce_decompose(p: PeirceSystem, x: Element) -> PeirceSplit:
 def component_of(p: PeirceSystem, x: Element, ij: tuple[int, int]) -> bool:
     """True iff x lies in A_ij, decided by its stored projection matrix."""
     # PeirceSystem checked on the basis that the four projections recombine
-    # to x and that their images are independent, so A11 + A12 + A21 + A22
-    # is a direct sum: x lies in A_ij exactly when its A_ij projection is x.
+    # to x and that the component dimensions add up to dim, so A11 + A12 +
+    # A21 + A22 is a direct sum: x lies in A_ij exactly when its A_ij
+    # projection is x.
     return p.project(x, ij) == x
 
 
@@ -187,6 +191,37 @@ def random_component(p: PeirceSystem, ij: tuple[int, int], rng) -> Element:
     if not basis:
         raise PeirceError(f"A_{ij[0]}{ij[1]} is zero-dimensional")
     return random_combination(basis, rng)
+
+
+def _relation_table() -> tuple[tuple, ...]:
+    """(check name, x, y, target) for relations (i)-(v), in report order.
+
+    x and y are sample draws (component, 0 or 1), and y is None for the
+    star law; the product or star must lie in target, or vanish if None.
+    """
+    rows = []
+    for i, j in IJ_PAIRS:
+        for k, l in IJ_PAIRS:
+            # a product within one component takes its second draw as y
+            x, y = ((i, j), 0), ((k, l), int((k, l) == (i, j)))
+            if j == k:
+                rows.append((f"(i) A{i}{j}*A{k}{l} in A{i}{l}", x, y, (i, l)))
+            elif (i, j) == (k, l):
+                rows.append((f"(ii) A{i}{j}*A{i}{j} in A{j}{i}", x, y, (j, i)))
+            else:
+                rows.append((f"(iii) A{i}{j}*A{k}{l} = 0", x, y, None))
+    for i, j in ((1, 2), (2, 1)):
+        x = ((i, j), 0)
+        rows.append((f"(iv) squares in A{i}{j} vanish", x, x, None))
+    for i, j in IJ_PAIRS:
+        rows.append((f"(v) star(A{i}{j}) in A{j}{i}", ((i, j), 0), None,
+                     (j, i)))
+    return tuple(rows)
+
+
+_RELATIONS = _relation_table()
+# the (ii) A12*A12 product, whose first nonzero value the report carries
+_OFFDIAG = (((1, 2), 0), ((1, 2), 1))
 
 
 @dataclass(frozen=True)
@@ -211,74 +246,36 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
     report also carries the first nonzero A12*A12 product encountered,
     which witnesses the genuinely alternative (nonassociative) case.
     """
-    a = p.algebra
-    failures: dict[str, Witness] = {}
-    names: list[str] = []
-
-    def note(name: str, args: tuple[Element, ...], residual: Element) -> None:
-        if name not in failures and not residual.is_zero():
-            failures[name] = Witness(args, residual)
-
-    def membership_residual(x: Element, ij: tuple[int, int]) -> Element:
-        return x - p.project(x, ij)
-
-    for i, j in IJ_PAIRS:
-        for k, l in IJ_PAIRS:
-            if j == k:
-                names.append(f"(i) A{i}{j}*A{k}{l} in A{i}{l}")
-            elif (i, j) == (k, l):
-                names.append(f"(ii) A{i}{j}*A{i}{j} in A{j}{i}")
-            else:
-                names.append(f"(iii) A{i}{j}*A{k}{l} = 0")
-    names.append("(iv) squares in A12 vanish")
-    names.append("(iv) squares in A21 vanish")
-    for i, j in IJ_PAIRS:
-        names.append(f"(v) star(A{i}{j}) in A{j}{i}")
-
-    offdiag_witness: Optional[Witness] = None
     dims = p.component_dims()
-
+    # a relation on a zero-dimensional component holds vacuously
+    live = [(name, x, y, target) for name, x, y, target in _RELATIONS
+            if dims[x[0]] and (y is None or dims[y[0]])]
+    failures: dict[str, Witness] = {}
+    offdiag_witness: Optional[Witness] = None
     for s in range(samples):
         rng = derive_rng(seed, "peirce", s)
         draws = {}
         for ij in IJ_PAIRS:
             if dims[ij]:
-                draws[ij] = (random_component(p, ij, rng),
-                             random_component(p, ij, rng))
-        for i, j in IJ_PAIRS:
-            if (i, j) not in draws:
-                continue
-            x = draws[(i, j)][0]
-            for k, l in IJ_PAIRS:
-                if (k, l) not in draws:
-                    continue
-                y = draws[(k, l)][1] if (k, l) == (i, j) else draws[(k, l)][0]
-                prod = x * y
-                if j == k:
-                    note(f"(i) A{i}{j}*A{k}{l} in A{i}{l}", (x, y),
-                         membership_residual(prod, (i, l)))
-                elif (i, j) == (k, l):
-                    note(f"(ii) A{i}{j}*A{i}{j} in A{j}{i}", (x, y),
-                         membership_residual(prod, (j, i)))
-                    if (i, j) == (1, 2) and offdiag_witness is None \
-                            and not prod.is_zero():
-                        offdiag_witness = Witness((x, y), prod)
-                else:
-                    note(f"(iii) A{i}{j}*A{k}{l} = 0", (x, y), prod)
-        for ij, tag in (((1, 2), "(iv) squares in A12 vanish"),
-                        ((2, 1), "(iv) squares in A21 vanish")):
-            if ij in draws:
-                x = draws[ij][0]
-                note(tag, (x, x), x * x)
-        for i, j in IJ_PAIRS:
-            if (i, j) in draws:
-                x = draws[(i, j)][0]
-                note(f"(v) star(A{i}{j}) in A{j}{i}", (x,),
-                     membership_residual(x.star(), (j, i)))
+                draws[ij, 0] = random_component(p, ij, rng)
+                draws[ij, 1] = random_component(p, ij, rng)
+        for name, x, y, target in live:
+            if y is None:
+                args, value = (draws[x],), draws[x].star()
+            else:
+                args = (draws[x], draws[y])
+                value = args[0] * args[1]
+                if (x, y) == _OFFDIAG and offdiag_witness is None \
+                        and not value.is_zero():
+                    offdiag_witness = Witness(args, value)
+            if target is not None:
+                value = value - p.project(value, target)
+            if name not in failures and not value.is_zero():
+                failures[name] = Witness(args, value)
 
-    checks = tuple(CheckResult(n, n not in failures, failures.get(n))
-                   for n in names)
-    return PeirceRelationsReport(a.name, samples, seed, checks,
+    checks = tuple(CheckResult(name, name not in failures, failures.get(name))
+                   for name, *_ in _RELATIONS)
+    return PeirceRelationsReport(p.algebra.name, samples, seed, checks,
                                  offdiag_witness)
 
 

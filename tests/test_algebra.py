@@ -133,10 +133,19 @@ def test_axiom_reports_pass_on_m2(m2):
     assert all(c.witness is None for c in rep.checks)
 
 
+def _bad_unit():
+    return Algebra("bad-unit", 1, ["b"], {(0, 0, 0): ONE}, [TWO], [[ONE]])
+
+
+def _bad_star():
+    # star matrix [[1,1],[0,1]] squares to [[1,2],[0,1]] != identity
+    return Algebra("bad-star", 2, ["u", "v"],
+                   {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 1): ONE},
+                   [ONE, ZERO], [[ONE, ONE], [ZERO, ONE]])
+
+
 def test_bad_unit_detected_with_witness():
-    a = Algebra("bad-unit", 1, ["b"], {(0, 0, 0): ONE}, [TWO],
-                [[ONE]])
-    rep = st.check_unit(a)
+    rep = st.check_unit(_bad_unit())
     assert not rep.ok
     w = rep.check("two_sided_unit").witness
     assert w is not None
@@ -144,11 +153,7 @@ def test_bad_unit_detected_with_witness():
 
 
 def test_non_involutive_star_detected():
-    # star matrix [[1,1],[0,1]] squares to [[1,2],[0,1]] != identity
-    a = Algebra("bad-star", 2, ["u", "v"],
-                {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 1): ONE},
-                [ONE, ZERO], [[ONE, ONE], [ZERO, ONE]])
-    rep = st.check_involution(a)
+    rep = st.check_involution(_bad_star())
     assert not rep.check("involutive").passed
 
 
@@ -231,3 +236,70 @@ def test_element_repr_uses_labels(m2):
     x = m2.basis_element(0) + m2.basis_element(3).scale(Scalar(0, 1, 2))
     assert repr(x) == "1*E11 + 0+1/2i*E22"
     assert repr(m2.zero()) == "0"
+
+
+def _reference_unit(a):
+    """Reference: the hand-written unit scan, u b then b u per basis b."""
+    w = None
+    for b in a.basis():
+        left = a.unit * b - b
+        if not left.is_zero():
+            w = Witness((a.unit, b), left)
+            break
+        right = b * a.unit - b
+        if not right.is_zero():
+            w = Witness((b, a.unit), right)
+            break
+    return {"two_sided_unit": w}
+
+
+def _reference_involution(a):
+    """Reference: one hand-written scan per involution law."""
+    basis = a.basis()
+    out = {"involutive": None}
+    for b in basis:
+        r = b.star().star() - b
+        if not r.is_zero():
+            out["involutive"] = Witness((b,), r)
+            break
+    r = a.unit.star() - a.unit
+    out["unit_fixed"] = None if r.is_zero() else Witness((a.unit,), r)
+    out["anti_automorphism"] = None
+    for x in basis:
+        for y in basis:
+            r = (x * y).star() - y.star() * x.star()
+            if not r.is_zero():
+                out["anti_automorphism"] = Witness((x, y), r)
+                break
+        if out["anti_automorphism"] is not None:
+            break
+    return out
+
+
+def _right_unit_fails_first():
+    # u = b0 with b0 b1 = b1 but b1 b0 = 0, and b0 b2 = 0: the unit law
+    # fails on the right at b1 before it fails on the left at b2
+    eye = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
+    return Algebra("right-unit-fails", 3, ["b0", "b1", "b2"],
+                   {(0, 0, 0): ONE, (0, 1, 1): ONE}, [ONE, ZERO, ZERO], eye)
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:2", "cd:-1,-1,-1,-1",
+                                  "zorn~", "bad-unit", "bad-star",
+                                  "right-unit-fails"])
+def test_axiom_scans_match_hand_written_loops(spec, zorn_transported):
+    a = {"zorn~": lambda: zorn_transported, "bad-unit": _bad_unit,
+         "bad-star": _bad_star, "right-unit-fails": _right_unit_fails_first,
+         }.get(spec, lambda: st.resolve_algebra(spec)[0])()
+    for check, reference in ((st.check_unit, _reference_unit),
+                             (st.check_involution, _reference_involution)):
+        rep = check(a)
+        ref = reference(a)
+        assert [c.name for c in rep.checks] == list(ref)
+        for c in rep.checks:
+            assert c.witness == ref[c.name], c.name
+            assert c.passed == (ref[c.name] is None)
+    if spec == "right-unit-fails":
+        _, b1, _ = a.basis()
+        assert st.check_unit(a).check("two_sided_unit").witness \
+            == Witness((b1, a.unit), -b1)

@@ -244,6 +244,19 @@ def test_duplicate_patch_inputs_exit_2(tmp_path, zorn):
     assert out == ""
 
 
+@pytest.mark.parametrize("patches", [5, "none", {"in": [], "out": []}],
+                         ids=["int", "str", "object"])
+def test_patches_that_are_not_a_list_exit_2(tmp_path, zorn, patches):
+    doc = map_to_dict(st.zorn_rotation_map(zorn), "zorn", "zorn")
+    doc["patches"] = patches
+    path = tmp_path / "bad-patches.map"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, err = run(["mapcheck", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and "'patches' must be a list" in err
+    assert out == ""
+
+
 def _matrix2_file(tmp_path, name, **overrides):
     """The matrix:2 algebra file with some top-level fields replaced."""
     doc = json.loads(run(["gen", "matrix:2"])[1])

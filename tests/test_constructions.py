@@ -219,6 +219,42 @@ def test_doubling_oracle_on_dim16_basis_pairs():
             assert got == want
 
 
+def _merged_doubling_cells(gammas):
+    """Reference: the doubling table with every cell's terms merged by
+    index, zero sums dropped and the indices sorted."""
+    mul, sigma = [[[(0, ONE)]]], [ONE]
+    for g in gammas:
+        n = len(sigma)
+        new = [[None] * (2 * n) for _ in range(2 * n)]
+
+        def put(i, j, terms):
+            merged = {}
+            for k, c in terms:
+                merged[k] = merged.get(k, ZERO) + c
+            new[i][j] = sorted((k, c) for k, c in merged.items()
+                               if not c.is_zero())
+
+        for i in range(n):
+            for j in range(n):
+                put(i, j, mul[i][j])
+                put(i, n + j, [(n + k, c) for k, c in mul[j][i]])
+                put(n + i, j, [(n + k, c * sigma[j]) for k, c in mul[i][j]])
+                put(n + i, n + j, [(k, g * sigma[j] * c)
+                                   for k, c in mul[j][i]])
+        mul, sigma = new, sigma + [MINUS_ONE] * n
+    return {(i, j, k): c for i, row in enumerate(mul)
+            for j, cell in enumerate(row) for k, c in cell}
+
+
+@pytest.mark.parametrize("gammas", GAMMA_SETS + [[MINUS_ONE] * 4],
+                         ids=[",".join(map(str, g))
+                              for g in GAMMA_SETS + [[MINUS_ONE] * 4]])
+def test_doubling_cells_need_no_merging(gammas):
+    a = st.cayley_dickson(gammas)
+    assert {(i, j, k): c for i, j, k, c in a.structure_entries()} \
+        == _merged_doubling_cells(gammas)
+
+
 def test_doubling_units_square_to_gamma():
     gammas = [MINUS_ONE, ONE, Scalar(-2)]
     a = st.cayley_dickson(gammas)

@@ -187,6 +187,14 @@ def test_map_file_load(tmp_path, m2):
         == phi(m2.element(probe)).coords
 
 
+def test_equal_map_specs_share_one_algebra(tmp_path, m2):
+    path = tmp_path / "swap.map"
+    doc = map_to_dict(st.matrix_swap_conjugation(m2), "matrix:2", "matrix:2")
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    psi, _ = load_map_file(str(path))
+    assert psi.domain is psi.codomain
+
+
 def test_map_file_errors(m2):
     good = map_to_dict(st.identity_map(m2), "matrix:2", "matrix:2")
     for key in ("domain", "codomain", "matrix"):

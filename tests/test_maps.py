@@ -258,7 +258,7 @@ def test_swap_conjugation_requires_m2(zorn):
 
 
 def test_bijective_claim_across_copies_of_one_algebra():
-    # a map file resolves domain and codomain to two Algebra objects
+    # a map built through the API may send an algebra to a copy of it
     a, b = st.matrix_algebra(2), st.matrix_algebra(2)
     eye = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
     swap = {a.basis_element(0): b.basis_element(3),

@@ -162,6 +162,21 @@ def test_system_rejects_unit_that_does_not_recombine(m2):
         st.PeirceSystem(bad, e1)
 
 
+def test_system_rejects_overlapping_components():
+    # e_i e_i = e_i, e1 e2 = e2 e1 = 0, e_i v = v e_i = v/2, v v = 0: every
+    # projection sends v to v/4, so v lies in all four components
+    half = Scalar(1, 0, 2)
+    eye = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
+    a = Algebra("overlap", 3, ["e1", "e2", "v"],
+                {(0, 0, 0): ONE, (1, 1, 1): ONE, (0, 2, 2): half,
+                 (2, 0, 2): half, (1, 2, 2): half, (2, 1, 2): half},
+                [ONE, ONE, ZERO], eye)
+    assert st.check_unit(a).ok and st.check_involution(a).ok
+    with pytest.raises(st.PeirceError,
+                       match="overlap: their dimensions sum to 6 > dim 3"):
+        st.PeirceSystem(a, a.basis_element(0))
+
+
 @pytest.mark.parametrize("fixture,samples", [("m2_peirce", 100),
                                              ("zorn_peirce", 100)])
 def test_component_relations_hold(fixture, samples, request):
