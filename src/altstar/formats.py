@@ -89,6 +89,8 @@ def algebra_from_dict(d: dict) -> tuple[Algebra, dict[str, list[Scalar]]]:
     what = "algebra file"
     name = _req(d, "name", str, what)
     dim = _req(d, "dim", int, what)
+    if dim > MAX_DIM:
+        raise FormatError(f"{what}: dim must be at most {MAX_DIM}, got {dim}")
     labels = _req(d, "basis_labels", list, what)
     if not all(isinstance(t, str) for t in labels):
         raise FormatError(f"{what}: basis_labels must be strings")
@@ -146,8 +148,10 @@ def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
 # its halves must themselves be comma-free specs (zorn, matrix:K, a file).
 #
 # matrix:K builds K^3 structure entries and validates in time growing as K^8,
-# so K is bounded before anything is allocated.
+# and `check` scans dim^3 basis triples, so every algebra, builtin or file,
+# is bounded before anything is allocated.
 MAX_MATRIX_SIZE = 8
+MAX_DIM = MAX_MATRIX_SIZE ** 2
 
 
 def matrix_idempotents(a: Algebra) -> dict[str, list[Scalar]]:
@@ -209,6 +213,9 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
                     "or a file path)")
         left, _ = resolve_algebra(left_spec)
         right, _ = resolve_algebra(right_spec)
+        if left.dim + right.dim > MAX_DIM:
+            raise FormatError(f"dsum dimension must be at most {MAX_DIM}, "
+                              f"got {left.dim} + {right.dim}")
         a = direct_sum(left, right)
         return a, dsum_idempotents(a, left.dim)
     if _is_builtin_spec(spec):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraError, Element
@@ -78,15 +79,30 @@ def collapse_prefix(e: Element, m: int) -> list[Element]:
 # -- catalog ---------------------------------------------------------------
 
 
+# Variant labels: no index, each i, or each ordered pair i != j.
+_NO_INDEX = ("-",)
+_EACH_I = ("i=1", "i=2")
+_EACH_IJ = ("i=1,j=2", "i=2,j=1")
+
+
 @dataclass(frozen=True)
 class IdentityEntry:
+    """One catalogued identity q_n(args) = closed form.
+
+    ``frees`` declares the free arguments in draw order as (name, component)
+    pairs.  A component is None (the whole algebra), a Peirce template such
+    as "ij", "ji", "ii" or "12" read against the variant's indices, the same
+    with a trailing "?" (zero when the component is zero-dimensional), or a
+    pair of earlier names (their sum: t = t12 + t21 in ID-D and ID-E).  A
+    variant runs only when every component without "?" is nonzero.
+    """
     entry_id: str
     pattern: str
     derived_form: str
     notes: str
     n_min: int
-    variants: Callable[[PeirceSystem], list[str]]
-    sample: Callable[[PeirceSystem, str, random.Random], dict[str, Element]]
+    variants: tuple[str, ...]
+    frees: tuple[tuple[str, object], ...]
     args: Callable[[PeirceSystem, str, int, dict], list[Element]]
     derived: Callable[[PeirceSystem, str, int, dict], Element]
     # both default to the derived form
@@ -98,6 +114,13 @@ class IdentityEntry:
             object.__setattr__(self, "display_form", self.derived_form)
         if self.display is None:
             object.__setattr__(self, "display", self.derived)
+
+    def live_variants(self, p: PeirceSystem) -> list[str]:
+        """The variants whose required components are all nonzero."""
+        dims = p.component_dims()
+        return [v for v in self.variants
+                if all(dims[_component(c, v)] for _, c in self.frees
+                       if isinstance(c, str) and not c.endswith("?"))]
 
 
 @dataclass(frozen=True)
@@ -121,44 +144,37 @@ class EntryRun:
     display_counterexample: Optional[IdentitySample]
 
 
-def _offdiag_variants(p: PeirceSystem) -> list[str]:
-    d = p.component_dims()
-    out = []
-    if d[(1, 2)]:
-        out.append("i=1,j=2")
-    if d[(2, 1)]:
-        out.append("i=2,j=1")
-    return out
+@lru_cache(maxsize=None)  # a few calls per sample, keyed on catalog strings
+def _component(template: str, variant: str) -> tuple[int, ...]:
+    """The indices a template names under a variant: "ji" under "i=1,j=2"
+    is (2, 1), "12" is (1, 2) under any variant; a trailing "?" is ignored."""
+    index = dict(kv.split("=") for kv in variant.split(",") if "=" in kv)
+    return tuple(int(index.get(c, c)) for c in template.rstrip("?"))
 
 
-def _parse_ij(variant: str) -> tuple[int, int]:
-    i = int(variant[2])
-    j = int(variant[6])
-    return i, j
+def _ei(p: PeirceSystem, variant: str, index: str = "i") -> Element:
+    return p.idempotent(*_component(index, variant))
 
 
-def _both(p: PeirceSystem) -> list[str]:
-    return ["i=1", "i=2"]
+def _draw(p: PeirceSystem, entry: IdentityEntry, variant: str,
+          rng: random.Random) -> dict[str, Element]:
+    """One sample of the entry's frees, drawn in declaration order."""
+    frees: dict[str, Element] = {}
+    for name, c in entry.frees:
+        if c is None:
+            frees[name] = random_element(p.algebra, rng)
+        elif isinstance(c, tuple):
+            frees[name] = frees[c[0]] + frees[c[1]]
+        else:
+            ij = _component(c, variant)
+            frees[name] = (random_component(p, ij, rng)
+                           if p.component_bases[ij] else p.algebra.zero())
+    return frees
 
 
-def _single(p: PeirceSystem) -> list[str]:
-    return ["-"]
-
-
-def _need_a12(p: PeirceSystem) -> list[str]:
-    return ["-"] if p.component_dims()[(1, 2)] else []
-
-
-def _ei(p: PeirceSystem, variant: str) -> Element:
-    return p.idempotent(int(variant[2]))
-
-
-def _t_offdiag(p: PeirceSystem, rng: random.Random) -> dict[str, Element]:
-    d = p.component_dims()
-    t12 = random_component(p, (1, 2), rng) if d[(1, 2)] else p.algebra.zero()
-    t21 = random_component(p, (2, 1), rng) if d[(2, 1)] else p.algebra.zero()
-    c12 = random_component(p, (1, 2), rng)
-    return {"t12": t12, "t21": t21, "t": t12 + t21, "c12": c12}
+# t = t12 + t21 with zero diagonal; A21 may be zero (t21 = 0), A12 may not
+_T_OFFDIAG = (("t12", "12"), ("t21", "21?"), ("t", ("t12", "t21")),
+              ("c12", "12"))
 
 
 def _entry_b() -> IdentityEntry:
@@ -172,8 +188,8 @@ def _entry_b() -> IdentityEntry:
         derived_form="2^(n-2) (e_i t + t e_i)",
         notes="",
         n_min=2,
-        variants=_both,
-        sample=lambda p, v, rng: {"t": random_element(p.algebra, rng)},
+        variants=_EACH_I,
+        frees=(("t", None),),
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 1) + [f["t"]],
         derived=rhs,
     )
@@ -189,8 +205,8 @@ def _entry_c() -> IdentityEntry:
                "collapse to exactly e1; the source text's 1/2^(n-1) halves "
                "the displayed value under an arity-n reading"),
         n_min=2,
-        variants=_need_a12,
-        sample=lambda p, v, rng: {"x12": random_component(p, (1, 2), rng)},
+        variants=_NO_INDEX,
+        frees=(("x12", "12"),),
         args=lambda p, v, n, f: collapse_prefix(p.e1, n - 1) + [f["x12"]],
         derived=lambda p, v, n, f: p.e1 * f["x12"] + f["x12"] * p.e1,
     )
@@ -214,8 +230,8 @@ def _entry_d() -> IdentityEntry:
         notes=("prefix scale normalized to collapse exactly (see ID-C note); "
                "with the collapse the displayed right side is exact"),
         n_min=3,
-        variants=_need_a12,
-        sample=lambda p, v, rng: _t_offdiag(p, rng),
+        variants=_NO_INDEX,
+        frees=_T_OFFDIAG,
         args=lambda p, v, n, f: _args_d(p, n, f),
         derived=rhs,
     )
@@ -233,8 +249,8 @@ def _entry_e() -> IdentityEntry:
         derived_form="2 (t21 c12 + (t21 c12)^*)",
         notes="inner argument D is evaluated through the recursion itself",
         n_min=3,
-        variants=_need_a12,
-        sample=lambda p, v, rng: _t_offdiag(p, rng),
+        variants=_NO_INDEX,
+        frees=_T_OFFDIAG,
         args=lambda p, v, n, f: collapse_prefix(p.e2, n - 2)
         + [q_star(_args_d(p, n, f)), p.e2],
         derived=rhs,
@@ -254,8 +270,8 @@ def _entry_f() -> IdentityEntry:
         notes=("the source displays the equation with the common factor "
                "2^(n-2) cancelled; restored here, the two forms coincide"),
         n_min=2,
-        variants=_single,
-        sample=lambda p, v, rng: {"t": random_element(p.algebra, rng)},
+        variants=_NO_INDEX,
+        frees=(("t", None),),
         args=lambda p, v, n, f: [p.algebra.unit] * (n - 2)
         + [p.e1 - p.e2, f["t"]],
         derived=rhs,
@@ -274,9 +290,8 @@ def _entry_g() -> IdentityEntry:
         derived_form="a12 + a12 b12 + a12^* + b12 a12^*",
         notes="the unit prefix doubles n-2 times, cancelled by the scale",
         n_min=2,
-        variants=_need_a12,
-        sample=lambda p, v, rng: {"a12": random_component(p, (1, 2), rng),
-                                  "b12": random_component(p, (1, 2), rng)},
+        variants=_NO_INDEX,
+        frees=(("a12", "12"), ("b12", "12")),
         args=lambda p, v, n, f: [p.algebra.unit] * (n - 2)
         + [f["a12"], (p.e2 + f["b12"]).scale(half_power(n - 2))],
         derived=rhs,
@@ -294,16 +309,10 @@ def _entry_h() -> IdentityEntry:
         a, b = f["a"], f["b"]
         return a + b + a.star() + b * a.star()
 
-    def sample(p, v, rng):
-        ij = _parse_ij(v)
-        return {"a": random_component(p, ij, rng),
-                "b": random_component(p, ij, rng)}
-
     def args(p, v, n, f):
-        i, j = _parse_ij(v)
         return ([p.algebra.unit] * (n - 2)
-                + [(p.idempotent(i) + f["a"]).scale(half_power(n - 2)),
-                   p.idempotent(j) + f["b"]])
+                + [(_ei(p, v) + f["a"]).scale(half_power(n - 2)),
+                   _ei(p, v, "j") + f["b"]])
 
     return IdentityEntry(
         entry_id="ID-H",
@@ -316,8 +325,8 @@ def _entry_h() -> IdentityEntry:
                "A_ji part of b, which is zero.  The derived form's a b term "
                "lies in A_ij A_ij: zero associatively, nonzero on zorn"),
         n_min=2,
-        variants=_offdiag_variants,
-        sample=sample,
+        variants=_EACH_IJ,
+        frees=(("a", "ij"), ("b", "ij")),
         args=args,
         derived=derived,
         display=display,
@@ -334,8 +343,8 @@ def _entry_i() -> IdentityEntry:
         derived_form="2^(n-2) (a + a^*)",
         notes="",
         n_min=2,
-        variants=_single,
-        sample=lambda p, v, rng: {"a": random_element(p.algebra, rng)},
+        variants=_NO_INDEX,
+        frees=(("a", None),),
         args=lambda p, v, n, f: [p.algebra.unit] * (n - 2)
         + [f["a"], p.algebra.unit],
         derived=rhs,
@@ -348,22 +357,7 @@ def _ab_sym(f: dict, k: int) -> Element:
     return (a * b + b * a.star()).scale(half_power(k))
 
 
-def _diag_offdiag_variants(p: PeirceSystem) -> list[str]:
-    d = p.component_dims()
-    out = []
-    if d[(1, 1)] and d[(1, 2)]:
-        out.append("i=1,j=2")
-    if d[(2, 2)] and d[(2, 1)]:
-        out.append("i=2,j=1")
-    return out
-
-
 def _entry_j() -> IdentityEntry:
-    def sample(p, v, rng):
-        i, j = _parse_ij(v)
-        return {"a": random_component(p, (i, i), rng),
-                "b": random_component(p, (i, j), rng)}
-
     return IdentityEntry(
         entry_id="ID-J",
         pattern=("q_n(e_i, ..., e_i, a_ii, b_ij) with n-2 idempotent slots, "
@@ -373,29 +367,15 @@ def _entry_j() -> IdentityEntry:
         notes=("the b a^* term lies in A_ij A_ii with j != i, which vanishes "
                "in every alternative algebra, so the two forms agree"),
         n_min=2,
-        variants=_diag_offdiag_variants,
-        sample=sample,
+        variants=_EACH_IJ,
+        frees=(("a", "ii"), ("b", "ij")),
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["a"], f["b"]],
         derived=lambda p, v, n, f: _ab_sym(f, 2 - n),
         display=lambda p, v, n, f: (f["a"] * f["b"]).scale(half_power(2 - n)),
     )
 
 
-def _opposed_variants(p: PeirceSystem) -> list[str]:
-    d = p.component_dims()
-    out = []
-    if d[(1, 2)] and d[(2, 1)]:
-        out.append("i=1,j=2")
-        out.append("i=2,j=1")
-    return out
-
-
 def _entry_k() -> IdentityEntry:
-    def sample(p, v, rng):
-        i, j = _parse_ij(v)
-        return {"a": random_component(p, (i, j), rng),
-                "b": random_component(p, (j, i), rng)}
-
     return IdentityEntry(
         entry_id="ID-K",
         pattern=("q_n(e_i, ..., e_i, a_ij, b_ji) with n-2 idempotent slots, "
@@ -405,8 +385,8 @@ def _entry_k() -> IdentityEntry:
         notes=("the omitted b a^* term lies in A_ji A_ji: zero associatively "
                "(verbatim holds on matrix algebras), nonzero on zorn"),
         n_min=3,
-        variants=_opposed_variants,
-        sample=sample,
+        variants=_EACH_IJ,
+        frees=(("a", "ij"), ("b", "ji")),
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["a"], f["b"]],
         derived=lambda p, v, n, f: _ab_sym(f, 3 - n),
         display=lambda p, v, n, f: (f["a"] * f["b"]).scale(half_power(3 - n)),
@@ -414,11 +394,6 @@ def _entry_k() -> IdentityEntry:
 
 
 def _entry_l() -> IdentityEntry:
-    def sample(p, v, rng):
-        ij = _parse_ij(v)
-        return {"a": random_component(p, ij, rng),
-                "b": random_component(p, ij, rng)}
-
     return IdentityEntry(
         entry_id="ID-L",
         pattern=("q_n(e_i, ..., e_i, a_ij, b_ij) with n-2 idempotent slots "
@@ -431,8 +406,8 @@ def _entry_l() -> IdentityEntry:
                "associative algebras; verbatim_match is false on matrix "
                "algebras too, e.g. q_3(E11, E12, E12) = E11, displayed 0"),
         n_min=3,
-        variants=_offdiag_variants,
-        sample=sample,
+        variants=_EACH_IJ,
+        frees=(("a", "ij"), ("b", "ij")),
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["a"], f["b"]],
         derived=lambda p, v, n, f: _ab_sym(f, 3 - n),
         display=lambda p, v, n, f: (f["a"] * f["b"]).scale(half_power(2 - n)),
@@ -446,8 +421,8 @@ def _entry_m() -> IdentityEntry:
         derived_form="0",
         notes="the prefix against e2 annihilates: {2^(n-3) e1, e2} = 0",
         n_min=3,
-        variants=_single,
-        sample=lambda p, v, rng: {"x": random_element(p.algebra, rng)},
+        variants=_NO_INDEX,
+        frees=(("x", None),),
         args=lambda p, v, n, f: [p.e1] * (n - 2) + [p.e2, f["x"]],
         derived=lambda p, v, n, f: p.algebra.zero(),
     )
@@ -467,8 +442,8 @@ def _entry_n() -> IdentityEntry:
         derived_form="2^(n-3) (e_i x e_i + x e_i + e_i x^* e_i + e_i x^*)",
         notes="e_i x e_i is unambiguous: alternative algebras are flexible",
         n_min=3,
-        variants=_both,
-        sample=lambda p, v, rng: {"x": random_element(p.algebra, rng)},
+        variants=_EACH_I,
+        frees=(("x", None),),
         args=lambda p, v, n, f: [_ei(p, v)] * (n - 2) + [f["x"], _ei(p, v)],
         derived=rhs,
     )
@@ -495,7 +470,7 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
     if n < entry.n_min:
         return EntryRun(entry.entry_id, n, 0,
                         f"requires n >= {entry.n_min}", True, True, None, None)
-    variants = entry.variants(p)
+    variants = entry.live_variants(p)
     if not variants:
         return EntryRun(entry.entry_id, n, 0,
                         "required Peirce component is zero-dimensional",
@@ -506,7 +481,7 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
     for s in range(samples):
         for v in variants:
             rng = derive_rng(seed, entry.entry_id, n, v, s)
-            frees = entry.sample(p, v, rng)
+            frees = _draw(p, entry, v, rng)
             lhs = _q_cached(entry.args(p, v, n, frees), cache)
             want = entry.derived(p, v, n, frees)
             res = lhs - want

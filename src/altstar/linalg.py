@@ -95,8 +95,3 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:
 def from_columns(cols: Sequence[Sequence[Scalar]]) -> Matrix:
     """The matrix whose k-th column is cols[k]."""
     return [list(row) for row in zip(*cols)]
-
-
-def independent_subset(vectors: Sequence[Sequence[Scalar]]) -> list[int]:
-    """Indices of a maximal independent subset, scanning in the given order."""
-    return rref(from_columns(vectors))[1]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import altstar as st
 from altstar.cli import main as cli_main
@@ -229,6 +230,17 @@ def test_matrix_size_is_bounded(command):
     assert out == ""
 
 
+@pytest.mark.parametrize("source", ["dsum", "file"])
+def test_dimension_is_bounded(tmp_path, source):
+    # each dsum part is within the bound; their sum, 128, is not
+    command = (["gen", "dsum:matrix:8,matrix:8"] if source == "dsum"
+               else ["check", _matrix2_file(tmp_path, "big.alg", dim=65)])
+    code, out, err = run(command)
+    assert code == 2
+    assert "at most 64" in err
+    assert out == ""
+
+
 def test_duplicate_patch_inputs_exit_2(tmp_path, zorn):
     u1 = zorn.basis_element(2)
     phi = st.patched_map(st.identity_map(zorn), {u1: u1.scale(st.TWO)})
@@ -298,6 +310,62 @@ def test_runs_without_samples_are_input_errors(tmp_path, zorn, command,
     assert code == 2
     assert "--samples" in err
     assert out == ""
+
+
+# -- the exit-code contract ------------------------------------------------------
+
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers(-70, 70) | hst.floats()
+    | hst.text(max_size=6),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=3), inner, max_size=3),
+    max_leaves=10)
+
+ALGEBRA_COMMANDS = (["check"], ["peirce", "--samples", "3"], ["spade"],
+                    ["lemmas", "--n-max", "3", "--samples", "2"],
+                    ["qprod", "--n", "2", "--args", "0,1,0,0;0,1,0,0"])
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory, m2):
+    """The matrix:2 algebra file and an identity map file, as documents,
+    with the paths each example writes its altered copies to."""
+    base = tmp_path_factory.mktemp("contract")
+    algebra = json.loads(run(["gen", "matrix:2"])[1])
+    identity = map_to_dict(st.identity_map(m2), "matrix:2", "matrix:2")
+    return ((algebra, base / "m2.alg"), (identity, base / "id.map"))
+
+
+def _perturb(data, doc):
+    """A copy of doc with a top-level field, or one item in it, replaced by
+    a random JSON value."""
+    doc = json.loads(json.dumps(doc))
+    key = data.draw(hst.sampled_from(sorted(doc)))
+    field = doc[key]
+    if isinstance(field, (list, dict)) and field \
+            and data.draw(hst.booleans()):
+        inner = data.draw(hst.sampled_from(
+            range(len(field)) if isinstance(field, list) else sorted(field)))
+        field[inner] = data.draw(JSON_VALUES)
+    else:
+        doc[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=hst.data())
+def test_malformed_files_keep_the_exit_code_contract(contract_files, data):
+    # 0 = pass, 1 = witness, 2 = input error; an escaping exception fails
+    (algebra, alg_path), (identity, map_path) = contract_files
+    alg_path.write_text(canonical_json(_perturb(data, algebra)),
+                        encoding="utf-8")
+    map_path.write_text(canonical_json(_perturb(data, identity)),
+                        encoding="utf-8")
+    runs = [[c[0], str(alg_path)] + c[1:] for c in ALGEBRA_COMMANDS]
+    runs.append(["mapcheck", str(map_path), "--samples", "3"])
+    for args in runs:
+        code, out, err = run(args)
+        assert code in (0, 1, 2), (args, err)
 
 
 def test_installed_entry_point():

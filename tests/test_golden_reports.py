@@ -2,7 +2,9 @@
 
 ``perfbench/golden.json`` holds, for every benchmark job, its exit code and
 the sha256 of its stdout.  This replays the seed-1 jobs of every workload
-through ``altstar.cli.main`` and compares.  ``perfbench/workloads.py`` is
+through ``altstar.cli.main``, compares, and passes each report through
+``verify`` in ``perfbench/oracle.py``, which recomputes every witness through
+the catalog and map APIs.  ``perfbench/workloads.py`` and ``oracle.py`` are
 loaded by path and only read; reports contain no file paths, so the digests
 do not depend on where the inputs are written.
 """
@@ -23,11 +25,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 1
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
+def _load(name, filename, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  PERFBENCH / filename)
     mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    # dataclasses look their module up here, and the oracle imports its job
+    # type from the top-level module `workloads`
+    monkeypatch.setitem(sys.modules, name, mod)
     spec.loader.exec_module(mod)
     return mod
 
@@ -38,8 +42,11 @@ def golden():
 
 
 @pytest.mark.parametrize("workload", ["catalog", "falsify", "dense-basis"])
-def test_reports_match_golden_digests(workload, golden, tmp_path):
-    jobs = _load_workloads().build(workload, SEED, str(tmp_path))
+def test_reports_match_golden_digests(workload, golden, tmp_path,
+                                     monkeypatch):
+    workloads = _load("workloads", "workloads.py", monkeypatch)
+    oracle = _load("perfbench_oracle", "oracle.py", monkeypatch)
+    jobs = workloads.build(workload, SEED, str(tmp_path))
     assert jobs
     for job in jobs:
         out = io.StringIO()
@@ -48,3 +55,4 @@ def test_reports_match_golden_digests(workload, golden, tmp_path):
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         assert [code, digest] == golden[f"{workload}/{SEED}/{job.name}"], \
             job.name
+        oracle.verify(job, code, out.getvalue())

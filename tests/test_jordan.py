@@ -7,6 +7,7 @@ forms are anchored by hand-computed frozen values on M2 and Zorn.
 import pytest
 
 import altstar as st
+from altstar.formats import resolve_algebra
 from altstar.jordan import (CATALOG, catalog_entry, collapse_prefix,
                             jordan_star, q_star, verify_identity)
 from altstar.sampling import derive_rng, random_element
@@ -178,13 +179,13 @@ def test_shared_display_form_is_evaluated_once(m2_peirce):
     entry = st.IdentityEntry(
         entry_id="ID-B", pattern=base.pattern,
         derived_form=base.derived_form, notes=base.notes, n_min=base.n_min,
-        variants=base.variants, sample=base.sample, args=base.args,
+        variants=base.variants, frees=base.frees, args=base.args,
         derived=derived)
     assert entry.display is derived
     assert entry.display_form == base.derived_form
     run = verify_identity(entry, m2_peirce, 3, 7, seed=2)
     assert run.derived_ok and run.verbatim_match
-    assert len(calls) == 7 * len(base.variants(m2_peirce))
+    assert len(calls) == 7 * len(base.live_variants(m2_peirce))
     assert run == verify_identity(base, m2_peirce, 3, 7, seed=2)
 
 
@@ -253,6 +254,70 @@ def test_audit_skips_missing_components(dsum_m2_m2):
     assert all(r.skipped for r in by_id["ID-C"])  # needs an A12 element
     active = [r for r in rep.runs if r.skipped is None]
     assert active and all(r.derived_ok for r in active)
+
+
+_EACH_I, _EACH_IJ = ["i=1", "i=2"], ["i=1,j=2", "i=2,j=1"]
+# every variant live: every Peirce component is nonzero
+_ALL_LIVE = {"ID-B": _EACH_I, "ID-C": ["-"], "ID-D": ["-"], "ID-E": ["-"],
+             "ID-F": ["-"], "ID-G": ["-"], "ID-H": _EACH_IJ, "ID-I": ["-"],
+             "ID-J": _EACH_IJ, "ID-K": _EACH_IJ, "ID-L": _EACH_IJ,
+             "ID-M": ["-"], "ID-N": _EACH_I}
+# recorded from the per-entry variant functions the declared components
+# replaced, with e1 the named idempotent of each spec
+LIVE_VARIANTS = {
+    "zorn": _ALL_LIVE,
+    "matrix:2": _ALL_LIVE,
+    # e1 is the left block unit, so A12 = A21 = 0
+    "dsum:matrix:2,matrix:2": {
+        k: (v if k in ("ID-B", "ID-F", "ID-I", "ID-M", "ID-N") else [])
+        for k, v in _ALL_LIVE.items()},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LIVE_VARIANTS))
+def test_live_variants_match_recorded_table(spec):
+    a, idem = resolve_algebra(spec)
+    p = st.PeirceSystem(a, a.element(idem["e1"]))
+    live = {e.entry_id: e.live_variants(p) for e in CATALOG}
+    assert live == LIVE_VARIANTS[spec]
+
+
+def _upper_triangular():
+    """E11, E12, E22 under the matrix product, star = entrywise
+    conjugation; with e1 = E11 the component dims are 1/1/0/1."""
+    identity = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
+    structure = {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 2, 1): ONE,
+                 (2, 2, 2): ONE}
+    a = st.Algebra("ut2", 3, ["E11", "E12", "E22"], structure,
+                   [ONE, ZERO, ONE], identity)
+    return st.PeirceSystem(a, a.basis_element(0))
+
+
+@pytest.mark.parametrize("entry_id", ["ID-D", "ID-E"])
+def test_zero_a21_makes_t21_zero_without_skipping(entry_id):
+    p = _upper_triangular()
+    assert p.component_dims() == {(1, 1): 1, (1, 2): 1, (2, 1): 0,
+                                  (2, 2): 1}
+    base = catalog_entry(entry_id)
+    drawn = []
+
+    def derived(p, v, n, f):
+        drawn.append(f)
+        return base.derived(p, v, n, f)
+
+    entry = st.IdentityEntry(
+        entry_id=base.entry_id, pattern=base.pattern,
+        derived_form=base.derived_form, notes=base.notes, n_min=base.n_min,
+        variants=base.variants, frees=base.frees, args=base.args,
+        derived=derived)
+    assert entry.live_variants(p) == ["-"]
+    run = verify_identity(entry, p, 3, 6, seed=3)
+    assert run.skipped is None and run.samples == 6
+    assert run.derived_ok and run.verbatim_match
+    assert len(drawn) == 6
+    for f in drawn:
+        assert f["t21"].is_zero() and f["t"] == f["t12"]
+    assert run == verify_identity(base, p, 3, 6, seed=3)
 
 
 # -- the one entry whose displayed factor fails associatively -----------------

@@ -86,34 +86,11 @@ def test_singular_matrix_detected():
         linalg.inverse(m)
 
 
-def test_independent_subset_spans_same_rank():
-    rng = random.Random(11)
-    vectors = [row for row in random_matrix(rng, 8, 5)]
-    keep = linalg.independent_subset(vectors)
-    assert len(keep) == linalg.rank(vectors)
-    assert linalg.rank([vectors[k] for k in keep]) == len(keep)
-    assert keep == sorted(keep)
-
-
 def test_from_columns():
     cols = [[ONE, ZERO, Scalar(2)], [Scalar(0, 1), ONE, ZERO]]
     assert linalg.from_columns(cols) == [[ONE, Scalar(0, 1)], [ZERO, ONE],
                                          [Scalar(2), ZERO]]
     assert linalg.from_columns([]) == []
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_independent_subset_is_the_greedy_scan(seed):
-    rng = random.Random(seed)
-    vectors = random_matrix(rng, 7, 4, sparse=0.5)
-    vectors.insert(2, vectors[0])
-    vectors.insert(4, [ZERO] * 4)
-    # reference: keep a vector exactly when it raises the rank of those kept
-    kept = []
-    for k, v in enumerate(vectors):
-        if linalg.rank([vectors[t] for t in kept] + [v]) > len(kept):
-            kept.append(k)
-    assert linalg.independent_subset(vectors) == kept
 
 
 def test_mat_vec():
