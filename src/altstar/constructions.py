@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, check_involution, check_unit
+from .algebra import (Algebra, AlgebraError, Element, IntMatrix,
+                      check_involution, check_unit)
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
@@ -188,26 +189,34 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 
 def change_of_basis(a: Algebra, m: Sequence[Sequence[Scalar]],
                     name: str | None = None) -> Algebra:
-    """Transport a to the basis whose old-coordinate vectors are m's columns."""
-    if not linalg.is_invertible(list(map(list, m))):
-        raise ConstructionError("change of basis matrix is singular")
-    dim = a.dim
-    minv = linalg.inverse(list(map(list, m)))
+    """Transport a to the basis whose old-coordinate vectors are m's columns.
 
-    def to_new(coords: Sequence[Scalar]) -> list[Scalar]:
-        return linalg.mat_vec(minv, coords)
+    One elimination inverts m; a singular m raises ConstructionError.  The
+    inverse is compiled to an IntMatrix, so the products, the unit and the
+    stars of the new basis reach their new coordinates through the integer
+    kernel.
+    """
+    try:
+        minv = IntMatrix(linalg.inverse(list(map(list, m))))
+    except linalg.SingularMatrixError:
+        raise ConstructionError("change of basis matrix is singular") \
+            from None
+    dim = a.dim
+
+    def to_new(x: Element) -> tuple[Scalar, ...]:
+        # only the coordinates are read, so a (same dim) carries them
+        return minv.apply(x, a).coords
 
     new_basis_old = [a.element(col) for col in zip(*m)]
     structure = {}
     for i in range(dim):
         for j in range(dim):
-            prod = to_new((new_basis_old[i] * new_basis_old[j]).coords)
+            prod = to_new(new_basis_old[i] * new_basis_old[j])
             for k, c in enumerate(prod):
                 if not c.is_zero():
                     structure[(i, j, k)] = c
-    unit = to_new(a.unit.coords)
+    unit = to_new(a.unit)
     # column c of the new star matrix is the star of new basis vector c
-    star = linalg.from_columns([to_new(b.star().coords)
-                                for b in new_basis_old])
+    star = linalg.from_columns([to_new(b.star()) for b in new_basis_old])
     return _validated(Algebra(name or f"{a.name}~", dim, a.basis_labels,
                               structure, unit, star))

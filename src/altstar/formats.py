@@ -126,17 +126,21 @@ def algebra_from_dict(d: dict) -> tuple[Algebra, dict[str, list[Scalar]]]:
     return a, idem
 
 
-def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
+def _read_json(path: str, kind: str):
+    """The JSON document in the *kind* file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise FormatError(f"cannot read algebra file {path!r}: {exc}") \
+        raise FormatError(f"cannot read {kind} file {path!r}: {exc}") \
             from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"algebra file {path!r} is not valid JSON: {exc}") \
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{kind} file {path!r} is not valid JSON: {exc}") \
             from exc
-    return algebra_from_dict(data)
+
+
+def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
+    return algebra_from_dict(_read_json(path, "algebra"))
 
 
 # -- algebra spec grammar ---------------------------------------------------
@@ -288,12 +292,4 @@ def map_from_dict(d: dict) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
 
 
 def load_map_file(path: str) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read map file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"map file {path!r} is not valid JSON: {exc}") \
-            from exc
-    return map_from_dict(data)
+    return map_from_dict(_read_json(path, "map"))

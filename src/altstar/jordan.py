@@ -42,10 +42,7 @@ def q_star(args: Sequence[Element]) -> Element:
     """Left-nested n-ary product; n = len(args) >= 1."""
     if not args:
         raise AlgebraError("q_star needs at least one argument")
-    a0 = args[0].algebra
-    for x in args[1:]:
-        if x.algebra is not a0:
-            raise AlgebraError("q_star arguments from different algebras")
+    # arguments from different algebras fail at the first product
     return _q_cached(args, {})
 
 

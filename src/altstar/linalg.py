@@ -18,13 +18,9 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def copy_matrix(m: Sequence[Sequence[Scalar]]) -> Matrix:
-    return [list(row) for row in m]
-
-
 def rref(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    a = copy_matrix(m)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -69,6 +65,8 @@ def nullspace(m: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
 
 def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise SingularMatrixError("matrix is not square")
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
            for i, row in enumerate(m)]
     red, pivots = rref(aug)

@@ -25,7 +25,7 @@ of the induced linear map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, CheckResult, Element,
@@ -59,12 +59,11 @@ def is_symmetric_idempotent(a: Algebra, e: Element) -> bool:
     return info.is_idempotent and info.is_symmetric
 
 
-def find_symmetric_idempotents(a: Algebra,
-                               extra: Sequence[Element] = ()) -> list[Element]:
+def find_symmetric_idempotents(a: Algebra) -> list[Element]:
     """Nontrivial symmetric idempotents among structured candidates.
 
-    Candidates: basis vectors, (1 +- b)/2 and (1 +- i*b)/2 for basis b,
-    plus any caller-supplied elements.  Deterministic order, deduplicated.
+    Candidates: basis vectors, (1 +- b)/2 and (1 +- i*b)/2 for basis b.
+    Deterministic order, deduplicated.
     """
     half = half_power(1)
     candidates: list[Element] = []
@@ -74,7 +73,6 @@ def find_symmetric_idempotents(a: Algebra,
         candidates.append((a.unit - b).scale(half))
         candidates.append((a.unit + b.scale(I)).scale(half))
         candidates.append((a.unit - b.scale(I)).scale(half))
-    candidates.extend(extra)
     out: list[Element] = []
     seen = set()
     for e in candidates:
@@ -136,8 +134,10 @@ class PeirceSystem:
         for k, b in enumerate(basis):
             split = PeirceSplit({ij: projected[ij][k] for ij in IJ_PAIRS})
             if not (split.recombined() - b).is_zero():
+                # by bilinearity the four projections of b sum to u (b u)
                 raise PeirceError("Peirce components do not recombine to "
-                                  f"basis {b!r}")
+                                  f"basis {b!r}: they sum to u (b u), so "
+                                  "the declared unit u is not two-sided")
 
         columns = {ij: linalg.from_columns([x.coords for x in cols])
                    for ij, cols in projected.items()}
@@ -289,8 +289,9 @@ def check_spade(a: Algebra, e: Element) -> SpadeResult:
     """Exact decision of: x (A e) = 0 implies x = 0.
 
     Builds the matrix of x -> (x (b_k e))_k over the basis and computes its
-    nullspace; a nonzero nullspace vector is returned as the witness after
-    re-verifying that the matrix sends it to zero.
+    nullspace.  A nonzero nullspace vector x is returned as the witness
+    after verifying the property itself: x g = 0 for each generator
+    g = b_k e.
     """
     if not (e * e - e).is_zero():
         raise PeirceError("spade check requires an idempotent e")
@@ -302,9 +303,10 @@ def check_spade(a: Algebra, e: Element) -> SpadeResult:
     null = linalg.nullspace(rows)
     if not null:
         return SpadeResult(True, None)
-    if not all(c.is_zero() for c in linalg.mat_vec(rows, null[0])):
+    x = a.element(null[0])
+    if not all((x * g).is_zero() for g in gens):
         raise PeirceError("internal error: spade witness fails to verify")
-    return SpadeResult(False, a.element(null[0]))
+    return SpadeResult(False, x)
 
 
 def spade_pair(p: PeirceSystem) -> tuple[SpadeResult, SpadeResult]:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import altstar as st
+from altstar import linalg
 from altstar.cli import main as cli_main
 from altstar.formats import canonical_json, map_to_dict
+from altstar.sampling import derive_rng
 
 
 def run(args):
@@ -215,6 +217,16 @@ def test_missing_file_exits_2():
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["check", "mapcheck"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    code, out, err = run([command, str(path)])
+    assert code == 2
+    assert err.startswith("error:") and "not valid JSON" in err
+    assert out == ""
+
+
 def test_bad_builtin_parameter_exits_2():
     code, out, err = run(["gen", "matrix:0"])
     assert code == 2
@@ -288,14 +300,16 @@ def test_malformed_scalar_literal_exits_2(tmp_path, source):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["peirce", "spade"])
+@pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
 def test_unit_that_does_not_recombine_exits_2(tmp_path, command):
     # e1 = E11 is still a symmetric idempotent and every Peirce component
-    # stays 1-dimensional; only the recombination check rejects the file
+    # stays 1-dimensional; only the recombination check rejects the file,
+    # and it names the cause: the four projections of b sum to u (b u)
     path = _matrix2_file(tmp_path, "m2.alg", unit=["1", "0", "0", "2"])
     code, out, err = run([command, path])
     assert code == 2
     assert err.startswith("error:") and "recombine" in err
+    assert "two-sided" in err
     assert out == ""
 
 
@@ -310,6 +324,38 @@ def test_runs_without_samples_are_input_errors(tmp_path, zorn, command,
     assert code == 2
     assert "--samples" in err
     assert out == ""
+
+
+# -- basis independence ------------------------------------------------------
+
+
+def _unimodular(dim, rng):
+    """Unit-lower times unit-upper, so the inverse is integral as well."""
+    entries = (st.MINUS_ONE, st.ZERO, st.ONE, st.I)
+    lower = [[st.ONE if r == c else rng.choice(entries) if r > c else st.ZERO
+              for c in range(dim)] for r in range(dim)]
+    upper = [[st.ONE if r == c else rng.choice(entries) if r < c else st.ZERO
+              for c in range(dim)] for r in range(dim)]
+    return linalg.from_columns([linalg.mat_vec(lower, col)
+                                for col in zip(*upper)])
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:2", "matrix:3",
+                                  "cd:-1,-1,-1"])
+def test_check_verdicts_survive_a_change_of_basis_and_a_file(tmp_path, spec):
+    # the laws do not depend on the basis; the witnesses do, so only each
+    # check's name and verdict are compared
+    a, _ = st.resolve_algebra(spec)
+    moved = st.change_of_basis(a, _unimodular(a.dim,
+                                              derive_rng(11, "moved", spec)))
+    path = tmp_path / "moved.alg"
+    path.write_text(canonical_json(st.algebra_to_dict(moved)),
+                    encoding="utf-8")
+    code, doc = run_json(["check", spec])
+    moved_code, moved_doc = run_json(["check", str(path)])
+    assert moved_code == code
+    assert [(c["name"], c["passed"]) for c in moved_doc["checks"]] \
+        == [(c["name"], c["passed"]) for c in doc["checks"]]
 
 
 # -- the exit-code contract ------------------------------------------------------

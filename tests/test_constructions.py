@@ -359,7 +359,39 @@ def test_change_of_basis_transports_a_complex_star(zorn, zorn_transported,
         assert zorn.element(linalg.mat_vec(m, x.star().coords)) == old.star()
 
 
+def test_change_of_basis_applies_its_inverse_through_the_integer_kernel(
+        zorn, zorn_moved_basis, monkeypatch):
+    from altstar import linalg
+    m = zorn_moved_basis
+    # the reference maps to new coordinates with the Scalar inverse
+    minv = linalg.inverse(m)
+    new_basis = [zorn.element(col) for col in zip(*m)]
+
+    def to_new(x):
+        return tuple(linalg.mat_vec(minv, x.coords))
+
+    want_structure = {(i, j, k): c
+                      for i, x in enumerate(new_basis)
+                      for j, y in enumerate(new_basis)
+                      for k, c in enumerate(to_new(x * y)) if not c.is_zero()}
+    want_unit = to_new(zorn.unit)
+    want_star = linalg.from_columns([to_new(x.star()) for x in new_basis])
+
+    def no_mat_vec(*args):
+        raise AssertionError("change_of_basis called linalg.mat_vec")
+
+    monkeypatch.setattr(linalg, "mat_vec", no_mat_vec)
+    b = st.change_of_basis(zorn, m)
+    assert {(i, j, k): c for i, j, k, c in b.structure_entries()} \
+        == want_structure
+    assert b.unit.coords == want_unit
+    assert [list(row) for row in b.star_matrix()] == want_star
+
+
 def test_change_of_basis_rejects_singular(m2):
     singular = [[ZERO] * 4 for _ in range(4)]
-    with pytest.raises(st.ConstructionError):
-        st.change_of_basis(m2, singular)
+    # [I | 0] has full row rank, but only a square matrix is a basis change
+    wide = [[ONE if r == c else ZERO for c in range(5)] for r in range(4)]
+    for m in (singular, wide):
+        with pytest.raises(st.ConstructionError, match="singular"):
+            st.change_of_basis(m2, m)

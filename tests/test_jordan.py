@@ -49,8 +49,10 @@ def test_nested_product_matches_direct_recursion(m2, zorn):
 def test_nested_product_argument_validation(m2, zorn):
     with pytest.raises(st.AlgebraError):
         q_star([])
-    with pytest.raises(st.AlgebraError):
-        q_star([m2.unit, zorn.unit])
+    # arguments from different algebras fail at the first product
+    for args in ([m2.unit, zorn.unit], [m2.unit, m2.unit, zorn.unit]):
+        with pytest.raises(st.AlgebraError, match="mismatch in multiply"):
+            q_star(args)
 
 
 def test_idempotent_slots_double(m2, zorn):

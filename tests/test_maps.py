@@ -247,6 +247,13 @@ def test_peirce_system_must_live_on_domain(m2, zorn_peirce):
                                   seed=1)
 
 
+def test_isomorphism_check_rejects_a_peirce_system_on_another_algebra(
+        m2, zorn_peirce):
+    with pytest.raises(st.MapError, match="map's domain"):
+        st.check_star_ring_isomorphism(st.identity_map(m2), zorn_peirce, 10,
+                                       seed=1)
+
+
 def test_rotation_map_requires_zorn(m2):
     with pytest.raises(st.MapError):
         st.zorn_rotation_map(m2)

@@ -255,6 +255,33 @@ def test_spade_fails_on_direct_sum_with_verified_witness(dsum_m2_m2):
             assert (x * (b * e)).is_zero()
 
 
+def test_spade_witness_is_verified_by_its_products(monkeypatch):
+    from altstar import linalg
+
+    def no_mat_vec(*args):
+        raise AssertionError("check_spade called linalg.mat_vec")
+
+    a, idem = st.resolve_algebra("dsum:zorn,matrix:3")
+    p = st.PeirceSystem(a, a.element(idem["e1"]))
+    monkeypatch.setattr(linalg, "mat_vec", no_mat_vec)
+    failing = [(e, r) for e, r in zip((p.e1, p.e2), st.spade_pair(p))
+               if not r.holds]
+    assert failing
+    for e, r in failing:
+        assert not r.witness.is_zero()
+        for b in a.basis():
+            assert (r.witness * (b * e)).is_zero()
+
+
+def test_spade_rejects_a_witness_that_does_not_annihilate(m2, monkeypatch):
+    from altstar import linalg
+    # E11 (b E11) is nonzero for b = E11, so this vector is no witness
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows: [[ONE, ZERO, ZERO, ZERO]])
+    with pytest.raises(st.PeirceError, match="fails to verify"):
+        st.check_spade(m2, m2.basis_element(0))
+
+
 def test_spade_requires_idempotent(m2):
     with pytest.raises(st.PeirceError):
         st.check_spade(m2, m2.basis_element(1))
