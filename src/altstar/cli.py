@@ -18,7 +18,7 @@ from .formats import (algebra_to_dict, canonical_json, load_map_file,
 from .jordan import (CatalogReport, EntryRun, IdentitySample, audit_catalog,
                      q_star)
 from .maps import (ConditionReport, MapWitness, check_jordan_condition,
-                   check_star_ring_isomorphism, check_unital)
+                   check_star_ring_isomorphism)
 from .peirce import PeirceSystem, check_peirce_relations, spade_pair
 from .scalars import Scalar, ScalarError, parse_scalar
 
@@ -246,9 +246,6 @@ def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
     phi, dom_idem = load_map_file(args.mapfile)
     p = build_peirce(phi.domain, dom_idem, args.e1)
-    if not check_unital(phi):
-        raise CliInputError(
-            "map is not unital; the condition checks require a unital map")
     jordan = check_jordan_condition(phi, p, args.n, args.samples, args.seed)
     iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)
     refuted = jordan.refuted or not iso.ok

@@ -151,9 +151,9 @@ def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
 # treated as a file path.  dsum splits its payload on the first comma, so
 # its halves must themselves be comma-free specs (zorn, matrix:K, a file).
 #
-# matrix:K builds K^3 structure entries and validates in time growing as K^8,
-# and `check` scans dim^3 basis triples, so every algebra, builtin or file,
-# is bounded before anything is allocated.
+# matrix:K builds K^3 structure entries and `check` scans dim^3 basis
+# triples, so every algebra, builtin or file, is bounded before anything
+# is allocated.
 MAX_MATRIX_SIZE = 8
 MAX_DIM = MAX_MATRIX_SIZE ** 2
 
@@ -254,7 +254,7 @@ def map_from_dict(d: dict) -> tuple[AlgebraMap, dict[str, list[Scalar]]]:
     dom_spec = _req(d, "domain", str, what)
     cod_spec = _req(d, "codomain", str, what)
     domain, dom_idem = resolve_algebra(dom_spec)
-    # equal specs name one algebra: build and validate it once
+    # equal specs name one algebra: build it once
     codomain = (domain if cod_spec == dom_spec
                 else resolve_algebra(cod_spec)[0])
     rows = _req(d, "matrix", list, what)

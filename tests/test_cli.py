@@ -326,6 +326,25 @@ def test_runs_without_samples_are_input_errors(tmp_path, zorn, command,
     assert out == ""
 
 
+def test_file_inside_a_direct_sum_gets_the_verdict_of_the_file(tmp_path):
+    # upper-triangular 2x2 matrices with entrywise conjugation: the unit is
+    # two-sided, but the star is not an anti-automorphism
+    one, zero = st.ONE, st.ZERO
+    identity = [[one if r == c else zero for c in range(3)] for r in range(3)]
+    structure = {(0, 0, 0): one, (0, 1, 1): one, (1, 2, 1): one,
+                 (2, 2, 2): one}
+    ut2 = st.Algebra("ut2", 3, ["E11", "E12", "E22"], structure,
+                     [one, zero, one], identity)
+    path = tmp_path / "ut2.alg"
+    path.write_text(canonical_json(st.algebra_to_dict(ut2)), encoding="utf-8")
+    failing = []
+    for spec in (str(path), f"dsum:{path},zorn"):
+        code, doc = run_json(["check", spec])
+        assert code == 1, spec
+        failing.append([c["name"] for c in doc["checks"] if not c["passed"]])
+    assert failing == [["anti_automorphism"]] * 2
+
+
 # -- basis independence ------------------------------------------------------
 
 

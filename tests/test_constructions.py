@@ -9,6 +9,7 @@ Both are written from the defining formulas, not from the library code.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import altstar as st
 from altstar.sampling import derive_rng, random_element
@@ -283,6 +284,60 @@ def test_alternativity_boundary():
     assert not rep.check("right_alternative_linearized").passed
     assert rep.check("flexible_linearized").passed
     assert st.check_involution(a16).ok
+
+
+# the constructors decide no law; these tests pin the laws of what they build
+
+GAMMAS = hst.lists(hst.builds(Scalar, hst.integers(-5, 5).filter(bool),
+                              hst.just(0), hst.integers(1, 4)),
+                   max_size=4)
+
+
+def _assert_unit_and_involution(a):
+    assert st.check_unit(a).ok, a.name
+    assert st.check_involution(a).ok, a.name
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:1", "matrix:2", "matrix:3",
+                                  "matrix:4", "matrix:5"])
+def test_builtin_satisfies_the_unit_and_involution_laws(spec):
+    _assert_unit_and_involution(st.resolve_algebra(spec)[0])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gammas=GAMMAS, other=hst.sampled_from(["matrix:2", "zorn", "cd:-1"]))
+def test_doubling_and_its_direct_sum_satisfy_the_unit_and_involution_laws(
+        gammas, other):
+    a = st.cayley_dickson(gammas)
+    _assert_unit_and_involution(a)
+    _assert_unit_and_involution(
+        st.direct_sum(st.resolve_algebra(other)[0], a))
+
+
+def _count_products_and_stars(monkeypatch):
+    counts = {"multiply": 0, "star": 0}
+    for name in counts:
+        def counted(self, *args, _name=name,
+                    _method=getattr(st.Algebra, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(st.Algebra, name, counted)
+    return counts
+
+
+def test_constructors_make_products_only_to_transport_a_basis(
+        monkeypatch, zorn_moved_basis):
+    counts = _count_products_and_stars(monkeypatch)
+    zorn = st.zorn_algebra()
+    for k in (1, 2, 3):
+        st.matrix_algebra(k)
+    for levels in range(4):
+        st.cayley_dickson([MINUS_ONE] * levels)
+    st.direct_sum(st.matrix_algebra(2), zorn)
+    assert counts == {"multiply": 0, "star": 0}
+    # one product per pair of new basis vectors, one star per vector
+    st.change_of_basis(zorn, zorn_moved_basis)
+    assert counts == {"multiply": 64, "star": 8}
 
 
 def test_doubling_rejects_bad_gammas():

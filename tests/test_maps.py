@@ -242,7 +242,7 @@ def test_condition_requires_arity_at_least_two(m2, m2_peirce):
 
 
 def test_peirce_system_must_live_on_domain(m2, zorn_peirce):
-    with pytest.raises(st.MapError):
+    with pytest.raises(st.MapError, match="map's domain"):
         st.check_jordan_condition(st.identity_map(m2), zorn_peirce, 2, 10,
                                   seed=1)
 
