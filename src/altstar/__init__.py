@@ -26,7 +26,7 @@ from .maps import (AlgebraMap, ConditionReport, IsomorphismReport, MapError,
                    matrix_swap_conjugation, patched_map, sample_pool,
                    scale_map, star_as_map, zorn_rotation_map)
 from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
-                     PeirceRelationsReport, PeirceSplit, PeirceSystem,
+                     PeirceRelationsReport, PeirceSystem,
                      SpadeResult, check_peirce_relations, check_spade,
                      classify_idempotent, component_of,
                      find_symmetric_idempotents, is_symmetric_idempotent,
@@ -46,7 +46,7 @@ __all__ = [
     "Element", "EntryRun", "FormatError", "I", "IJ_PAIRS", "IdempotentInfo",
     "IdentityEntry", "IdentitySample", "IsomorphismReport", "MINUS_ONE",
     "MapError", "MapWitness", "ONE", "PeirceError", "PeirceRelationsReport",
-    "PeirceSplit", "PeirceSystem", "Scalar", "ScalarError", "SpadeResult",
+    "PeirceSystem", "Scalar", "ScalarError", "SpadeResult",
     "TWO", "Witness", "ZERO", "algebra_from_dict", "algebra_to_dict",
     "audit_catalog", "bijective_claim", "canonical_json",
     "catalog_entry", "cayley_dickson", "change_of_basis",

@@ -19,7 +19,8 @@ from .jordan import (CatalogReport, EntryRun, IdentitySample, audit_catalog,
                      q_star)
 from .maps import (ConditionReport, MapWitness, check_jordan_condition,
                    check_star_ring_isomorphism)
-from .peirce import PeirceSystem, check_peirce_relations, spade_pair
+from .peirce import (IJ_PAIRS, PeirceSystem, check_peirce_relations,
+                     spade_pair)
 from .scalars import Scalar, ScalarError, parse_scalar
 
 
@@ -179,8 +180,7 @@ def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
         "algebra": a.name,
         "e1": _coords(p.e1),
         "e2": _coords(p.e2),
-        "component_dims": {f"{i}{j}": dims[(i, j)] for i, j in
-                           ((1, 1), (1, 2), (2, 1), (2, 2))},
+        "component_dims": {f"{i}{j}": dims[(i, j)] for i, j in IJ_PAIRS},
         "samples": args.samples,
         "seed": args.seed,
         "checks": [_check_dict(c) for c in rep.checks],

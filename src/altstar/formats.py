@@ -40,12 +40,11 @@ def scalar_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[str]]:
     return [scalar_list(r) for r in rows]
 
 
-def parse_scalar_list(items, what: str, dim: Optional[int] = None
-                      ) -> list[Scalar]:
+def parse_scalar_list(items, what: str, dim: int) -> list[Scalar]:
     if not isinstance(items, list) or not all(isinstance(t, str)
                                               for t in items):
         raise FormatError(f"{what} must be a list of scalar literals")
-    if dim is not None and len(items) != dim:
+    if len(items) != dim:
         raise FormatError(f"{what} must have length {dim}")
     return [parse_scalar(t, f"{what}[{k}]") for k, t in enumerate(items)]
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraError, Element
-from .peirce import PeirceSystem, peirce_decompose, random_component
+from .peirce import PeirceSystem, random_component
 from .sampling import derive_rng, random_element
 from .scalars import TWO, half_power
 
@@ -256,8 +256,8 @@ def _entry_e() -> IdentityEntry:
 
 def _entry_f() -> IdentityEntry:
     def rhs(p, v, n, f):
-        split = peirce_decompose(p, f["t"])
-        return (split[(1, 1)] - split[(2, 2)]).scale(half_power(1 - n))
+        t11, t22 = p.project(f["t"], (1, 1)), p.project(f["t"], (2, 2))
+        return (t11 - t22).scale(half_power(1 - n))
 
     return IdentityEntry(
         entry_id="ID-F",
@@ -464,6 +464,8 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
                     samples: int, seed: int) -> EntryRun:
     """Evaluate the recursion against both closed forms on seeded samples;
     an entry whose display is its derived form is evaluated once."""
+    if samples < 1:
+        raise AlgebraError(f"samples must be >= 1, got {samples}")
     if n < entry.n_min:
         return EntryRun(entry.entry_id, n, 0,
                         f"requires n >= {entry.n_min}", True, True, None, None)

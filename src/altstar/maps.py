@@ -192,6 +192,8 @@ def sample_pool(phi: AlgebraMap, p: PeirceSystem, count: int,
 
 def _pairs(pool: Sequence[Element], samples: int, seed: int):
     """First the structured head crossed with itself, then seeded picks."""
+    if samples < 1:
+        raise MapError(f"samples must be >= 1, got {samples}")
     head = pool[: min(len(pool), 12)]
     count = 0
     for x in head:

@@ -85,20 +85,6 @@ def find_symmetric_idempotents(a: Algebra) -> list[Element]:
     return out
 
 
-@dataclass(frozen=True)
-class PeirceSplit:
-    parts: dict  # (i, j) -> Element
-
-    def __getitem__(self, ij: tuple[int, int]) -> Element:
-        return self.parts[ij]
-
-    def recombined(self) -> Element:
-        out = None
-        for ij in IJ_PAIRS:
-            out = self.parts[ij] if out is None else out + self.parts[ij]
-        return out
-
-
 class PeirceSystem:
     """A validated pair (e1, e2 = 1 - e1) with the four projection
     matrices and component bases."""
@@ -119,21 +105,23 @@ class PeirceSystem:
         # the matrix whose columns are the images of the basis.  The laws
         # below are linear too, so checking them on the basis decides them
         # for every x: the two parenthesizations of a projection agree, and
-        # the four projections recombine to x.
+        # the four projections recombine to x.  Both parenthesizations start
+        # from the one-sided images e_i b and b e_j, each made once.
         basis = algebra.basis()
-        projected = {(i, j): [self.idempotent(i) * (b * self.idempotent(j))
-                              for b in basis]
+        e = {i: self.idempotent(i) for i in (1, 2)}
+        left = {i: [e[i] * b for b in basis] for i in e}
+        right = {j: [b * e[j] for b in basis] for j in e}
+        projected = {(i, j): [e[i] * bj for bj in right[j]]
                      for i, j in IJ_PAIRS}
         for k, b in enumerate(basis):
             for i, j in IJ_PAIRS:
-                ei, ej = self.idempotent(i), self.idempotent(j)
-                if not ((ei * b) * ej - projected[(i, j)][k]).is_zero():
+                if not (left[i][k] * e[j] - projected[(i, j)][k]).is_zero():
                     raise PeirceError(
                         "idempotent fails Peirce compatibility "
                         f"(e_i b) e_j != e_i (b e_j) at basis {b!r}")
         for k, b in enumerate(basis):
-            split = PeirceSplit({ij: projected[ij][k] for ij in IJ_PAIRS})
-            if not (split.recombined() - b).is_zero():
+            total = sum((projected[ij][k] for ij in IJ_PAIRS), algebra.zero())
+            if not (total - b).is_zero():
                 # by bilinearity the four projections of b sum to u (b u)
                 raise PeirceError("Peirce components do not recombine to "
                                   f"basis {b!r}: they sum to u (b u), so "
@@ -168,13 +156,14 @@ class PeirceSystem:
         return {ij: len(self.component_bases[ij]) for ij in IJ_PAIRS}
 
 
-def peirce_decompose(p: PeirceSystem, x: Element) -> PeirceSplit:
-    """Split x into its four components e_i (x e_j).
+def peirce_decompose(p: PeirceSystem,
+                     x: Element) -> dict[tuple[int, int], Element]:
+    """Split x into its four components e_i (x e_j), keyed in IJ_PAIRS order.
 
     Each component is one matrix-vector product with a projection matrix
     that PeirceSystem computed once; no algebra product is made.
     """
-    return PeirceSplit({ij: p.project(x, ij) for ij in IJ_PAIRS})
+    return {ij: p.project(x, ij) for ij in IJ_PAIRS}
 
 
 def component_of(p: PeirceSystem, x: Element, ij: tuple[int, int]) -> bool:
@@ -246,6 +235,8 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
     report also carries the first nonzero A12*A12 product encountered,
     which witnesses the genuinely alternative (nonassociative) case.
     """
+    if samples < 1:
+        raise PeirceError(f"samples must be >= 1, got {samples}")
     dims = p.component_dims()
     # a relation on a zero-dimensional component holds vacuously
     live = [(name, x, y, target) for name, x, y, target in _RELATIONS

@@ -54,3 +54,16 @@ def zorn_moved_basis():
 @pytest.fixture(scope="session")
 def zorn_transported(zorn, zorn_moved_basis):
     return st.change_of_basis(zorn, zorn_moved_basis, name="zorn~")
+
+
+@pytest.fixture(scope="session")
+def incompatible():
+    """Basis u, e, x: u a two-sided unit, e e = e, x e = e, and e x = x x = 0;
+    the star conjugates coordinates.  e is a nontrivial symmetric idempotent
+    whose projections disagree at x: (e x) e = 0 but e (x e) = e."""
+    eye = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
+    structure = {(0, 0, 0): ONE, (0, 1, 1): ONE, (0, 2, 2): ONE,
+                 (1, 0, 1): ONE, (2, 0, 2): ONE, (1, 1, 1): ONE,
+                 (2, 1, 1): ONE}
+    return st.Algebra("incompatible", 3, ["u", "e", "x"], structure,
+                      [ONE, ZERO, ZERO], eye)

@@ -313,6 +313,18 @@ def test_unit_that_does_not_recombine_exits_2(tmp_path, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
+def test_incompatible_idempotent_exits_2(tmp_path, incompatible, command):
+    path = tmp_path / "incompatible.alg"
+    path.write_text(canonical_json(st.algebra_to_dict(
+        incompatible, {"e1": [st.ZERO, st.ONE, st.ZERO]})), encoding="utf-8")
+    code, out, err = run([command, str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "fails Peirce compatibility" in err and "at basis 1*x" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 @pytest.mark.parametrize("command", ["peirce", "lemmas", "mapcheck"])
 def test_runs_without_samples_are_input_errors(tmp_path, zorn, command,

@@ -197,6 +197,15 @@ def test_run_below_minimum_arity_is_skipped(m2_peirce):
     assert run.samples == 0
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_audit_refuses_a_run_without_samples(m2_peirce, samples):
+    # the check comes first, so even an entry skipped at this n refuses
+    with pytest.raises(st.AlgebraError, match="samples must be >= 1"):
+        verify_identity(catalog_entry("ID-K"), m2_peirce, 2, samples, seed=1)
+    with pytest.raises(st.AlgebraError, match="samples must be >= 1"):
+        st.audit_catalog(m2_peirce, 2, 3, samples, seed=1)
+
+
 def test_catalog_audit_on_m2(m2_peirce):
     rep = st.audit_catalog(m2_peirce, 2, 5, samples=30, seed=11)
     assert rep.algebra_name == "matrix:2"

@@ -241,6 +241,21 @@ def test_condition_requires_arity_at_least_two(m2, m2_peirce):
                                   seed=1)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_condition_refuses_a_run_without_samples(m2, m2_peirce, samples):
+    with pytest.raises(st.MapError, match="samples must be >= 1"):
+        st.check_jordan_condition(st.identity_map(m2), m2_peirce, 3, samples,
+                                  seed=1)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_isomorphism_check_refuses_a_run_without_samples(m2, m2_peirce,
+                                                         samples):
+    with pytest.raises(st.MapError, match="samples must be >= 1"):
+        st.check_star_ring_isomorphism(st.identity_map(m2), m2_peirce,
+                                       samples, seed=1)
+
+
 def test_peirce_system_must_live_on_domain(m2, zorn_peirce):
     with pytest.raises(st.MapError, match="map's domain"):
         st.check_jordan_condition(st.identity_map(m2), zorn_peirce, 2, 10,

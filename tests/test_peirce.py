@@ -53,11 +53,12 @@ def test_component_dimensions(m2_peirce, m3_peirce, zorn_peirce):
 def test_frozen_m2_decomposition(m2, m2_peirce):
     x = m2.element([ONE, ONE, ONE, ONE])
     split = st.peirce_decompose(m2_peirce, x)
+    assert type(split) is dict and tuple(split) == st.IJ_PAIRS
     assert split[(1, 1)] == m2.basis_element(0)
     assert split[(1, 2)] == m2.basis_element(1)
     assert split[(2, 1)] == m2.basis_element(2)
     assert split[(2, 2)] == m2.basis_element(3)
-    assert split.recombined() == x
+    assert sum(split.values(), m2.zero()) == x
 
 
 def test_zorn_components_are_the_vector_blocks(zorn, zorn_peirce):
@@ -76,7 +77,7 @@ def test_decomposition_of_random_elements(m3, m3_peirce):
     for _ in range(30):
         x = random_element(m3, rng)
         split = st.peirce_decompose(m3_peirce, x)
-        assert split.recombined() == x
+        assert sum(split.values(), m3.zero()) == x
         for ij in st.IJ_PAIRS:
             assert st.component_of(m3_peirce, split[ij], ij) \
                 or split[ij].is_zero()
@@ -146,6 +147,35 @@ def test_projection_is_one_matrix_product(spec, zorn_transported,
             assert not st.component_of(p, x, ij)
 
 
+@pytest.mark.parametrize("spec,products", [("zorn", 97), ("matrix:3", 109)])
+def test_system_build_makes_twelve_products_per_basis_vector(
+        spec, products, monkeypatch):
+    # e e for the idempotent check, then e_i b and b e_j once per basis
+    # vector and side, and one more product on each for e_i (b e_j) and
+    # (e_i b) e_j: 1 + 12 dim
+    a, idem = st.resolve_algebra(spec)
+    e1 = a.element(idem["e1"]) if idem else a.basis_element(0)
+    calls = []
+    multiply = Algebra.multiply
+
+    def counted(self, x, y):
+        calls.append(None)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(Algebra, "multiply", counted)
+    st.PeirceSystem(a, e1)
+    assert len(calls) == products == 12 * a.dim + 1
+
+
+def test_system_rejects_incompatible_idempotent(incompatible):
+    e = incompatible.basis_element(1)
+    assert st.is_symmetric_idempotent(incompatible, e)
+    assert not st.classify_idempotent(incompatible, e).is_trivial
+    with pytest.raises(st.PeirceError,
+                       match=r"fails Peirce compatibility .* at basis 1\*x"):
+        st.PeirceSystem(incompatible, e)
+
+
 def test_system_rejects_unit_that_does_not_recombine(m2):
     doc = st.algebra_to_dict(m2)
     doc["unit"] = ["1", "0", "0", "2"]
@@ -188,6 +218,12 @@ def test_component_relations_hold(fixture, samples, request):
             "(ii) A12*A12 in A21", "(iii) A12*A11 = 0",
             "(iv) squares in A12 vanish", "(iv) squares in A21 vanish",
             "(v) star(A12) in A21"} <= names
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_relations_refuse_a_run_without_samples(m2_peirce, samples):
+    with pytest.raises(st.PeirceError, match="samples must be >= 1"):
+        st.check_peirce_relations(m2_peirce, samples, seed=5)
 
 
 def test_m2_offdiagonal_products_vanish(m2_peirce):
