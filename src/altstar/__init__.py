@@ -12,7 +12,7 @@ from .algebra import (Algebra, AlgebraError, AxiomReport, CheckResult,
                       check_involution, check_unit)
 from .constructions import (ConstructionError, cayley_dickson,
                             change_of_basis, direct_sum, matrix_algebra,
-                            zorn_algebra, zorn_idempotents)
+                            zorn_algebra)
 from .formats import (FormatError, algebra_from_dict, algebra_to_dict,
                       canonical_json, load_algebra_file, load_map_file,
                       map_from_dict, map_to_dict, resolve_algebra)
@@ -30,8 +30,7 @@ from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
                      SpadeResult, check_peirce_relations, check_spade,
                      classify_idempotent, component_of,
                      find_symmetric_idempotents, is_symmetric_idempotent,
-                     peirce_decompose, random_component, spade_ok,
-                     spade_pair)
+                     peirce_decompose, random_component, spade_pair)
 from .sampling import (derive_rng, random_combination, random_element,
                        random_scalar)
 from .scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO, ZERO,
@@ -62,7 +61,6 @@ __all__ = [
     "patched_map", "peirce_decompose", "q_star", "random_combination",
     "random_component", "random_element",
     "random_scalar", "rational",
-    "resolve_algebra", "sample_pool", "scale_map", "spade_ok", "spade_pair",
-    "star_as_map", "verify_identity", "zorn_algebra", "zorn_idempotents",
-    "zorn_rotation_map",
+    "resolve_algebra", "sample_pool", "scale_map", "spade_pair",
+    "star_as_map", "verify_identity", "zorn_algebra", "zorn_rotation_map",
 ]

@@ -232,8 +232,6 @@ def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
 
 def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
-    if args.n_min < 2 or args.n_max < args.n_min:
-        raise CliInputError("need 2 <= --n-min <= --n-max")
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(a, idem, args.e1)
     rep = audit_catalog(p, args.n_min, args.n_max, args.samples, args.seed)

@@ -89,10 +89,28 @@ def zorn_algebra() -> Algebra:
     return Algebra("zorn", dim, labels, s, unit, star)
 
 
-def zorn_idempotents() -> dict[str, list[Scalar]]:
-    e1 = [ONE] + [ZERO] * 7
-    e2 = [ZERO, ONE] + [ZERO] * 6
-    return {"e1": e1, "e2": e2}
+def _doubling_coefficient(gammas: Sequence[Scalar], i: int, j: int) -> Scalar:
+    """c in b_i b_j = c b_{i XOR j}, walking the doubling levels from the top.
+
+    Basis vector n + k of a level with n old vectors is (0, b_k), so each
+    level either keeps both factors in the old half or moves one cell of
+    the old table, as in the product formula of cayley_dickson.
+    """
+    c = ONE
+    for level in reversed(range(len(gammas))):
+        n = 1 << level
+        if i >= n and j >= n:
+            # (0,b)(0,d) = (g*sigma(d)*b, 0)
+            i, j = j - n, i - n
+            c = c * gammas[level] if i == 0 else -(c * gammas[level])
+        elif j >= n:
+            # (a,0)(0,d) = (0, da)
+            i, j = j - n, i
+        elif i >= n:
+            # (0,b)(c,0) = (0, b*sigma(c))
+            i = i - n
+            c = c if j == 0 else -c
+    return c
 
 
 def cayley_dickson(gammas: Sequence[Scalar]) -> Algebra:
@@ -113,43 +131,14 @@ def cayley_dickson(gammas: Sequence[Scalar]) -> Algebra:
         if g.b != 0:
             raise ConstructionError("cayley_dickson gamma must be real")
 
-    # mul[i][j] = list of (k, coeff); sigma = diagonal signs
-    mul: list[list[list[tuple[int, Scalar]]]] = [[[(0, ONE)]]]
-    sigma: list[Scalar] = [ONE]
-    for g in gammas:
-        n = len(sigma)
-        old = mul
-        new_mul: list[list[list[tuple[int, Scalar]]]] = [
-            [[] for _ in range(2 * n)] for _ in range(2 * n)]
-        # each cell maps one old cell term by term, so its indices stay
-        # distinct and ascending and its coefficients nonzero (g != 0,
-        # sigma = +-1)
-        for i in range(n):
-            for j in range(n):
-                # (a,0)(c,0) = (ac, 0)
-                new_mul[i][j] = old[i][j]
-                # (a,0)(0,d) = (0, da)
-                new_mul[i][n + j] = [(n + k, c) for k, c in old[j][i]]
-                # (0,b)(c,0) = (0, b*sigma(c))
-                new_mul[n + i][j] = [(n + k, c * sigma[j])
-                                     for k, c in old[i][j]]
-                # (0,b)(0,d) = (g*sigma(d)*b, 0)
-                new_mul[n + i][n + j] = [(k, g * sigma[j] * c)
-                                         for k, c in old[j][i]]
-        mul = new_mul
-        # sigma(a, b) = (sigma(a), -b): the doubled half is negated outright
-        sigma = sigma + [MINUS_ONE] * len(sigma)
-
-    dim = len(sigma)
-    structure = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k, c in mul[i][j]:
-                structure[(i, j, k)] = c
+    dim = 1 << levels
+    structure = {(i, j, i ^ j): _doubling_coefficient(gammas, i, j)
+                 for i in range(dim) for j in range(dim)}
     unit = [ONE] + [ZERO] * (dim - 1)
+    # sigma is +1 on b_0 and -1 on every other basis vector
     star = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim):
-        star[k][k] = sigma[k]
+        star[k][k] = ONE if k == 0 else MINUS_ONE
     labels = ["1"] + [f"g{k}" for k in range(1, dim)]
     name = "cd:" + ",".join(str(g) for g in gammas) if gammas else "cd:"
     return Algebra(name, dim, labels, structure, unit, star)

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraError
 from .constructions import (ConstructionError, cayley_dickson, direct_sum,
-                            matrix_algebra, zorn_algebra, zorn_idempotents)
+                            matrix_algebra, zorn_algebra)
 from .maps import AlgebraMap
-from .scalars import ONE, Scalar, ZERO, format_scalar, parse_scalar
+from .scalars import Scalar, ZERO, format_scalar, parse_scalar
 
 
 class FormatError(AlgebraError):
@@ -157,19 +157,13 @@ MAX_MATRIX_SIZE = 8
 MAX_DIM = MAX_MATRIX_SIZE ** 2
 
 
-def matrix_idempotents(a: Algebra) -> dict[str, list[Scalar]]:
-    e1 = [ONE if t == 0 else ZERO for t in range(a.dim)]
-    e2 = [u - v for u, v in zip(a.unit.coords, e1)]
-    return {"e1": e1, "e2": e2}
-
-
-def dsum_idempotents(a: Algebra, left_dim: int) -> dict[str, list[Scalar]]:
-    """The two block units of a direct sum; both are symmetric idempotents."""
-    left, right = [], []
-    for t, c in enumerate(a.unit.coords):
-        left.append(c if t < left_dim else ZERO)
-        right.append(ZERO if t < left_dim else c)
-    return {"e1": left, "e2": right}
+def _idempotents(a: Algebra, k: int) -> dict[str, list[Scalar]]:
+    """A builtin's table: e1 is the unit's part on the first k coordinates
+    and e2 = 1 - e1 the rest.  That is the first basis vector of zorn and
+    matrix:K (k = 1) and the left block unit of a dsum."""
+    u = a.unit.coords
+    return {"e1": [c if t < k else ZERO for t, c in enumerate(u)],
+            "e2": [ZERO if t < k else c for t, c in enumerate(u)]}
 
 
 def _is_builtin_spec(spec: str) -> bool:
@@ -183,7 +177,7 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
         raise FormatError("empty algebra spec")
     if spec == "zorn":
         a = zorn_algebra()
-        return a, zorn_idempotents()
+        return a, _idempotents(a, 1)
     head, _, payload = spec.partition(":")
     if head == "matrix":
         try:
@@ -195,7 +189,7 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
             raise FormatError(f"matrix:K supports K <= {MAX_MATRIX_SIZE} "
                               f"(dim {MAX_MATRIX_SIZE ** 2}), got {k}")
         a = matrix_algebra(k)
-        return a, (matrix_idempotents(a) if k >= 2 else {})
+        return a, (_idempotents(a, 1) if k >= 2 else {})
     if head == "cd":
         if not payload:
             raise FormatError("cd spec needs a comma-separated scalar list")
@@ -220,7 +214,7 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
             raise FormatError(f"dsum dimension must be at most {MAX_DIM}, "
                               f"got {left.dim} + {right.dim}")
         a = direct_sum(left, right)
-        return a, dsum_idempotents(a, left.dim)
+        return a, _idempotents(a, left.dim)
     if _is_builtin_spec(spec):
         raise FormatError(f"malformed builtin algebra spec {spec!r}")
     return load_algebra_file(spec)

@@ -33,6 +33,11 @@ from .sampling import derive_rng, random_element
 from .scalars import TWO, half_power
 
 
+# every arity n is bounded before a list of n arguments is built; the
+# deepest catalog audit in use runs to n = 12
+MAX_ARITY = 64
+
+
 def jordan_star(x: Element, y: Element) -> Element:
     """{x, y} = x y + y x*."""
     return x * y + y * x.star()
@@ -466,6 +471,8 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
     an entry whose display is its derived form is evaluated once."""
     if samples < 1:
         raise AlgebraError(f"samples must be >= 1, got {samples}")
+    if n > MAX_ARITY:
+        raise AlgebraError(f"arity must be <= {MAX_ARITY}, got {n}")
     if n < entry.n_min:
         return EntryRun(entry.entry_id, n, 0,
                         f"requires n >= {entry.n_min}", True, True, None, None)
@@ -515,6 +522,8 @@ def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
                   seed: int) -> CatalogReport:
     if n_min < 2 or n_max < n_min:
         raise AlgebraError("audit needs 2 <= n_min <= n_max")
+    if n_max > MAX_ARITY:
+        raise AlgebraError(f"audit needs n_max <= {MAX_ARITY}, got {n_max}")
     runs = []
     for entry in CATALOG:
         for n in range(n_min, n_max + 1):

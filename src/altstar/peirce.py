@@ -16,10 +16,10 @@ as a matrix from the images of the basis and compiles it to an IntMatrix,
 so a projection, a decomposition or a membership test costs integer
 matrix-vector products and no algebra product.
 
-The annihilator condition ("spade") for an idempotent e:
-x * (a e) = 0 for all a implies x = 0; note the parenthesization, the
-products are x(ae), never (xa)e.  It is decided exactly via the nullspace
-of the induced linear map.
+The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
+implies x = 0; note the parenthesization, the products are x(ae), never
+(xa)e.  It is decided exactly on a PeirceSystem, whose component bases of
+A_1j and A_2j span A e_j, via the nullspace of the induced linear map.
 """
 
 from __future__ import annotations
@@ -276,17 +276,18 @@ class SpadeResult:
     witness: Optional[Element]  # nonzero x with x*(a e) = 0 for all a
 
 
-def check_spade(a: Algebra, e: Element) -> SpadeResult:
-    """Exact decision of: x (A e) = 0 implies x = 0.
+def check_spade(p: PeirceSystem, j: int) -> SpadeResult:
+    """Exact decision of: x (A e_j) = 0 implies x = 0.
 
-    Builds the matrix of x -> (x (b_k e))_k over the basis and computes its
-    nullspace.  A nonzero nullspace vector x is returned as the witness
-    after verifying the property itself: x g = 0 for each generator
-    g = b_k e.
+    The generators g of A e_j are the component bases of A_1j and A_2j, so
+    no generator is re-made.  Builds the matrix of x -> (x g)_g and computes
+    its nullspace.  A nonzero nullspace vector x is returned as the witness
+    after verifying the property itself: x g = 0 for each generator g.
     """
-    if not (e * e - e).is_zero():
-        raise PeirceError("spade check requires an idempotent e")
-    gens = [b * e for b in a.basis()]
+    # PeirceSystem checked that the unit is two-sided, so
+    # b e_j = e_1 (b e_j) + e_2 (b e_j) and A e_j = A_1j + A_2j
+    a = p.algebra
+    gens = p.component_bases[(1, j)] + p.component_bases[(2, j)]
     # one row block per generator g: the matrix of x -> x g
     rows = [row for g in gens
             for row in linalg.from_columns([(b * g).coords
@@ -302,10 +303,4 @@ def check_spade(a: Algebra, e: Element) -> SpadeResult:
 
 def spade_pair(p: PeirceSystem) -> tuple[SpadeResult, SpadeResult]:
     """The annihilator condition for e1 and for e2."""
-    return check_spade(p.algebra, p.e1), check_spade(p.algebra, p.e2)
-
-
-def spade_ok(p: PeirceSystem) -> bool:
-    """Conjunction over both idempotents."""
-    r1, r2 = spade_pair(p)
-    return r1.holds and r2.holds
+    return check_spade(p, 1), check_spade(p, 2)

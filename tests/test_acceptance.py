@@ -101,7 +101,7 @@ def test_criterion_3_annihilator_suite(m2_peirce, m3_peirce, zorn_peirce,
 
     ds = dsum_m2_m2
     e = ds.element([ONE, ZERO, ZERO, ONE] + [ZERO] * 4)
-    r = st.check_spade(ds, e)
+    r = st.check_spade(st.PeirceSystem(ds, e), 1)
     ok = ok and not r.holds and r.witness is not None
     ok = ok and not r.witness.is_zero()
     for b in ds.basis():

@@ -338,6 +338,19 @@ def test_runs_without_samples_are_input_errors(tmp_path, zorn, command,
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["lemmas", "mapcheck"])
+def test_arity_above_the_bound_is_an_input_error(tmp_path, zorn, command):
+    if command == "mapcheck":
+        path = _write_map(tmp_path, st.zorn_rotation_map(zorn), "rot.map")
+        argv = ["mapcheck", path, "--n", "65"]
+    else:
+        argv = ["lemmas", "zorn", "--n-max", "65"]
+    code, out, err = run(argv)
+    assert code == 2
+    assert err.startswith("error:") and "<= 64, got 65" in err
+    assert out == ""
+
+
 def test_file_inside_a_direct_sum_gets_the_verdict_of_the_file(tmp_path):
     # upper-triangular 2x2 matrices with entrywise conjugation: the unit is
     # two-sided, but the star is not an anti-automorphism

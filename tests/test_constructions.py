@@ -115,7 +115,7 @@ def test_zorn_frozen_basis_products(zorn):
 
 def test_zorn_axioms_and_idempotents(zorn):
     assert st.check_axioms(zorn).ok
-    idem = st.zorn_idempotents()
+    _, idem = st.resolve_algebra("zorn")
     for name in ("e1", "e2"):
         e = zorn.element(idem[name])
         assert st.is_symmetric_idempotent(zorn, e)

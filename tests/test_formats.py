@@ -6,8 +6,8 @@ import pytest
 
 import altstar as st
 from altstar.formats import (FormatError, algebra_from_dict, algebra_to_dict,
-                             canonical_json, dsum_idempotents, load_map_file,
-                             map_from_dict, map_to_dict, resolve_algebra)
+                             canonical_json, load_map_file, map_from_dict,
+                             map_to_dict, resolve_algebra)
 from altstar.scalars import MINUS_ONE, ONE, TWO, ZERO
 
 BUILTINS = ["zorn", "matrix:2", "matrix:3", "cd:-1,-1",
@@ -127,7 +127,7 @@ def test_named_idempotents_are_symmetric_idempotents():
 
 
 def test_dsum_idempotents_are_block_units(dsum_m2_m2):
-    idem = dsum_idempotents(dsum_m2_m2, 4)
+    _, idem = resolve_algebra("dsum:matrix:2,matrix:2")
     e1 = dsum_m2_m2.element(idem["e1"])
     e2 = dsum_m2_m2.element(idem["e2"])
     assert e1 + e2 == dsum_m2_m2.unit

@@ -1,6 +1,7 @@
 """Source hygiene, decided with the standard library alone: no unused
-imports in the package or the tests, and the package exports exactly what
-its __init__ imports from its submodules."""
+imports in the package or the tests, no typing generic built at run time in
+the package, and the package exports exactly what its __init__ imports from
+its submodules."""
 
 import ast
 import pathlib
@@ -84,6 +85,43 @@ def test_unused_import_detector():
         "    import json\n"
         "    return osp\n")
     assert _unused_imports(tree) == [("Witness", 4), ("json", 6), ("os", 2)]
+
+
+def _typing_subscripts(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each subscript of a name imported from typing, such
+    as Callable[...], outside every annotation, so built at run time."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "typing"
+             for alias in node.names}
+    annotated = {id(n) for ann in _annotations(tree) for n in ast.walk(ann)}
+    return sorted((node.value.id, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and id(node) not in annotated
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in names)
+
+
+# typing caches every generic it builds together with its arguments, so a
+# run-time Callable[[PeirceSystem], Element] keeps each re-imported copy of
+# the package alive and grows peak memory; builtin generics such as
+# list[list[Scalar]] are not cached, and annotations are never evaluated
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_typing_generic_is_built_at_run_time(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _typing_subscripts(tree) == []
+
+
+def test_typing_generic_detector():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from typing import Callable, Optional\n"
+        "Matrix = list[list[int]]\n"
+        "Fn = Callable[[int], Optional[int]]\n"
+        "def f(x: Optional[int], g: Callable[[int], int]) -> Optional[int]:\n"
+        "    y: Optional[int] = x\n"
+        "    return g(y)\n")
+    assert _typing_subscripts(tree) == [("Callable", 4), ("Optional", 4)]
 
 
 def test_all_lists_exactly_the_names_imported_from_submodules():

@@ -8,8 +8,9 @@ import pytest
 
 import altstar as st
 from altstar.formats import resolve_algebra
-from altstar.jordan import (CATALOG, catalog_entry, collapse_prefix,
-                            jordan_star, q_star, verify_identity)
+from altstar.jordan import (CATALOG, MAX_ARITY, catalog_entry,
+                            collapse_prefix, jordan_star, q_star,
+                            verify_identity)
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, TWO, ZERO, integer
 
@@ -204,6 +205,15 @@ def test_audit_refuses_a_run_without_samples(m2_peirce, samples):
         verify_identity(catalog_entry("ID-K"), m2_peirce, 2, samples, seed=1)
     with pytest.raises(st.AlgebraError, match="samples must be >= 1"):
         st.audit_catalog(m2_peirce, 2, 3, samples, seed=1)
+
+
+def test_audit_bounds_the_arity_up_front(m2_peirce):
+    with pytest.raises(st.AlgebraError, match=f"<= {MAX_ARITY}, got 65"):
+        verify_identity(catalog_entry("ID-B"), m2_peirce, MAX_ARITY + 1, 1,
+                        seed=1)
+    # the audit refuses before its first entry runs, not at n = 65
+    with pytest.raises(st.AlgebraError, match=f"n_max <= {MAX_ARITY}"):
+        st.audit_catalog(m2_peirce, 2, MAX_ARITY + 1, 1, seed=1)
 
 
 def test_catalog_audit_on_m2(m2_peirce):

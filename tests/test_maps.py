@@ -3,6 +3,7 @@
 import pytest
 
 import altstar as st
+from altstar.jordan import MAX_ARITY
 from altstar.maps import sample_pool
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, TWO, ZERO
@@ -241,6 +242,14 @@ def test_condition_requires_arity_at_least_two(m2, m2_peirce):
                                   seed=1)
 
 
+def test_condition_bounds_the_arity(m2, m2_peirce):
+    phi = st.identity_map(m2)
+    with pytest.raises(st.MapError, match=f"n <= {MAX_ARITY}, got 65"):
+        st.check_jordan_condition(phi, m2_peirce, MAX_ARITY + 1, 1, seed=1)
+    rep = st.check_jordan_condition(phi, m2_peirce, MAX_ARITY, 1, seed=1)
+    assert not rep.refuted
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_condition_refuses_a_run_without_samples(m2, m2_peirce, samples):
     with pytest.raises(st.MapError, match="samples must be >= 1"):
@@ -317,3 +326,19 @@ def test_peirce_block_witness_removes_the_first_off_block_part(
     off = [split[kl] for kl in st.IJ_PAIRS
            if kl != ij and not split[kl].is_zero()]
     assert off and w.rhs == w.lhs - off[0]
+
+
+def test_peirce_blocks_are_refuted_without_an_image_system(m2, m2_peirce):
+    # phi swaps E11 and 0, so phi(e1) = 0 is a trivial symmetric idempotent
+    # and there is no image Peirce system for the blocks to land in
+    e11 = m2.basis_element(0)
+    phi = st.patched_map(st.identity_map(m2), {e11: m2.zero(),
+                                               m2.zero(): e11})
+    assert st.check_unital(phi) and st.bijective_claim(phi)
+    rep = st.check_star_ring_isomorphism(phi, m2_peirce, 10, seed=0)
+    assert not rep.check("idempotent_image_f1").refuted
+    assert not rep.check("idempotent_image_f2").refuted
+    blocks = rep.check("peirce_blocks")
+    assert blocks.refuted
+    assert blocks.witness == st.MapWitness("peirce_blocks", (), m2.zero(),
+                                           m2.zero())

@@ -273,7 +273,7 @@ def test_spade_holds_on_division_like_examples(m2_peirce, m3_peirce,
         r1, r2 = st.spade_pair(p)
         assert r1.holds and r1.witness is None
         assert r2.holds and r2.witness is None
-        assert st.spade_ok(p)
+        assert (st.check_spade(p, 1), st.check_spade(p, 2)) == (r1, r2)
 
 
 def test_spade_fails_on_direct_sum_with_verified_witness(dsum_m2_m2):
@@ -282,7 +282,7 @@ def test_spade_fails_on_direct_sum_with_verified_witness(dsum_m2_m2):
     p = st.PeirceSystem(ds, e1)
     r1, r2 = st.spade_pair(p)
     assert not r1.holds and not r2.holds
-    assert not st.spade_ok(p)
+    assert (st.check_spade(p, 1), st.check_spade(p, 2)) == (r1, r2)
     for r, e in ((r1, p.e1), (r2, p.e2)):
         x = r.witness
         assert x is not None and not x.is_zero()
@@ -309,25 +309,65 @@ def test_spade_witness_is_verified_by_its_products(monkeypatch):
             assert (r.witness * (b * e)).is_zero()
 
 
-def test_spade_rejects_a_witness_that_does_not_annihilate(m2, monkeypatch):
+def test_spade_rejects_a_witness_that_does_not_annihilate(m2_peirce,
+                                                          monkeypatch):
     from altstar import linalg
     # E11 (b E11) is nonzero for b = E11, so this vector is no witness
     monkeypatch.setattr(linalg, "nullspace",
                         lambda rows: [[ONE, ZERO, ZERO, ZERO]])
     with pytest.raises(st.PeirceError, match="fails to verify"):
-        st.check_spade(m2, m2.basis_element(0))
+        st.check_spade(m2_peirce, 1)
 
 
-def test_spade_requires_idempotent(m2):
-    with pytest.raises(st.PeirceError):
-        st.check_spade(m2, m2.basis_element(1))
+def _spade_on_every_product(a, e):
+    """Reference: the annihilator condition for e with every b e as a
+    generator, (holds, first nullspace vector or None)."""
+    from altstar import linalg
+    gens = [b * e for b in a.basis()]
+    rows = [row for g in gens
+            for row in linalg.from_columns([(b * g).coords
+                                            for b in a.basis()])]
+    null = linalg.nullspace(rows)
+    return st.SpadeResult(not null, a.element(null[0]) if null else None)
 
 
-def test_spade_accepts_trivial_idempotents(m2):
-    # e = 1: x(A*1) = 0 forces x = 0 in a unital algebra
-    assert st.check_spade(m2, m2.unit).holds
-    # e = 0: every x annihilates A*0, so any nonzero algebra fails
-    assert not st.check_spade(m2, m2.zero()).holds
+@pytest.mark.parametrize("spec", ["zorn", "matrix:2", "matrix:3", "matrix:5",
+                                  "cd:-1,-1,-1", "dsum:zorn,matrix:3",
+                                  "dsum:matrix:2,matrix:2", "zorn~"])
+def test_spade_on_component_bases_matches_every_product(spec,
+                                                        zorn_transported):
+    # A e_j = A_1j + A_2j, and a reduced echelon form is unique, so the
+    # verdict and the first witness equal those over all of b e_j
+    if spec == "zorn~":
+        a = zorn_transported
+        e1 = st.find_symmetric_idempotents(a)[0]
+    else:
+        a, idem = st.resolve_algebra(spec)
+        e1 = a.element(idem["e1"]) if idem \
+            else st.find_symmetric_idempotents(a)[0]
+    p = st.PeirceSystem(a, e1)
+    assert st.spade_pair(p) == (_spade_on_every_product(a, p.e1),
+                                _spade_on_every_product(a, p.e2))
+
+
+@pytest.mark.parametrize("spec,products", [("zorn", 64), ("matrix:3", 81)])
+def test_spade_pair_makes_dim_squared_products(spec, products, monkeypatch):
+    # the generators of A e1 and A e2 together are a basis of A, and each
+    # generator g costs dim products b g; a condition that holds makes no
+    # witness check
+    a, idem = st.resolve_algebra(spec)
+    p = st.PeirceSystem(a, a.element(idem["e1"]))
+    calls = []
+    multiply = Algebra.multiply
+
+    def counted(self, x, y):
+        calls.append(None)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(Algebra, "multiply", counted)
+    r1, r2 = st.spade_pair(p)
+    assert r1.holds and r2.holds
+    assert len(calls) == products == a.dim ** 2
 
 
 # -- basis independence -------------------------------------------------------
