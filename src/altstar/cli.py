@@ -16,9 +16,9 @@ from .algebra import (Algebra, AlgebraError, CheckResult, Element, Witness,
 from .formats import (algebra_to_dict, canonical_json, load_map_file,
                       resolve_algebra, scalar_list)
 from .jordan import (CatalogReport, EntryRun, IdentitySample, audit_catalog,
-                     q_star)
+                     q_star, require_audit_range)
 from .maps import (ConditionReport, MapWitness, check_jordan_condition,
-                   check_star_ring_isomorphism)
+                   check_star_ring_isomorphism, require_condition_arity)
 from .peirce import (IJ_PAIRS, PeirceSystem, check_peirce_relations,
                      spade_pair)
 from .scalars import Scalar, ScalarError, parse_scalar
@@ -232,6 +232,7 @@ def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
 
 def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
+    require_audit_range(args.n_min, args.n_max)
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(a, idem, args.e1)
     rep = audit_catalog(p, args.n_min, args.n_max, args.samples, args.seed)
@@ -242,6 +243,7 @@ def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
 
 def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
+    require_condition_arity(args.n)
     phi, dom_idem = load_map_file(args.mapfile)
     p = build_peirce(phi.domain, dom_idem, args.e1)
     jordan = check_jordan_condition(phi, p, args.n, args.samples, args.seed)

@@ -11,6 +11,10 @@ of units doubles each step, and an off-diagonal Peirce component does NOT
 double under a further idempotent slot (x_ij e_i = 0 for i != j), which is
 where several of the catalogued displayed forms lose a power of two.
 
+The one fold, ``_q_cached``, memoizes steps: {val, x} under the key
+(val, x).  The product is deterministic and ``Element`` equality includes
+the algebra, so one memo may serve many folds, on both sides of a map.
+
 Each catalog entry carries two closed forms for the same argument pattern:
 ``derived`` (independently computed from the recursion, the expected truth)
 and ``display`` (the closed form as displayed in the source material this
@@ -52,18 +56,14 @@ def q_star(args: Sequence[Element]) -> Element:
 
 
 def _q_cached(args: Sequence[Element], cache: dict) -> Element:
-    # the left fold; prefixes already in cache are not recomputed
-    val: Optional[Element] = None
-    key: tuple = ()
-    for x in args:
-        key = key + (x,)
-        hit = cache.get(key)
-        if hit is not None:
-            val = hit
-            continue
-        val = x if val is None else jordan_star(val, x)
-        cache[key] = val
-    assert val is not None
+    # the left fold; a step (val, x) already in cache, from any fold, is
+    # not recomputed
+    val = args[0]
+    for x in args[1:]:
+        step = cache.get((val, x))
+        if step is None:
+            step = cache[(val, x)] = jordan_star(val, x)
+        val = step
     return val
 
 
@@ -518,12 +518,17 @@ class CatalogReport:
         return all(r.derived_ok for r in self.runs)
 
 
-def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
-                  seed: int) -> CatalogReport:
+def require_audit_range(n_min: int, n_max: int) -> None:
+    """2 <= n_min <= n_max <= MAX_ARITY, checkable before any build."""
     if n_min < 2 or n_max < n_min:
         raise AlgebraError("audit needs 2 <= n_min <= n_max")
     if n_max > MAX_ARITY:
         raise AlgebraError(f"audit needs n_max <= {MAX_ARITY}, got {n_max}")
+
+
+def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
+                  seed: int) -> CatalogReport:
+    require_audit_range(n_min, n_max)
     runs = []
     for entry in CATALOG:
         for n in range(n_min, n_max + 1):

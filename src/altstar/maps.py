@@ -9,8 +9,8 @@ Two checkers:
 
 * check_jordan_condition: phi(q_n(xi, ..., xi, a, b)) =
   q_n(phi(xi), ..., phi(xi), phi(a), phi(b)) for xi in {1, e1, e2} over a
-  deterministic sample pool.  A surviving map is reported "not refuted",
-  never "verified".
+  deterministic sample pool, both sides folded by jordan's one memoized
+  fold.  A surviving map is reported "not refuted", never "verified".
 * check_star_ring_isomorphism: additivity, multiplicativity, star
   preservation, exact linear bijectivity, idempotent images, and
   Peirce-block preservation, each with a reproducible witness on failure.
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, IntMatrix
-from .jordan import MAX_ARITY, q_star
+from .jordan import MAX_ARITY, _q_cached
 from .peirce import (IJ_PAIRS, PeirceSystem, classify_idempotent,
                      component_of, peirce_decompose, random_component)
 from .sampling import derive_rng, random_element
@@ -261,33 +261,35 @@ def _equation(kind: str, sides: Callable[..., tuple]) -> Callable:
     return law
 
 
-def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
-                           samples: int, seed: int) -> ConditionReport:
-    """phi(q_n(xi,...,xi,a,b)) = q_n(phi(xi),...,phi(xi),phi(a),phi(b)) for
-    xi in {1, e1, e2}, over sampled pairs (a, b).  Requires a unital map."""
+def require_condition_arity(n: int) -> None:
+    """2 <= n <= MAX_ARITY, checkable before the map is loaded."""
     if n < 2:
         raise MapError("jordan condition needs n >= 2")
     if n > MAX_ARITY:
         raise MapError(f"jordan condition needs n <= {MAX_ARITY}, got {n}")
+
+
+def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
+                           samples: int, seed: int) -> ConditionReport:
+    """phi(q_n(xi,...,xi,a,b)) = q_n(phi(xi),...,phi(xi),phi(a),phi(b)) for
+    xi in {1, e1, e2}, over sampled pairs (a, b).  Requires a unital map.
+    Both sides fold through one step memo; the pool, not samples, bounds
+    its size."""
+    require_condition_arity(n)
     if not check_unital(phi):
         raise MapError("jordan condition requires a unital map")
     # sample_pool rejects a Peirce system on another algebra
     pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
-    # the n-2 leading xi slots fold to one prefix value (none when n = 2)
-    prefixes = []
-    for tag, xi in (("1", phi.domain.unit), ("e1", peirce.e1),
-                    ("e2", peirce.e2)):
-        if n == 2:
-            prefixes.append((tag, [], []))
-        else:
-            prefixes.append((tag, [q_star([xi] * (n - 2))],
-                             [q_star([phi(xi)] * (n - 2))]))
+    memo: dict = {}
+    heads = [(tag, [xi] * (n - 2), [phi(xi)] * (n - 2))
+             for tag, xi in (("1", phi.domain.unit), ("e1", peirce.e1),
+                             ("e2", peirce.e2))]
 
     def law(a: Element, b: Element) -> Optional[MapWitness]:
         img_a, img_b = phi(a), phi(b)
-        for tag, dom, cod in prefixes:
-            lhs = phi(q_star(dom + [a, b]))
-            rval = q_star(cod + [img_a, img_b])
+        for tag, dom, cod in heads:
+            lhs = phi(_q_cached(dom + [a, b], memo))
+            rval = _q_cached(cod + [img_a, img_b], memo)
             if not (lhs - rval).is_zero():
                 return MapWitness(f"xi={tag}", (a, b), lhs, rval)
         return None
@@ -353,9 +355,11 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
     f1, f2 = phi(peirce.e1), phi(peirce.e2)
     infos = [classify_idempotent(phi.codomain, f) for f in (f1, f2)]
     oks = [i.is_idempotent and i.is_symmetric for i in infos]
-    for tag, f, ok in zip(("f1", "f2"), (f1, f2), oks):
-        reports.append(one_shot(f"idempotent_image_{tag}", ok,
-                                lambda: ((f,), f * f, f)))
+    # the witness shows the law that fails: f f = f, else f* = f
+    for tag, f, info, ok in zip(("f1", "f2"), (f1, f2), infos, oks):
+        reports.append(one_shot(
+            f"idempotent_image_{tag}", ok,
+            lambda: ((f,), f.star() if info.is_idempotent else f * f, f)))
 
     # block preservation phi(A_ij) in A'_ij for the image system; without a
     # nontrivial symmetric image idempotent there is no image system for

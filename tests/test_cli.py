@@ -351,6 +351,24 @@ def test_arity_above_the_bound_is_an_input_error(tmp_path, zorn, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["lemmas", "matrix:8", "--n-min", "1"], "2 <= n_min <= n_max"),
+    (["lemmas", "zorn", "--n-max", "65"], "n_max <= 64, got 65"),
+    (["mapcheck", "F", "--n", "1"], "n >= 2"),
+    (["mapcheck", "F", "--n", "65"], "n <= 64, got 65"),
+], ids=["lemmas-n-min", "lemmas-n-max", "mapcheck-n-1", "mapcheck-n-65"])
+def test_arity_range_is_checked_before_anything_is_built(argv, bound,
+                                                         monkeypatch):
+    def no_load(*args):
+        raise AssertionError("loaded an input before checking the range")
+
+    monkeypatch.setattr("altstar.cli.resolve_algebra", no_load)
+    monkeypatch.setattr("altstar.cli.load_map_file", no_load)
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and bound in err
+
+
 def test_file_inside_a_direct_sum_gets_the_verdict_of_the_file(tmp_path):
     # upper-triangular 2x2 matrices with entrywise conjugation: the unit is
     # two-sided, but the star is not an anti-automorphism

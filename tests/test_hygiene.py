@@ -1,7 +1,7 @@
 """Source hygiene, decided with the standard library alone: no unused
 imports in the package or the tests, no typing generic built at run time in
-the package, and the package exports exactly what its __init__ imports from
-its submodules."""
+the package, no package code but ``cli.main`` writing to stdout, and the
+package exports exactly what its __init__ imports from its submodules."""
 
 import ast
 import pathlib
@@ -122,6 +122,60 @@ def test_typing_generic_detector():
         "    y: Optional[int] = x\n"
         "    return g(y)\n")
     assert _typing_subscripts(tree) == [("Callable", 4), ("Optional", 4)]
+
+
+def _stdout_uses(tree: ast.Module,
+                 allowed: str = "") -> list[tuple[str, int]]:
+    """(what, line) for each use of print or sys.stdout outside the
+    module-level function named allowed."""
+    exempt = {id(n) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == allowed
+              for n in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append(("print", node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr == "stdout"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(("sys.stdout", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+                alias.name == "stdout" for alias in node.names):
+            found.append(("sys.stdout", node.lineno))
+    return sorted(found)
+
+
+# a report is the bytes cli.main writes; anything else on stdout would
+# break byte-deterministic output
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_cli_main_writes_to_stdout(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = "main" if path.name == "cli.py" else ""
+    assert _stdout_uses(tree, allowed) == []
+
+
+def test_stdout_use_detector():
+    flagged = ast.parse(
+        "import sys\n"
+        "from sys import stdout\n"
+        "def main():\n"
+        "    sys.stdout.write('report')\n"
+        "def helper():\n"
+        "    print('debug')\n"
+        "    return sys.stdout\n")
+    assert _stdout_uses(flagged, "main") == [
+        ("print", 6), ("sys.stdout", 2), ("sys.stdout", 7)]
+    allowed = ast.parse(
+        "import sys\n"
+        "def main():\n"
+        "    print('report')\n"
+        "    sys.stdout.write('report')\n"
+        "def helper():\n"
+        "    sys.stderr.write('error')\n")
+    assert _stdout_uses(allowed, "main") == []
+    assert _stdout_uses(allowed) == [("print", 3), ("sys.stdout", 4)]
 
 
 def test_all_lists_exactly_the_names_imported_from_submodules():

@@ -5,10 +5,11 @@ forms are anchored by hand-computed frozen values on M2 and Zorn.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import altstar as st
 from altstar.formats import resolve_algebra
-from altstar.jordan import (CATALOG, MAX_ARITY, catalog_entry,
+from altstar.jordan import (CATALOG, MAX_ARITY, _q_cached, catalog_entry,
                             collapse_prefix, jordan_star, q_star,
                             verify_identity)
 from altstar.sampling import derive_rng, random_element
@@ -54,6 +55,48 @@ def test_nested_product_argument_validation(m2, zorn):
     for args in ([m2.unit, zorn.unit], [m2.unit, m2.unit, zorn.unit]):
         with pytest.raises(st.AlgebraError, match="mismatch in multiply"):
             q_star(args)
+
+
+def _plain_fold(args):
+    val = args[0]
+    for x in args[1:]:
+        val = jordan_star(val, x)
+    return val
+
+
+_SMALL = hst.builds(Scalar, hst.integers(-2, 2), hst.integers(-2, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=hst.data())
+@pytest.mark.parametrize("spec", ["zorn", "matrix:2"])
+def test_one_step_memo_serves_many_folds(spec, data):
+    a, idem = resolve_algebra(spec)
+    e1 = a.element(idem["e1"])
+    # 1, 2 and e1 make steps recur: {1, 1} = 2 and {e1, e1} = 2 e1, so two
+    # different prefixes can reach one value and share the next step
+    pool = [a.unit, a.unit.scale(TWO), e1, e1.scale(TWO), a.unit - e1]
+    pool += [a.element(data.draw(hst.lists(_SMALL, min_size=a.dim,
+                                           max_size=a.dim)))
+             for _ in range(2)]
+    index = hst.integers(0, len(pool) - 1)
+    folds = []
+    for _ in range(data.draw(hst.integers(1, 8))):
+        # about half the folds extend a prefix of an earlier one
+        head = []
+        if folds and data.draw(hst.booleans()):
+            base = data.draw(hst.sampled_from(folds))
+            head = base[:data.draw(hst.integers(1, len(base)))]
+        size = data.draw(hst.integers(max(1, len(head)), 8))
+        folds.append(head + data.draw(hst.lists(
+            index, min_size=size - len(head), max_size=size - len(head))))
+    memo: dict = {}
+    for f in folds:
+        args = [pool[k] for k in f]
+        assert _q_cached(args, memo) == _plain_fold(args)
+    # every memo entry is the step its key names
+    for (val, x), step in memo.items():
+        assert step == jordan_star(val, x)
 
 
 def test_idempotent_slots_double(m2, zorn):

@@ -3,8 +3,9 @@
 import pytest
 
 import altstar as st
+from altstar import linalg
 from altstar.jordan import MAX_ARITY
-from altstar.maps import sample_pool
+from altstar.maps import _pairs, sample_pool
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, TWO, ZERO
 
@@ -342,3 +343,92 @@ def test_peirce_blocks_are_refuted_without_an_image_system(m2, m2_peirce):
     assert blocks.refuted
     assert blocks.witness == st.MapWitness("peirce_blocks", (), m2.zero(),
                                            m2.zero())
+
+
+# -- the one fold -------------------------------------------------------------
+
+
+def _similarity(m2):
+    """x -> S x S^-1 with S = E11 + E12 + E22: a unital algebra automorphism
+    that does not preserve the star; phi(E11) = E11 - E12."""
+    s = m2.element([ONE, ONE, ZERO, ONE])
+    s_inv = m2.element([ONE, -ONE, ZERO, ONE])
+    m = linalg.from_columns([((s * b) * s_inv).coords for b in m2.basis()])
+    return st.AlgebraMap(m2, m2, m, name="similarity")
+
+
+def _reference_condition(phi, p, n, samples, seed):
+    """The checker the one fold replaced: each xi prefix folded once by
+    q_star, then every case folded again through a fresh q_star."""
+    pool = sample_pool(phi, p, max(16, min(samples, 64)), seed)
+    prefixes = []
+    for tag, xi in (("1", phi.domain.unit), ("e1", p.e1), ("e2", p.e2)):
+        if n == 2:
+            prefixes.append((tag, [], []))
+        else:
+            prefixes.append((tag, [st.q_star([xi] * (n - 2))],
+                             [st.q_star([phi(xi)] * (n - 2))]))
+    run = 0
+    for a, b in _pairs(pool, samples, seed):
+        run += 1
+        img_a, img_b = phi(a), phi(b)
+        for tag, dom, cod in prefixes:
+            lhs = phi(st.q_star(dom + [a, b]))
+            rval = st.q_star(cod + [img_a, img_b])
+            if not (lhs - rval).is_zero():
+                w = st.MapWitness(f"xi={tag}", (a, b), lhs, rval)
+                return st.ConditionReport(phi.name, "jordan_condition", n,
+                                          run, True, w)
+    return st.ConditionReport(phi.name, "jordan_condition", n, run, False,
+                              None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("subject", ["zorn-rotation", "rotation-patched",
+                                     "matrix2-swap", "matrix2-similarity"])
+def test_condition_matches_the_prefix_reference(subject, n, zorn, zorn_peirce,
+                                                m2, m2_peirce):
+    u1 = zorn.basis_element(2)
+    phi, p = {
+        "zorn-rotation": lambda: (st.zorn_rotation_map(zorn), zorn_peirce),
+        "rotation-patched": lambda: (st.patched_map(
+            st.zorn_rotation_map(zorn), {u1: u1.scale(TWO)}), zorn_peirce),
+        "matrix2-swap": lambda: (st.matrix_swap_conjugation(m2), m2_peirce),
+        "matrix2-similarity": lambda: (_similarity(m2), m2_peirce),
+    }[subject]()
+    rep = st.check_jordan_condition(phi, p, n, 150, seed=4)
+    assert rep == _reference_condition(phi, p, n, 150, 4)
+
+
+def test_condition_folds_each_step_once(zorn, zorn_peirce, monkeypatch):
+    calls = []
+    pair = st.jordan.jordan_star
+
+    def counted(x, y):
+        calls.append(1)
+        return pair(x, y)
+
+    monkeypatch.setattr(st.jordan, "jordan_star", counted)
+    rep = st.check_jordan_condition(st.zorn_rotation_map(zorn), zorn_peirce,
+                                    3, 100, seed=1)
+    assert not rep.refuted and rep.samples_run == 100
+    # one fold per side, xi and case makes 1200 steps; most of them recur
+    assert len(calls) <= 200
+
+
+def test_idempotent_image_witness_separates_its_sides(m2, m2_peirce):
+    e11, e12 = m2.basis_element(0), m2.basis_element(1)
+    phi = _similarity(m2)
+    f = phi(m2_peirce.e1)
+    assert f == e11 - e12 and f * f == f and f.star() != f
+    w = st.check_star_ring_isomorphism(phi, m2_peirce, 10, seed=0).check(
+        "idempotent_image_f1").witness
+    # f is idempotent, so the failing law is f* = f
+    assert w == st.MapWitness("idempotent_image_f1", (f,), f.star(), f)
+    assert w.lhs != w.rhs
+    # an image that is not idempotent keeps the witness f f != f
+    f = st.scale_map(m2, TWO)(m2_peirce.e1)
+    w = st.check_star_ring_isomorphism(st.scale_map(m2, TWO), m2_peirce, 10,
+                                       seed=0).check("idempotent_image_f1"
+                                                     ).witness
+    assert w == st.MapWitness("idempotent_image_f1", (f,), f * f, f)
