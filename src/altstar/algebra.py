@@ -15,10 +15,13 @@ projections run on plain ints and normalise each result with one gcd.
 Scalars appear only at the edges: construction from coordinates, the
 ``coords`` view, and the structure accessors.
 
-The axiom checkers verify the *linearized* alternative laws over all basis
+The axiom checkers verify the *linearized* alternative laws on basis
 triples; over a field of characteristic zero that is equivalent to the
 alternative laws themselves (substitute y = x to recover them, and the
-linearization of a quadratic identity is sum-of-substitutions).
+linearization of a quadratic identity is sum-of-substitutions).  Every law
+is one first-witness scan: the basis products and basis stars are made
+once per check, and a linearized law, whose residual is symmetric under
+its swap of two slots, scans only the triples t <= swap(t).
 """
 
 from __future__ import annotations
@@ -326,12 +329,20 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def _first_witness(cases: Iterable[tuple[Element, ...]],
-                   residual: Callable[..., Element]) -> Optional[Witness]:
-    """The first case, in order, whose residual is nonzero, as a Witness."""
+def _first_witness(cases: Iterable[tuple],
+                   residual: Callable[..., Element],
+                   basis: Optional[Sequence[Element]] = None
+                   ) -> Optional[Witness]:
+    """The first case, in order, whose residual is nonzero, as a Witness.
+
+    With *basis*, a case is a tuple of basis indices and the witness holds
+    the basis vectors they name.
+    """
     for args in cases:
         r = residual(*args)
         if not r.is_zero():
+            if basis is not None:
+                args = tuple(basis[k] for k in args)
             return Witness(args, r)
     return None
 
@@ -345,24 +356,28 @@ def _report(a: Algebra, found: Mapping[str, Optional[Witness]]) -> AxiomReport:
 def check_alternative(a: Algebra) -> AxiomReport:
     """Linearized left/right alternative and flexible laws over basis triples.
 
-    One scan in product order: each law adds assoc(x, y, z) to the
-    associator of its own permutation of the triple, and keeps the first
-    triple where the sum is nonzero.
+    Each law swaps two slots of a triple t and has the residual
+    assoc(t) + assoc(swap(t)).  The basis products are made once, so an
+    associator is two products.  The residual at swap(t) equals the one at
+    t, so each law scans only the triples with t <= swap(t), in product
+    order, and its first witness is the first failing triple of all.
     """
-    partners = (("left_alternative_linearized", (1, 0, 2)),
-                ("right_alternative_linearized", (0, 2, 1)),
-                ("flexible_linearized", (2, 1, 0)))
-    found: dict[str, Witness] = {}
-    for t in product(a.basis(), repeat=3):
-        if len(found) == len(partners):
-            break
-        base = a.associator(*t)
-        for name, perm in partners:
-            if name not in found:
-                r = base + a.associator(*(t[k] for k in perm))
-                if not r.is_zero():
-                    found[name] = Witness(t, r)
-    return _report(a, {name: found.get(name) for name, _ in partners})
+    basis = a.basis()
+    prods = [[x * y for y in basis] for x in basis]
+
+    def assoc(i: int, j: int, k: int) -> Element:
+        return prods[i][j] * basis[k] - basis[i] * prods[j][k]
+
+    def law(swap: tuple[int, int, int]) -> Optional[Witness]:
+        cases = (t for t in product(range(a.dim), repeat=3)
+                 if t <= tuple(t[s] for s in swap))
+        return _first_witness(
+            cases, lambda *t: assoc(*t) + assoc(*(t[s] for s in swap)),
+            basis)
+
+    return _report(a, {"left_alternative_linearized": law((1, 0, 2)),
+                       "right_alternative_linearized": law((0, 2, 1)),
+                       "flexible_linearized": law((2, 1, 0))})
 
 
 def check_unit(a: Algebra) -> AxiomReport:
@@ -377,18 +392,23 @@ def check_unit(a: Algebra) -> AxiomReport:
 def check_involution(a: Algebra) -> AxiomReport:
     """star is involutive, unit-fixing and an anti-automorphism on products.
 
+    The star of each basis vector is made once: involutive reads the star
+    of b*, and anti_automorphism compares (x y)* with y* x*.
     Conjugate-linearity holds by construction (star is a fixed matrix applied
     to conjugated coordinates), so it is not re-checked here.
     """
     basis = a.basis()
+    stars = [b.star() for b in basis]
     return _report(a, {
         "involutive": _first_witness(
-            ((b,) for b in basis), lambda b: b.star().star() - b),
+            ((k,) for k in range(a.dim)),
+            lambda k: stars[k].star() - basis[k], basis),
         "unit_fixed": _first_witness(
             [(a.unit,)], lambda u: u.star() - u),
         "anti_automorphism": _first_witness(
-            product(basis, repeat=2),
-            lambda x, y: (x * y).star() - y.star() * x.star()),
+            product(range(a.dim), repeat=2),
+            lambda i, j: (basis[i] * basis[j]).star() - stars[j] * stars[i],
+            basis),
     })
 
 

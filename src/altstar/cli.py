@@ -211,12 +211,12 @@ def _cmd_spade(args) -> tuple[int, Optional[dict]]:
 
 
 def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
-    a, _ = resolve_algebra(args.algebra)
     chunks = [t for t in args.args.split(";") if t.strip()]
     if len(chunks) != args.n:
         raise CliInputError(
             f"--args: expected {args.n} semicolon-separated coordinate "
             f"vectors, got {len(chunks)}")
+    a, _ = resolve_algebra(args.algebra)
     elems = [a.element(parse_coords(t, a, f"--args[{k}]"))
              for k, t in enumerate(chunks)]
     result = q_star(elems)

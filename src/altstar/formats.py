@@ -88,6 +88,8 @@ def algebra_from_dict(d: dict) -> tuple[Algebra, dict[str, list[Scalar]]]:
     what = "algebra file"
     name = _req(d, "name", str, what)
     dim = _req(d, "dim", int, what)
+    if dim < 1:
+        raise FormatError(f"{what}: dim must be positive, got {dim}")
     if dim > MAX_DIM:
         raise FormatError(f"{what}: dim must be at most {MAX_DIM}, got {dim}")
     labels = _req(d, "basis_labels", list, what)
@@ -150,9 +152,9 @@ def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
 # treated as a file path.  dsum splits its payload on the first comma, so
 # its halves must themselves be comma-free specs (zorn, matrix:K, a file).
 #
-# matrix:K builds K^3 structure entries and `check` scans dim^3 basis
-# triples, so every algebra, builtin or file, is bounded before anything
-# is allocated.
+# matrix:K builds K^3 structure entries and `check` scans about dim^3/2
+# basis triples per alternative law, so every algebra, builtin or file, is
+# bounded before anything is allocated.
 MAX_MATRIX_SIZE = 8
 MAX_DIM = MAX_MATRIX_SIZE ** 2
 

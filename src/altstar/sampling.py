@@ -9,9 +9,10 @@ exact-arithmetic growth through deep product expressions.
 from __future__ import annotations
 
 import random
+from math import lcm
 from typing import Sequence
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _element
 from .scalars import Scalar
 
 
@@ -30,10 +31,20 @@ def random_element(a: Algebra, rng: random.Random) -> Element:
 
 def random_combination(basis: Sequence[Element],
                        rng: random.Random) -> Element:
+    """sum_t s_t b_t with one random scalar s_t per basis vector, in order,
+    summed on integer numerators over one common denominator."""
     if not basis:
         raise ValueError("empty basis")
-    out = basis[0].algebra.zero()
-    for b in basis:
-        out = out + b.scale(random_scalar(rng))
-    return out
-
+    terms = [(random_scalar(rng), b) for b in basis]
+    den = lcm(*(s.d * b.den for s, b in terms))
+    n = basis[0].algebra.dim
+    re = [0] * n
+    im = [0] * n
+    for s, b in terms:
+        f = den // (s.d * b.den)
+        p, q = s.a * f, s.b * f
+        for k, (x, y) in enumerate(zip(b.re, b.im)):
+            if x or y:
+                re[k] += p * x - q * y
+                im[k] += p * y + q * x
+    return _element(basis[0].algebra, re, im, den)

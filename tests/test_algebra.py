@@ -6,9 +6,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import altstar as st
-from altstar.algebra import Algebra, Witness, check_axioms
+from altstar.algebra import (AxiomReport, CheckResult, Algebra, Witness,
+                             check_axioms)
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, MINUS_ONE, ONE, Scalar, TWO, ZERO
 
@@ -303,3 +305,131 @@ def test_axiom_scans_match_hand_written_loops(spec, zorn_transported):
         _, b1, _ = a.basis()
         assert st.check_unit(a).check("two_sided_unit").witness \
             == Witness((b1, a.unit), -b1)
+
+
+# -- scans over tables made once ----------------------------------------------
+
+
+def _partner_loop(a):
+    """Reference: one scan over all basis triples in product order, where
+    each law adds the associator of its own permutation of the triple."""
+    partners = (("left_alternative_linearized", (1, 0, 2)),
+                ("right_alternative_linearized", (0, 2, 1)),
+                ("flexible_linearized", (2, 1, 0)))
+    found = {}
+    for t in itertools.product(a.basis(), repeat=3):
+        if len(found) == len(partners):
+            break
+        base = a.associator(*t)
+        for name, perm in partners:
+            if name not in found:
+                r = base + a.associator(*(t[k] for k in perm))
+                if not r.is_zero():
+                    found[name] = Witness(t, r)
+    return AxiomReport(a.name, tuple(
+        CheckResult(name, name not in found, found.get(name))
+        for name, _ in partners))
+
+
+def _element_path_involution(a):
+    """Reference: the involution laws with every star remade per case."""
+    ref = _reference_involution(a)
+    return AxiomReport(a.name, tuple(CheckResult(name, w is None, w)
+                                     for name, w in ref.items()))
+
+
+def _assert_scans_match_references(a):
+    alt, inv = st.check_alternative(a), st.check_involution(a)
+    assert alt == _partner_loop(a)
+    assert inv == _element_path_involution(a)
+    return alt, inv
+
+
+@pytest.mark.parametrize("spec", [
+    "zorn", "matrix:1", "matrix:2", "matrix:3", "matrix:4", "cd:",
+    "cd:-1", "cd:-1,2", "cd:-1,-1,-1", "cd:-1,-1,-1,-1", "cd:1,2,3,-1",
+    "dsum:zorn,matrix:2", "zorn~"])
+def test_table_scans_match_the_element_path(spec, zorn_transported):
+    if spec == "zorn~":
+        a = zorn_transported
+    elif spec.startswith("cd:"):
+        a = st.cayley_dickson([Scalar(int(g)) for g in spec[3:].split(",")
+                               if g])
+    else:
+        a = st.resolve_algebra(spec)[0]
+    alt, _ = _assert_scans_match_references(a)
+    # 16-dim Cayley-Dickson algebras are flexible but neither left nor
+    # right alternative
+    if spec.startswith("cd:") and a.dim == 16:
+        assert [c.passed for c in alt.checks] == [False, False, True]
+
+
+_SMALL = hst.builds(Scalar, hst.integers(-1, 1), hst.integers(-1, 1))
+
+
+@hst.composite
+def _random_star_algebras(draw):
+    """dim 1-4, sparse Gaussian-integer structure constants, a random unit
+    and either entrywise conjugation or a random star matrix."""
+    dim = draw(hst.integers(1, 4))
+    triples = list(itertools.product(range(dim), repeat=3))
+    keys = draw(hst.lists(hst.sampled_from(triples), max_size=2 * dim * dim,
+                          unique=True))
+    structure = {t: draw(_SMALL) for t in keys}
+    unit = draw(hst.lists(_SMALL, min_size=dim, max_size=dim))
+    if draw(hst.booleans()):
+        star = [[ONE if r == c else ZERO for c in range(dim)]
+                for r in range(dim)]
+    else:
+        star = [draw(hst.lists(_SMALL, min_size=dim, max_size=dim))
+                for _ in range(dim)]
+    return Algebra("random", dim, [f"b{k}" for k in range(dim)], structure,
+                   unit, star)
+
+
+def test_table_scans_match_the_element_path_on_random_algebras():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              database=None)
+    @given(_random_star_algebras())
+    def scan(a):
+        alt, inv = _assert_scans_match_references(a)
+        seen.update(c.name for c in alt.checks + inv.checks
+                    if not c.passed)
+
+    scan()
+    # every law that has a witness was refuted on some example
+    assert seen >= {"left_alternative_linearized",
+                    "right_alternative_linearized", "flexible_linearized",
+                    "involutive", "unit_fixed", "anti_automorphism"}
+
+
+def _count(monkeypatch, method):
+    calls = []
+    original = getattr(Algebra, method)
+
+    def counted(self, *args):
+        calls.append(None)
+        return original(self, *args)
+
+    monkeypatch.setattr(Algebra, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec,products,stars", [
+    ("zorn", 3520, 81), ("matrix:3", 4941, 100)])
+def test_basis_products_and_stars_are_made_once(spec, products, stars,
+                                                monkeypatch):
+    # dim^2 products for the table, then four per case of each law, whose
+    # cases are the dim^2 (dim + 1) / 2 triples t <= swap(t); a passing
+    # involution check makes dim stars for the table, dim for b**, one
+    # for the unit and dim^2 for (x y)*
+    a, _ = st.resolve_algebra(spec)
+    n = a.dim
+    multiplies = _count(monkeypatch, "multiply")
+    assert st.check_alternative(a).ok
+    assert len(multiplies) == products == n * n + 3 * 4 * n * n * (n + 1) // 2
+    stars_made = _count(monkeypatch, "star")
+    assert st.check_involution(a).ok
+    assert len(stars_made) == stars == 2 * n + 1 + n * n

@@ -253,6 +253,14 @@ def test_dimension_is_bounded(tmp_path, source):
     assert out == ""
 
 
+@pytest.mark.parametrize("dim", [-3, 0])
+def test_dimension_below_one_gets_one_message(tmp_path, dim):
+    code, out, err = run(["check", _matrix2_file(tmp_path, "neg.alg",
+                                                 dim=dim)])
+    assert code == 2 and out == ""
+    assert "dim must be positive" in err
+
+
 def test_duplicate_patch_inputs_exit_2(tmp_path, zorn):
     u1 = zorn.basis_element(2)
     phi = st.patched_map(st.identity_map(zorn), {u1: u1.scale(st.TWO)})
@@ -367,6 +375,17 @@ def test_arity_range_is_checked_before_anything_is_built(argv, bound,
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and bound in err
+
+
+def test_qprod_argument_count_is_checked_before_the_algebra_is_built(
+        monkeypatch):
+    def no_load(*args):
+        raise AssertionError("built the algebra before counting --args")
+
+    monkeypatch.setattr("altstar.cli.resolve_algebra", no_load)
+    code, out, err = run(["qprod", "matrix:8", "--n", "3", "--args", "1;2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "expected 3" in err
 
 
 def test_file_inside_a_direct_sum_gets_the_verdict_of_the_file(tmp_path):

@@ -8,7 +8,10 @@ star matrix exactly as they were handed to ``Algebra``.  Both paths must
 give the same coordinates, and every result must be in canonical form.
 """
 
+import importlib.util
+import sys
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -214,3 +217,43 @@ def test_hot_path_builds_no_scalar(monkeypatch, case):
     st.peirce_decompose(p, y)
     x == y, hash(x), x.is_zero()
     assert made == []
+
+
+# -- random combinations --------------------------------------------------
+
+
+def _chained_combination(basis, rng):
+    """Reference: one Element per basis vector, scaled and added in order."""
+    out = basis[0].algebra.zero()
+    for b in basis:
+        out = out + b.scale(st.random_scalar(rng))
+    return out
+
+
+def _dense_matrix3(monkeypatch):
+    """The seed-1 dense-basis matrix:3 file of the benchmark, read back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    doc = workloads.transported_algebra("matrix:3", 1)
+    return st.algebra_from_dict(doc)
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:2", "matrix:3", "matrix:8",
+                                  "dense-matrix3"])
+def test_random_combination_matches_the_scale_and_add_chain(spec,
+                                                            monkeypatch):
+    if spec == "dense-matrix3":
+        a, idem = _dense_matrix3(monkeypatch)
+    else:
+        a, idem = st.resolve_algebra(spec)
+    p = st.PeirceSystem(a, a.element(idem["e1"]))
+    for seed in range(50):
+        for ij in st.IJ_PAIRS:
+            basis = p.component_bases[ij]
+            x = st.random_combination(basis, st.derive_rng(seed, ij))
+            assert x == _chained_combination(basis, st.derive_rng(seed, ij))
+            assert_canonical(x)
