@@ -3,6 +3,10 @@
 Subcommands: gen, check, peirce, spade, qprod, lemmas, mapcheck.
 Exit codes: 0 = all checks pass / not refuted, 1 = violation witnessed,
 2 = input or usage error.
+
+A report is its library dataclasses serialized field by field: one encoder
+writes each field in declaration order, so a field added to a report
+dataclass appears in every report that carries it.
 """
 
 from __future__ import annotations
@@ -11,14 +15,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .algebra import (Algebra, AlgebraError, CheckResult, Element, Witness,
-                      check_axioms)
+from .algebra import Algebra, AlgebraError, Element, check_axioms
 from .formats import (algebra_to_dict, canonical_json, load_map_file,
                       resolve_algebra, scalar_list)
-from .jordan import (CatalogReport, EntryRun, IdentitySample, audit_catalog,
-                     q_star, require_audit_range)
-from .maps import (ConditionReport, MapWitness, check_jordan_condition,
-                   check_star_ring_isomorphism, require_condition_arity)
+from .jordan import (CatalogReport, audit_catalog, q_star,
+                     require_audit_range)
+from .maps import (check_jordan_condition, check_star_ring_isomorphism,
+                   require_condition_arity)
 from .peirce import (IJ_PAIRS, PeirceSystem, check_peirce_relations,
                      spade_pair)
 from .scalars import Scalar, ScalarError, parse_scalar
@@ -73,40 +76,27 @@ def build_peirce(a: Algebra, idem: dict[str, list[Scalar]],
 # -- report serialization ---------------------------------------------------
 
 
-def _coords(x: Element) -> list[str]:
-    return scalar_list(x.coords)
-
-
-def _witness_dict(w: Optional[Witness]) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"args": [_coords(x) for x in w.args],
-            "residual": _coords(w.residual)}
-
-
-def _check_dict(c: CheckResult) -> dict:
-    return {"name": c.name, "passed": c.passed,
-            "witness": _witness_dict(c.witness)}
-
-
-def _sample_dict(s: Optional[IdentitySample]) -> Optional[dict]:
-    if s is None:
-        return None
-    return {"variant": s.variant,
-            "frees": {k: _coords(v) for k, v in sorted(s.frees.items())},
-            "lhs": _coords(s.lhs),
-            "rhs": _coords(s.rhs),
-            "residual": _coords(s.residual)}
-
-
-def _entry_run_dict(r: EntryRun) -> dict:
-    return {"n": r.n,
-            "samples": r.samples,
-            "skipped": r.skipped,
-            "derived_ok": r.derived_ok,
-            "verbatim_match": r.verbatim_match,
-            "derived_counterexample": _sample_dict(r.derived_counterexample),
-            "display_counterexample": _sample_dict(r.display_counterexample)}
+def _encode(x):
+    """A report object as JSON data: an Element is its coordinate literals,
+    a report dataclass its fields in declaration order, a tuple or list a
+    list, a dict a dict sorted by key, and anything else itself."""
+    if isinstance(x, Element):
+        return scalar_list(x.coords)
+    if hasattr(x, "__dataclass_fields__"):
+        doc = {}
+        for name in x.__dataclass_fields__:
+            # the only special cases: two fields the reports omit, and the
+            # verdict property, shown after the field it reads
+            if name not in ("entry_id", "map_name"):
+                doc[name] = _encode(getattr(x, name))
+            if name == "refuted":
+                doc["verdict"] = x.verdict
+        return doc
+    if isinstance(x, (tuple, list)):
+        return [_encode(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _encode(v) for k, v in sorted(x.items())}
+    return x
 
 
 def catalog_report_dict(rep: CatalogReport) -> dict:
@@ -114,32 +104,14 @@ def catalog_report_dict(rep: CatalogReport) -> dict:
     for run in rep.runs:
         entry = entries.setdefault(run.entry_id, {"id": run.entry_id,
                                                   "runs": []})
-        entry["runs"].append(_entry_run_dict(run))
+        entry["runs"].append(run)
     return {
         "algebra": rep.algebra_name,
         "n_min": rep.n_min, "n_max": rep.n_max,
         "samples": rep.samples, "seed": rep.seed,
-        "entries": list(entries.values()),
+        "entries": _encode(list(entries.values())),
         "derived_all_ok": rep.derived_all_ok,
     }
-
-
-def _map_witness_dict(w: Optional[MapWitness]) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"kind": w.kind,
-            "inputs": [_coords(x) for x in w.inputs],
-            "lhs": _coords(w.lhs),
-            "rhs": _coords(w.rhs)}
-
-
-def condition_report_dict(c: ConditionReport) -> dict:
-    return {"check": c.check,
-            "n": c.n,
-            "samples_run": c.samples_run,
-            "refuted": c.refuted,
-            "verdict": c.verdict,
-            "witness": _map_witness_dict(c.witness)}
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -163,7 +135,7 @@ def _cmd_check(args) -> tuple[int, Optional[dict]]:
         "algebra": a.name,
         "dim": a.dim,
         "basis_labels": list(a.basis_labels),
-        "checks": [_check_dict(c) for c in rep.checks],
+        "checks": _encode(rep.checks),
         "ok": rep.ok,
     }
     return (0 if rep.ok else 1), doc
@@ -178,14 +150,13 @@ def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
     doc = {
         "command": "peirce",
         "algebra": a.name,
-        "e1": _coords(p.e1),
-        "e2": _coords(p.e2),
+        "e1": _encode(p.e1),
+        "e2": _encode(p.e2),
         "component_dims": {f"{i}{j}": dims[(i, j)] for i, j in IJ_PAIRS},
         "samples": args.samples,
         "seed": args.seed,
-        "checks": [_check_dict(c) for c in rep.checks],
-        "offdiag_product_witness":
-            _witness_dict(rep.offdiag_product_witness),
+        "checks": _encode(rep.checks),
+        "offdiag_product_witness": _encode(rep.offdiag_product_witness),
         "ok": rep.ok,
     }
     return (0 if rep.ok else 1), doc
@@ -198,13 +169,10 @@ def _cmd_spade(args) -> tuple[int, Optional[dict]]:
     doc = {
         "command": "spade",
         "algebra": a.name,
-        "e1": _coords(p.e1),
-        "e2": _coords(p.e2),
+        "e1": _encode(p.e1),
+        "e2": _encode(p.e2),
         "spade": {"e1": r1.holds, "e2": r2.holds},
-        "witnesses": {
-            "e1": None if r1.witness is None else _coords(r1.witness),
-            "e2": None if r2.witness is None else _coords(r2.witness),
-        },
+        "witnesses": _encode({"e1": r1.witness, "e2": r2.witness}),
         "ok": r1.holds and r2.holds,
     }
     return (0 if (r1.holds and r2.holds) else 1), doc
@@ -224,8 +192,8 @@ def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
         "command": "qprod",
         "algebra": a.name,
         "n": args.n,
-        "args": [_coords(x) for x in elems],
-        "result": _coords(result),
+        "args": _encode(elems),
+        "result": _encode(result),
     }
     return 0, doc
 
@@ -236,7 +204,7 @@ def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(a, idem, args.e1)
     rep = audit_catalog(p, args.n_min, args.n_max, args.samples, args.seed)
-    doc = {"command": "lemmas", "e1": _coords(p.e1)}
+    doc = {"command": "lemmas", "e1": _encode(p.e1)}
     doc.update(catalog_report_dict(rep))
     return (0 if rep.derived_all_ok else 1), doc
 
@@ -254,14 +222,13 @@ def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
         "map": phi.name,
         "domain": phi.domain.name,
         "codomain": phi.codomain.name,
-        "e1": _coords(p.e1),
+        "e1": _encode(p.e1),
         "n": args.n,
         "samples": args.samples,
         "seed": args.seed,
         "unital": True,
-        "jordan_condition": condition_report_dict(jordan),
-        "isomorphism_checks": [condition_report_dict(c)
-                               for c in iso.checks],
+        "jordan_condition": _encode(jordan),
+        "isomorphism_checks": _encode(iso.checks),
         "refuted": refuted,
     }
     return (1 if refuted else 0), doc

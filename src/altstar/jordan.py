@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraError, Element
@@ -468,7 +469,8 @@ def catalog_entry(entry_id: str) -> IdentityEntry:
 def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
                     samples: int, seed: int) -> EntryRun:
     """Evaluate the recursion against both closed forms on seeded samples;
-    an entry whose display is its derived form is evaluated once."""
+    an entry whose display is its derived form is evaluated once, and a
+    form is no longer evaluated once it has a counterexample."""
     if samples < 1:
         raise AlgebraError(f"samples must be >= 1, got {samples}")
     if n > MAX_ARITY:
@@ -484,21 +486,23 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
     cache: dict = {}
     derived_bad: Optional[IdentitySample] = None
     display_bad: Optional[IdentitySample] = None
-    for s in range(samples):
-        for v in variants:
-            rng = derive_rng(seed, entry.entry_id, n, v, s)
-            frees = _draw(p, entry, v, rng)
-            lhs = _q_cached(entry.args(p, v, n, frees), cache)
+    shared = entry.display is entry.derived
+    for s, v in product(range(samples), variants):
+        if derived_bad is not None and display_bad is not None:
+            break
+        frees = _draw(p, entry, v, derive_rng(seed, entry.entry_id, n, v, s))
+        lhs = _q_cached(entry.args(p, v, n, frees), cache)
+        if derived_bad is None:
             want = entry.derived(p, v, n, frees)
-            res = lhs - want
-            if derived_bad is None and not res.is_zero():
-                derived_bad = IdentitySample(v, frees, lhs, want, res)
-            shown, res2 = want, res
-            if entry.display is not entry.derived:
-                shown = entry.display(p, v, n, frees)
-                res2 = lhs - shown
-            if display_bad is None and not res2.is_zero():
-                display_bad = IdentitySample(v, frees, lhs, shown, res2)
+            if lhs != want:
+                derived_bad = IdentitySample(v, frees, lhs, want, lhs - want)
+                if shared:
+                    display_bad = derived_bad
+        if display_bad is None and not shared:
+            shown = entry.display(p, v, n, frees)
+            if lhs != shown:
+                display_bad = IdentitySample(v, frees, lhs, shown,
+                                             lhs - shown)
     return EntryRun(entry.entry_id, n, samples, None,
                     derived_bad is None, display_bad is None,
                     derived_bad, display_bad)

@@ -1,7 +1,29 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import altstar as st
 from altstar.scalars import I, MINUS_ONE, ONE, ZERO
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def load_perfbench(monkeypatch):
+    """Load a module of ``perfbench/`` by path, under the given name; the
+    modules are only read, never written."""
+    def load(name, filename):
+        spec = importlib.util.spec_from_file_location(name,
+                                                      PERFBENCH / filename)
+        mod = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up here, and the oracle imports its
+        # job type from the top-level module `workloads`
+        monkeypatch.setitem(sys.modules, name, mod)
+        spec.loader.exec_module(mod)
+        return mod
+    return load
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ The test oracle re-implements the defining recursion directly; closed
 forms are anchored by hand-computed frozen values on M2 and Zorn.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -233,6 +235,26 @@ def test_shared_display_form_is_evaluated_once(m2_peirce):
     assert run.derived_ok and run.verbatim_match
     assert len(calls) == 7 * len(base.live_variants(m2_peirce))
     assert run == verify_identity(base, m2_peirce, 3, 7, seed=2)
+
+
+def test_failed_display_form_is_not_evaluated_again(zorn_peirce):
+    # ID-L's displayed form fails on zorn; a display call after its first
+    # counterexample could not change the run
+    base = catalog_entry("ID-L")
+    calls = []
+
+    def display(p, v, n, f):
+        calls.append((v, f))
+        return base.display(p, v, n, f)
+
+    entry = dataclasses.replace(base, display=display)
+    run = verify_identity(entry, zorn_peirce, 3, 30, seed=11)
+    assert run == verify_identity(base, zorn_peirce, 3, 30, seed=11)
+    s = run.display_counterexample
+    assert s is not None and run.samples == 30
+    # the first draw refutes the display, and no later draw reaches it,
+    # though the run still counts all 30 samples of both variants
+    assert calls == [(s.variant, s.frees)]
 
 
 def test_run_below_minimum_arity_is_skipped(m2_peirce):
