@@ -19,9 +19,11 @@ The axiom checkers verify the *linearized* alternative laws on basis
 triples; over a field of characteristic zero that is equivalent to the
 alternative laws themselves (substitute y = x to recover them, and the
 linearization of a quadratic identity is sum-of-substitutions).  Every law
-is one first-witness scan: the basis products and basis stars are made
-once per check, and a linearized law, whose residual is symmetric under
-its swap of two slots, scans only the triples t <= swap(t).
+is one scan of ``first_witnesses``, the engine that also serves the Peirce
+relations, the identity catalog and the map checks: the basis products and
+basis stars are made once per check, and a linearized law, whose residual
+is symmetric under its swap of two slots, scans only the triples
+t <= swap(t).
 """
 
 from __future__ import annotations
@@ -131,17 +133,13 @@ def _element(algebra: "Algebra", re: list, im: list, den: int) -> Element:
 
 def _sum(x: Element, y: Element, sign: int) -> Element:
     """x + sign * y over the least common denominator."""
-    _same_algebra(x, y)
+    if x.algebra is not y.algebra:
+        raise AlgebraError("algebra mismatch between operands")
     g = gcd(x.den, y.den)
     fx, fy = y.den // g, sign * (x.den // g)
     return _element(x.algebra, [a * fx + b * fy for a, b in zip(x.re, y.re)],
                     [a * fx + b * fy for a, b in zip(x.im, y.im)],
                     x.den * fx)
-
-
-def _same_algebra(x: Element, y: Element) -> None:
-    if x.algebra is not y.algebra:
-        raise AlgebraError("algebra mismatch between operands")
 
 
 class IntMatrix:
@@ -329,28 +327,40 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def _first_witness(cases: Iterable[tuple],
-                   residual: Callable[..., Element],
-                   basis: Optional[Sequence[Element]] = None
-                   ) -> Optional[Witness]:
-    """The first case, in order, whose residual is nonzero, as a Witness.
+def first_witnesses(cases: Iterable, laws: Mapping[str, Callable]
+                    ) -> dict[str, tuple[int, object]]:
+    """(run, first witness) of each law over the cases, taken in order.
 
-    With *basis*, a case is a tuple of basis indices and the witness holds
-    the basis vectors they name.
+    A law maps a case to a witness, or to None where it holds.  A case runs
+    the laws that have no witness yet, and no case is taken once every law
+    has one.  run counts the cases up to the witness, or all those taken.
     """
-    for args in cases:
-        r = residual(*args)
-        if not r.is_zero():
-            if basis is not None:
-                args = tuple(basis[k] for k in args)
-            return Witness(args, r)
-    return None
+    found: dict[str, tuple[int, object]] = {}
+    pending = list(laws.items())
+    run = 0
+    for case in cases if pending else ():
+        run += 1
+        for name, law in pending:
+            w = law(case)
+            if w is not None:
+                found[name] = (run, w)
+        if len(found) + len(pending) > len(laws):  # a law got its witness
+            pending = [(n, law) for n, law in pending if n not in found]
+            if not pending:
+                break
+    return {name: found.get(name, (run, None)) for name in laws}
 
 
-def _report(a: Algebra, found: Mapping[str, Optional[Witness]]) -> AxiomReport:
+def _witness(args: tuple, residual: Element) -> Optional[Witness]:
+    """The residual at args as a witness, or None where it vanishes."""
+    return None if residual.is_zero() else Witness(args, residual)
+
+
+def _report(a: Algebra, *scans: Mapping[str, tuple]) -> AxiomReport:
     """One CheckResult per law, in order; a law passes without a witness."""
     return AxiomReport(a.name, tuple(CheckResult(name, w is None, w)
-                                     for name, w in found.items()))
+                                     for found in scans
+                                     for name, (_, w) in found.items()))
 
 
 def check_alternative(a: Algebra) -> AxiomReport:
@@ -372,28 +382,35 @@ def check_alternative(a: Algebra) -> AxiomReport:
     def assoc(i: int, j: int, k: int) -> Element:
         return prods[i][j] * basis[k] - basis[i] * prods[j][k]
 
-    def law(swap: tuple[int, int, int]) -> Optional[Witness]:
-        cases = (t for t in product(range(a.dim), repeat=3)
-                 if t <= tuple(t[s] for s in swap))
-        return _first_witness(
-            cases, lambda *t: assoc(*t) + assoc(*(t[s] for s in swap)),
-            basis)
+    def scan(name: str, swap: tuple[int, int, int]) -> dict:
+        def law(t: tuple[int, int, int]) -> Optional[Witness]:
+            r = assoc(*t) + assoc(*(t[s] for s in swap))
+            return None if r.is_zero() else Witness(
+                tuple(basis[k] for k in t), r)
 
-    left, right = law((1, 0, 2)), law((0, 2, 1))
-    return _report(a, {"left_alternative_linearized": left,
-                       "right_alternative_linearized": right,
-                       "flexible_linearized":
-                           None if left is None and right is None
-                           else law((2, 1, 0))})
+        return first_witnesses((t for t in product(range(a.dim), repeat=3)
+                                if t <= tuple(t[s] for s in swap)),
+                               {name: law})
+
+    left = scan("left_alternative_linearized", (1, 0, 2))
+    right = scan("right_alternative_linearized", (0, 2, 1))
+    holds = _report(a, left, right).ok
+    return _report(a, left, right,
+                   {"flexible_linearized": (0, None)} if holds
+                   else scan("flexible_linearized", (2, 1, 0)))
 
 
 def check_unit(a: Algebra) -> AxiomReport:
     """u b = b, then b u = b, for each basis vector b in order."""
     u = a.unit
-    cases = ((x, y) for b in a.basis() for x, y in ((u, b), (b, u)))
-    # one factor is u, so x + y - u is the other one
-    return _report(a, {"two_sided_unit": _first_witness(
-        cases, lambda x, y: x * y - (x + y - u))})
+
+    def law(xy: tuple[Element, Element]) -> Optional[Witness]:
+        # one factor is u, so x + y - u is the other one
+        x, y = xy
+        return _witness(xy, x * y - (x + y - u))
+
+    cases = (xy for b in a.basis() for xy in ((u, b), (b, u)))
+    return _report(a, first_witnesses(cases, {"two_sided_unit": law}))
 
 
 def check_involution(a: Algebra) -> AxiomReport:
@@ -406,17 +423,19 @@ def check_involution(a: Algebra) -> AxiomReport:
     """
     basis = a.basis()
     stars = [b.star() for b in basis]
-    return _report(a, {
-        "involutive": _first_witness(
-            ((k,) for k in range(a.dim)),
-            lambda k: stars[k].star() - basis[k], basis),
-        "unit_fixed": _first_witness(
-            [(a.unit,)], lambda u: u.star() - u),
-        "anti_automorphism": _first_witness(
-            product(range(a.dim), repeat=2),
-            lambda i, j: (basis[i] * basis[j]).star() - stars[j] * stars[i],
-            basis),
-    })
+
+    def anti_automorphism(ij: tuple[int, int]) -> Optional[Witness]:
+        i, j = ij
+        return _witness((basis[i], basis[j]),
+                        (basis[i] * basis[j]).star() - stars[j] * stars[i])
+
+    return _report(
+        a, first_witnesses(range(a.dim), {"involutive": lambda k: _witness(
+            (basis[k],), stars[k].star() - basis[k])}),
+        first_witnesses([a.unit], {
+            "unit_fixed": lambda u: _witness((u,), u.star() - u)}),
+        first_witnesses(product(range(a.dim), repeat=2),
+                        {"anti_automorphism": anti_automorphism}))
 
 
 def check_axioms(a: Algebra) -> AxiomReport:

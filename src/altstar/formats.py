@@ -135,7 +135,9 @@ def _read_json(path: str, kind: str):
     except OSError as exc:
         raise FormatError(f"cannot read {kind} file {path!r}: {exc}") \
             from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # a decode error, bytes that are not UTF-8, an integer past Python's
+    # digit limit (all ValueErrors) or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{kind} file {path!r} is not valid JSON: {exc}") \
             from exc
 
@@ -166,10 +168,6 @@ def _idempotents(a: Algebra, k: int) -> dict[str, list[Scalar]]:
     u = a.unit.coords
     return {"e1": [c if t < k else ZERO for t, c in enumerate(u)],
             "e2": [ZERO if t < k else c for t, c in enumerate(u)]}
-
-
-def _is_builtin_spec(spec: str) -> bool:
-    return spec == "zorn" or spec.split(":", 1)[0] in ("matrix", "cd", "dsum")
 
 
 def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
@@ -217,8 +215,6 @@ def resolve_algebra(spec: str) -> tuple[Algebra, dict[str, list[Scalar]]]:
                               f"got {left.dim} + {right.dim}")
         a = direct_sum(left, right)
         return a, _idempotents(a, left.dim)
-    if _is_builtin_spec(spec):
-        raise FormatError(f"malformed builtin algebra spec {spec!r}")
     return load_algebra_file(spec)
 
 

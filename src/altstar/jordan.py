@@ -21,18 +21,18 @@ and ``display`` (the closed form as displayed in the source material this
 catalog audits, transcribed without correction).  ``display`` defaults to
 ``derived``; only ID-H, J, K and L display a different form.
 ``verbatim_match`` records per run whether the displayed form agreed with
-every sample.
+every sample; a run is one ``first_witnesses`` scan of the two forms.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .algebra import AlgebraError, Element
+from .algebra import AlgebraError, Element, first_witnesses
 from .peirce import PeirceSystem, random_component
 from .sampling import derive_rng, random_element
 from .scalars import TWO, half_power
@@ -484,25 +484,26 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
                         "required Peirce component is zero-dimensional",
                         True, True, None, None)
     cache: dict = {}
-    derived_bad: Optional[IdentitySample] = None
-    display_bad: Optional[IdentitySample] = None
-    shared = entry.display is entry.derived
-    for s, v in product(range(samples), variants):
-        if derived_bad is not None and display_bad is not None:
-            break
-        frees = _draw(p, entry, v, derive_rng(seed, entry.entry_id, n, v, s))
-        lhs = _q_cached(entry.args(p, v, n, frees), cache)
-        if derived_bad is None:
-            want = entry.derived(p, v, n, frees)
-            if lhs != want:
-                derived_bad = IdentitySample(v, frees, lhs, want, lhs - want)
-                if shared:
-                    display_bad = derived_bad
-        if display_bad is None and not shared:
-            shown = entry.display(p, v, n, frees)
-            if lhs != shown:
-                display_bad = IdentitySample(v, frees, lhs, shown,
-                                             lhs - shown)
+
+    def cases():
+        # a case is (variant, frees, lhs), folded through the one memo
+        for s, v in product(range(samples), variants):
+            frees = _draw(p, entry, v,
+                          derive_rng(seed, entry.entry_id, n, v, s))
+            yield v, frees, _q_cached(entry.args(p, v, n, frees), cache)
+
+    def law(form: Callable, case: tuple) -> Optional[IdentitySample]:
+        v, frees, lhs = case
+        rhs = form(p, v, n, frees)
+        return (None if lhs == rhs
+                else IdentitySample(v, frees, lhs, rhs, lhs - rhs))
+
+    laws = {"derived": partial(law, entry.derived)}
+    if entry.display is not entry.derived:
+        laws["display"] = partial(law, entry.display)
+    found = first_witnesses(cases(), laws)
+    derived_bad = found["derived"][1]
+    display_bad = found.get("display", found["derived"])[1]
     return EntryRun(entry.entry_id, n, samples, None,
                     derived_bad is None, display_bad is None,
                     derived_bad, display_bad)
@@ -533,9 +534,6 @@ def require_audit_range(n_min: int, n_max: int) -> None:
 def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
                   seed: int) -> CatalogReport:
     require_audit_range(n_min, n_max)
-    runs = []
-    for entry in CATALOG:
-        for n in range(n_min, n_max + 1):
-            runs.append(verify_identity(entry, p, n, samples, seed))
-    return CatalogReport(p.algebra.name, n_min, n_max, samples, seed,
-                         tuple(runs))
+    runs = tuple(verify_identity(entry, p, n, samples, seed)
+                 for entry in CATALOG for n in range(n_min, n_max + 1))
+    return CatalogReport(p.algebra.name, n_min, n_max, samples, seed, runs)

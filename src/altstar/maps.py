@@ -14,15 +14,20 @@ Two checkers:
 * check_star_ring_isomorphism: additivity, multiplicativity, star
   preservation, exact linear bijectivity, idempotent images, and
   Peirce-block preservation, each with a reproducible witness on failure.
+
+Every sampled law is a ``first_witnesses`` scan; the three equations share
+one pass over one stream of pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, IntMatrix
+from .algebra import (Algebra, AlgebraError, Element, IntMatrix,
+                      first_witnesses)
 from .jordan import MAX_ARITY, _q_cached
 from .peirce import (IJ_PAIRS, PeirceSystem, classify_idempotent,
                      component_of, peirce_decompose, random_component)
@@ -64,16 +69,13 @@ class AlgebraMap:
     def linear_part(self) -> tuple[tuple[Scalar, ...], ...]:
         return self._matrix.scalar_rows()
 
-    def _core(self, x: Element) -> Element:
-        return self._matrix.apply(x, self.codomain, self.conjugates_scalars)
-
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.domain:
             raise MapError("argument is not a domain element")
         hit = self.patches.get(x)
         if hit is not None:
             return hit
-        return self._core(x)
+        return self._matrix.apply(x, self.codomain, self.conjugates_scalars)
 
 
 def bijective_claim(phi: AlgebraMap) -> bool:
@@ -167,16 +169,11 @@ def sample_pool(phi: AlgebraMap, p: PeirceSystem, count: int,
             seen.add(x)
             pool.append(x)
 
-    for x in phi.patches:
+    for x in [*phi.patches, a.unit, p.e1, p.e2]:
         push(x)
-    push(a.unit)
-    push(p.e1)
-    push(p.e2)
-    for k in (1, 2):
-        push(p.e1.scale(half_power(k)))
-        push(p.e2.scale(half_power(k)))
-    push(p.e1.scale(I))
-    push(p.e2.scale(I))
+    for s in (half_power(1), half_power(2), I):
+        push(p.e1.scale(s))
+        push(p.e2.scale(s))
     dims = p.component_dims()
     idx = 0
     while len(pool) < count:
@@ -236,29 +233,19 @@ class ConditionReport:
                 else f"not refuted ({self.samples_run} samples)")
 
 
-def _first_refutation(phi: AlgebraMap, check: str, n: Optional[int],
-                      cases: Iterable[tuple],
-                      law: Callable[..., Optional[MapWitness]]
-                      ) -> ConditionReport:
-    """Run law on each case in order; the first witness refutes the map.
-
-    samples_run counts the cases tried, the refuting one included.
-    """
-    run = 0
-    for case in cases:
-        run += 1
-        w = law(*case)
-        if w is not None:
-            return ConditionReport(phi.name, check, n, run, True, w)
-    return ConditionReport(phi.name, check, n, run, False, None)
+def _reports(phi: AlgebraMap, n: Optional[int], cases: Iterable,
+             laws: dict) -> list[ConditionReport]:
+    """One first-witness scan of the laws over the cases; a witness refutes
+    its law, and samples_run counts the cases run up to it."""
+    return [ConditionReport(phi.name, check, n, run, w is not None, w)
+            for check, (run, w) in first_witnesses(cases, laws).items()]
 
 
-def _equation(kind: str, sides: Callable[..., tuple]) -> Callable:
+def _equation(kind: str, sides: Callable[..., tuple],
+              case: tuple) -> Optional[MapWitness]:
     """The law lhs == rhs, where sides(*case) = (inputs, lhs, rhs)."""
-    def law(*case) -> Optional[MapWitness]:
-        w = MapWitness(kind, *sides(*case))
-        return None if (w.lhs - w.rhs).is_zero() else w
-    return law
+    w = MapWitness(kind, *sides(*case))
+    return None if (w.lhs - w.rhs).is_zero() else w
 
 
 def require_condition_arity(n: int) -> None:
@@ -285,7 +272,8 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
              for tag, xi in (("1", phi.domain.unit), ("e1", peirce.e1),
                              ("e2", peirce.e2))]
 
-    def law(a: Element, b: Element) -> Optional[MapWitness]:
+    def law(ab: tuple[Element, Element]) -> Optional[MapWitness]:
+        a, b = ab
         img_a, img_b = phi(a), phi(b)
         for tag, dom, cod in heads:
             lhs = phi(_q_cached(dom + [a, b], memo))
@@ -294,8 +282,8 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
                 return MapWitness(f"xi={tag}", (a, b), lhs, rval)
         return None
 
-    return _first_refutation(phi, "jordan_condition", n,
-                             _pairs(pool, samples, seed), law)
+    return _reports(phi, n, _pairs(pool, samples, seed),
+                    {"jordan_condition": law})[0]
 
 
 @dataclass(frozen=True)
@@ -314,16 +302,6 @@ class IsomorphismReport:
         raise KeyError(name)
 
 
-def _block_cases(p: PeirceSystem, samples: int, seed: int):
-    """Seeded (x, ij) with x drawn from each nonzero component A_ij."""
-    dims = p.component_dims()
-    for s in range(samples):
-        rng = derive_rng(seed, "blocks", s)
-        for ij in IJ_PAIRS:
-            if dims[ij]:
-                yield random_component(p, ij, rng), ij
-
-
 def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                 samples: int, seed: int) -> IsomorphismReport:
     """Additivity, multiplicativity, star preservation, exact bijectivity,
@@ -337,9 +315,9 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
         "star_preservation": lambda a, b: ((a,), phi(a.star()),
                                            phi(a).star()),
     }
-    reports = [_first_refutation(phi, check, None, _pairs(pool, samples, seed),
-                                 _equation(check, sides))
-               for check, sides in laws.items()]
+    reports = _reports(phi, None, _pairs(pool, samples, seed),
+                       {check: partial(_equation, check, sides)
+                        for check, sides in laws.items()})
 
     def one_shot(check: str, ok: bool,
                  witness: Callable[[], tuple]) -> ConditionReport:
@@ -367,7 +345,8 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
     if all(oks) and not infos[0].is_trivial:
         cod_p = PeirceSystem(phi.codomain, f1)
 
-        def block(x: Element, ij: tuple[int, int]) -> Optional[MapWitness]:
+        def block(case: tuple) -> Optional[MapWitness]:
+            x, ij = case
             img = phi(x)
             if component_of(cod_p, img, ij):
                 return None
@@ -379,9 +358,12 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
             return MapWitness(f"peirce_block_{ij[0]}{ij[1]}", (x,), img,
                               img - bad)
 
-        reports.append(_first_refutation(
-            phi, "peirce_blocks", None, _block_cases(peirce, samples, seed),
-            block))
+        # a case is (x, ij), x drawn from a nonzero component A_ij
+        cases = ((random_component(peirce, ij, rng), ij)
+                 for rng in (derive_rng(seed, "blocks", s)
+                             for s in range(samples))
+                 for ij in IJ_PAIRS if peirce.component_bases[ij])
+        reports += _reports(phi, None, cases, {"peirce_blocks": block})
     else:
         reports.append(one_shot("peirce_blocks", False,
                                 lambda: ((), f1, f1)))

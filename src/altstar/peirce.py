@@ -14,7 +14,8 @@ component relations checked here:
 Each projection x -> e_i (x e_j) is linear.  PeirceSystem computes it once
 as a matrix from the images of the basis and compiles it to an IntMatrix,
 so a projection, a decomposition or a membership test costs integer
-matrix-vector products and no algebra product.
+matrix-vector products and no algebra product.  The relations are one
+``first_witnesses`` scan whose case is one sample's draws.
 
 The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
 implies x = 0; note the parenthesization, the products are x(ae), never
@@ -25,11 +26,12 @@ A_1j and A_2j span A e_j, via the nullspace of the induced linear map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, CheckResult, Element,
-                      IntMatrix, Witness)
+                      IntMatrix, Witness, _witness, first_witnesses)
 from .sampling import derive_rng, random_combination
 from .scalars import I, half_power
 
@@ -209,8 +211,6 @@ def _relation_table() -> tuple[tuple, ...]:
 
 
 _RELATIONS = _relation_table()
-# the (ii) A12*A12 product, whose first nonzero value the report carries
-_OFFDIAG = (((1, 2), 0), ((1, 2), 1))
 
 
 @dataclass(frozen=True)
@@ -238,36 +238,36 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
     if samples < 1:
         raise PeirceError(f"samples must be >= 1, got {samples}")
     dims = p.component_dims()
-    # a relation on a zero-dimensional component holds vacuously
-    live = [(name, x, y, target) for name, x, y, target in _RELATIONS
-            if dims[x[0]] and (y is None or dims[y[0]])]
-    failures: dict[str, Witness] = {}
-    offdiag_witness: Optional[Witness] = None
-    for s in range(samples):
-        rng = derive_rng(seed, "peirce", s)
-        draws = {}
-        for ij in IJ_PAIRS:
-            if dims[ij]:
-                draws[ij, 0] = random_component(p, ij, rng)
-                draws[ij, 1] = random_component(p, ij, rng)
-        for name, x, y, target in live:
-            if y is None:
-                args, value = (draws[x],), draws[x].star()
-            else:
-                args = (draws[x], draws[y])
-                value = args[0] * args[1]
-                if (x, y) == _OFFDIAG and offdiag_witness is None \
-                        and not value.is_zero():
-                    offdiag_witness = Witness(args, value)
-            if target is not None:
-                value = value - p.project(value, target)
-            if name not in failures and not value.is_zero():
-                failures[name] = Witness(args, value)
 
-    checks = tuple(CheckResult(name, name not in failures, failures.get(name))
-                   for name, *_ in _RELATIONS)
+    def law(x, y, target, draws: dict) -> Optional[Witness]:
+        args = (draws[x],) if y is None else (draws[x], draws[y])
+        # a value is kept beside the draws it is made of, so the
+        # off-diagonal witness reuses the product of (ii) A12*A12
+        if (x, y) not in draws:
+            draws[x, y] = args[0].star() if y is None else args[0] * args[1]
+        value = draws[x, y]
+        if target is not None:
+            value = value - p.project(value, target)
+        return _witness(args, value)
+
+    # a relation on a zero-dimensional component holds vacuously
+    laws = {name: partial(law, x, y, target)
+            for name, x, y, target in _RELATIONS
+            if dims[x[0]] and (y is None or dims[y[0]])}
+    if dims[1, 2]:
+        # the first nonzero product of (ii) A12*A12
+        laws["offdiag"] = partial(law, ((1, 2), 0), ((1, 2), 1), None)
+    # a sample draws twice from each nonzero component
+    samples_drawn = ({(ij, k): random_component(p, ij, rng)
+                      for ij in IJ_PAIRS if dims[ij] for k in (0, 1)}
+                     for rng in (derive_rng(seed, "peirce", s)
+                                 for s in range(samples)))
+    found = first_witnesses(samples_drawn, laws)
+    witness = {name: w for name, (_, w) in found.items()}
+    checks = tuple(CheckResult(name, witness.get(name) is None,
+                               witness.get(name)) for name, *_ in _RELATIONS)
     return PeirceRelationsReport(p.algebra.name, samples, seed, checks,
-                                 offdiag_witness)
+                                 witness.get("offdiag"))
 
 
 @dataclass(frozen=True)

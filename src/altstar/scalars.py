@@ -14,6 +14,7 @@ integer numerators over one shared denominator instead, and the hot path
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -119,12 +120,15 @@ _LITERAL = _re.compile(
 
 
 def _part_to_pair(text: str, what: str) -> tuple[int, int]:
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise ScalarError(f"{what}: denominator is zero in {text!r}")
-        return int(p), int(q)
-    return int(text), 1
+    p, _, q = text.partition("/")
+    try:
+        p, q = int(p), int(q or 1)
+    except ValueError:  # past the digit limit of Python's int()
+        raise ScalarError(f"{what}: a number has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    if q == 0:
+        raise ScalarError(f"{what}: denominator is zero in {text!r}")
+    return p, q
 
 
 def parse_scalar(text: str, what: str = "scalar") -> Scalar:

@@ -425,6 +425,30 @@ def test_flexible_follows_from_left_and_right_on_random_algebras():
     assert sum(dim > 1 for dim in corollary) >= 10
 
 
+def _signed_table(dim, signs):
+    """Structure constants +-1 at the given (i, j, k), the identity star and
+    the unit b0 (which the laws below never read)."""
+    eye = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
+    return Algebra("mixed", dim, [f"b{k}" for k in range(dim)],
+                   {t: ONE if c == 1 else MINUS_ONE
+                    for t, c in signs.items()},
+                   [ONE] + [ZERO] * (dim - 1), eye)
+
+
+@pytest.mark.parametrize("dim,signs,pattern", [
+    (3, {(1, 1, 0): 1, (2, 1, 1): 1, (2, 2, 2): 1}, [True, False, False]),
+    (3, {(0, 1, 2): 1, (1, 0, 2): -1, (1, 1, 1): 1, (0, 1, 0): 1},
+     [False, True, False]),
+    (2, {(0, 0, 0): -1, (1, 1, 1): -1, (1, 1, 0): -1}, [False, False, True]),
+], ids=["right-fails", "left-fails", "flexible-holds"])
+def test_mixed_law_patterns_match_the_partner_loop(dim, signs, pattern):
+    # the random algebras above pass or fail all three laws together; these
+    # fail exactly one of left and right, or both with flexible holding
+    a = _signed_table(dim, signs)
+    alt, _ = _assert_scans_match_references(a)
+    assert [c.passed for c in alt.checks] == pattern
+
+
 def _count(monkeypatch, method):
     calls = []
     original = getattr(Algebra, method)

@@ -227,6 +227,36 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command,text", [
+    ("check", "[" * 200_000),
+    ("check", '{"dim": ' + "1" * 5000 + "}"),
+    ("mapcheck", '{"domain": "zorn", "codomain": "zorn", "matrix": '
+                 + "[" * 200_000),
+], ids=["algebra-nested", "algebra-long-int", "map-nested"])
+def test_file_past_the_json_decoder_limits_exits_2(tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run([command, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not valid JSON" in err
+
+
+def test_scalar_past_the_digit_limit_exits_2(tmp_path):
+    long = "1" * 5000
+    code, out, err = run(["check", "cd:" + long])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cd gamma[0]: ") and "digits" in err
+    _, doc = run_json(["gen", "matrix:2"])
+    doc["structure"][0]["c"] = long
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["check", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: structure[0].c: ") and "digits" in err
+    assert err.count("\n") == 1 and long not in err
+
+
 def test_bad_builtin_parameter_exits_2():
     code, out, err = run(["gen", "matrix:0"])
     assert code == 2

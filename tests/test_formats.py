@@ -195,6 +195,29 @@ def test_equal_map_specs_share_one_algebra(tmp_path, m2):
     assert psi.domain is psi.codomain
 
 
+def _deep(depth):
+    return "[" * depth
+
+
+@pytest.mark.parametrize("load,text", [
+    (st.load_algebra_file, _deep(200_000)),
+    (st.load_algebra_file, '{"dim": ' + "1" * 5000 + "}"),
+    (load_map_file, '{"name": "m", "domain": "zorn", "codomain": "zorn", '
+                    '"matrix": ' + _deep(200_000)),
+    (load_map_file, '{"name": "m", "domain": "zorn", "codomain": "zorn", '
+                    '"matrix": [[' + "1" * 5000 + "]]}"),
+], ids=["algebra-nested", "algebra-long-int", "map-nested", "map-long-int"])
+def test_json_past_the_decoder_limits_is_a_format_error(tmp_path, load,
+                                                          text):
+    # nesting past the recursion limit raises RecursionError, and an
+    # integer past the digit limit a ValueError, from json.load itself
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load(str(path))
+    assert "is not valid JSON" in str(exc.value)
+
+
 def test_map_file_errors(m2):
     good = map_to_dict(st.identity_map(m2), "matrix:2", "matrix:2")
     for key in ("domain", "codomain", "matrix"):

@@ -134,6 +134,20 @@ def test_parse_rejects_zero_denominator_naming_field():
     assert "denominator" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["7" * 5000, "1/" + "7" * 5000,
+                                  "1-" + "7" * 5000 + "i",
+                                  "1+1/" + "7" * 5000 + "i"],
+                         ids=["re", "re-denominator", "im",
+                              "im-denominator"])
+def test_parse_rejects_a_number_past_the_digit_limit_naming_field(text):
+    # Python's int() refuses more than sys.get_int_max_str_digits() digits
+    # with a bare ValueError; the parser names the field instead
+    with pytest.raises(ScalarError) as exc:
+        parse_scalar(text, "gamma[0]")
+    assert str(exc.value).startswith("gamma[0]: ")
+    assert "digits" in str(exc.value) and "7777" not in str(exc.value)
+
+
 @pytest.mark.parametrize("bad", ["", "x", "1+", "i", "1//2", "1+2j",
                                  "1 2", "--3", "1/-2"])
 def test_parse_rejects_malformed(bad):
