@@ -400,6 +400,11 @@ def check_alternative(a: Algebra) -> AxiomReport:
                    else scan("flexible_linearized", (2, 1, 0)))
 
 
+def _unit_fixed(u: Element) -> Optional[Witness]:
+    """The law 1* = 1 at the unit u."""
+    return _witness((u,), u.star() - u)
+
+
 def check_unit(a: Algebra) -> AxiomReport:
     """u b = b, then b u = b, for each basis vector b in order."""
     u = a.unit
@@ -432,8 +437,7 @@ def check_involution(a: Algebra) -> AxiomReport:
     return _report(
         a, first_witnesses(range(a.dim), {"involutive": lambda k: _witness(
             (basis[k],), stars[k].star() - basis[k])}),
-        first_witnesses([a.unit], {
-            "unit_fixed": lambda u: _witness((u,), u.star() - u)}),
+        first_witnesses([a.unit], {"unit_fixed": _unit_fixed}),
         first_witnesses(product(range(a.dim), repeat=2),
                         {"anti_automorphism": anti_automorphism}))
 

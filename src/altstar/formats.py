@@ -12,6 +12,7 @@ scalar literals, trailing newline.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraError
@@ -135,11 +136,15 @@ def _read_json(path: str, kind: str):
     except OSError as exc:
         raise FormatError(f"cannot read {kind} file {path!r}: {exc}") \
             from exc
-    # a decode error, bytes that are not UTF-8, an integer past Python's
-    # digit limit (all ValueErrors) or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
+    # a decode error, bytes that are not UTF-8 or nesting past the
+    # recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{kind} file {path!r} is not valid JSON: {exc}") \
             from exc
+    except ValueError:  # an integer past the digit limit of Python's int()
+        raise FormatError(f"{kind} file {path!r} is not valid JSON: a number "
+                          f"has more than {sys.get_int_max_str_digits()} "
+                          "digits") from None
 
 
 def load_algebra_file(path: str) -> tuple[Algebra, dict[str, list[Scalar]]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, Element, IntMatrix,
@@ -207,6 +207,24 @@ def _pairs(pool: Sequence[Element], samples: int, seed: int):
         idx += 1
 
 
+def _mapped_pairs(phi: AlgebraMap, p: PeirceSystem, samples: int,
+                  seed: int) -> Iterator[tuple[Element, ...]]:
+    """The sampled pairs of the pool as cases (a, b, phi(a), phi(b)).
+
+    The pool is built at once, so a Peirce system on another algebra is
+    rejected before any case is taken; phi maps each pool element once.
+    """
+    pool = sample_pool(phi, p, max(16, min(samples, 64)), seed)
+    images: dict[Element, Element] = {}
+
+    def image(x: Element) -> Element:
+        if x not in images:
+            images[x] = phi(x)
+        return images[x]
+
+    return ((a, b, image(a), image(b)) for a, b in _pairs(pool, samples, seed))
+
+
 # -- condition reports -----------------------------------------------------
 
 
@@ -265,16 +283,14 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
     require_condition_arity(n)
     if not check_unital(phi):
         raise MapError("jordan condition requires a unital map")
-    # sample_pool rejects a Peirce system on another algebra
-    pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
+    cases = _mapped_pairs(phi, peirce, samples, seed)
     memo: dict = {}
     heads = [(tag, [xi] * (n - 2), [phi(xi)] * (n - 2))
              for tag, xi in (("1", phi.domain.unit), ("e1", peirce.e1),
                              ("e2", peirce.e2))]
 
-    def law(ab: tuple[Element, Element]) -> Optional[MapWitness]:
-        a, b = ab
-        img_a, img_b = phi(a), phi(b)
+    def law(case: tuple[Element, ...]) -> Optional[MapWitness]:
+        a, b, img_a, img_b = case
         for tag, dom, cod in heads:
             lhs = phi(_q_cached(dom + [a, b], memo))
             rval = _q_cached(cod + [img_a, img_b], memo)
@@ -282,8 +298,7 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
                 return MapWitness(f"xi={tag}", (a, b), lhs, rval)
         return None
 
-    return _reports(phi, n, _pairs(pool, samples, seed),
-                    {"jordan_condition": law})[0]
+    return _reports(phi, n, cases, {"jordan_condition": law})[0]
 
 
 @dataclass(frozen=True)
@@ -306,16 +321,14 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                 samples: int, seed: int) -> IsomorphismReport:
     """Additivity, multiplicativity, star preservation, exact bijectivity,
     idempotent images and Peirce-block preservation."""
-    # sample_pool rejects a Peirce system on another algebra
-    pool = sample_pool(phi, peirce, max(16, min(samples, 64)), seed)
     laws = {
-        "additivity": lambda a, b: ((a, b), phi(a + b), phi(a) + phi(b)),
-        "multiplicativity": lambda a, b: ((a, b), phi(a * b),
-                                          phi(a) * phi(b)),
-        "star_preservation": lambda a, b: ((a,), phi(a.star()),
-                                           phi(a).star()),
+        "additivity": lambda a, b, fa, fb: ((a, b), phi(a + b), fa + fb),
+        "multiplicativity": lambda a, b, fa, fb: ((a, b), phi(a * b),
+                                                  fa * fb),
+        "star_preservation": lambda a, b, fa, fb: ((a,), phi(a.star()),
+                                                   fa.star()),
     }
-    reports = _reports(phi, None, _pairs(pool, samples, seed),
+    reports = _reports(phi, None, _mapped_pairs(phi, peirce, samples, seed),
                        {check: partial(_equation, check, sides)
                         for check, sides in laws.items()})
 

@@ -11,11 +11,14 @@ component relations checked here:
   (iv)  x*x = 0  for x in A_12 or A_21
   (v)   star maps A_ij into A_ji
 
-Each projection x -> e_i (x e_j) is linear.  PeirceSystem computes it once
-as a matrix from the images of the basis and compiles it to an IntMatrix,
-so a projection, a decomposition or a membership test costs integer
-matrix-vector products and no algebra product.  The relations are one
-``first_witnesses`` scan whose case is one sample's draws.
+Each projection x -> e_i (x e_j) is linear.  PeirceSystem checks that the
+declared unit is two-sided and fixed by star, so e2 is a symmetric
+idempotent, and builds all four projections of a basis vector b from e1
+alone: from e1 b, b e1 and e1 (b e1) by subtraction.  It stores each
+projection once as a matrix from the images of the basis, compiled to an
+IntMatrix, so a projection, a decomposition or a membership test costs
+integer matrix-vector products and no algebra product.  The relations are
+one ``first_witnesses`` scan whose case is one sample's draws.
 
 The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
 implies x = 0; note the parenthesization, the products are x(ae), never
@@ -31,7 +34,8 @@ from typing import Optional
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, CheckResult, Element,
-                      IntMatrix, Witness, _witness, first_witnesses)
+                      IntMatrix, Witness, _unit_fixed, _witness, check_unit,
+                      first_witnesses)
 from .sampling import derive_rng, random_combination
 from .scalars import I, half_power
 
@@ -89,9 +93,24 @@ def find_symmetric_idempotents(a: Algebra) -> list[Element]:
 
 class PeirceSystem:
     """A validated pair (e1, e2 = 1 - e1) with the four projection
-    matrices and component bases."""
+    matrices and component bases.
+
+    The build checks, in order: the unit laws two_sided_unit (by
+    check_unit) and unit_fixed (1* = 1); e1 idempotent, symmetric and
+    nontrivial; Peirce compatibility on the basis; and that the components
+    form a direct sum.  It makes 6 dim + 1 products and 2 stars.
+    """
 
     def __init__(self, algebra: Algebra, e1: Element):
+        # e2 = 1 - e1 is a symmetric idempotent complementary to e1 only
+        # for a two-sided unit that star fixes
+        u = algebra.unit
+        unit_laws = {"two_sided_unit": check_unit(algebra).checks[0].witness,
+                     "unit_fixed": _unit_fixed(u)}
+        for law, w in unit_laws.items():
+            if w is not None:
+                args = ", ".join(map(repr, w.args))
+                raise PeirceError(f"the declared unit fails {law} at ({args})")
         info = classify_idempotent(algebra, e1)
         if not info.is_idempotent:
             raise PeirceError("e1 is not idempotent")
@@ -101,33 +120,24 @@ class PeirceSystem:
             raise PeirceError("e1 must differ from 0 and 1")
         self.algebra = algebra
         self.e1 = e1
-        self.e2 = algebra.unit - e1
+        self.e2 = u - e1
 
         # Each projection x -> e_i (x e_j) is linear, so it is stored once as
-        # the matrix whose columns are the images of the basis.  The laws
-        # below are linear too, so checking them on the basis decides them
-        # for every x: the two parenthesizations of a projection agree, and
-        # the four projections recombine to x.  Both parenthesizations start
-        # from the one-sided images e_i b and b e_j, each made once.
-        basis = algebra.basis()
-        e = {i: self.idempotent(i) for i in (1, 2)}
-        left = {i: [e[i] * b for b in basis] for i in e}
-        right = {j: [b * e[j] for b in basis] for j in e}
-        projected = {(i, j): [e[i] * bj for bj in right[j]]
-                     for i, j in IJ_PAIRS}
-        for k, b in enumerate(basis):
-            for i, j in IJ_PAIRS:
-                if not (left[i][k] * e[j] - projected[(i, j)][k]).is_zero():
-                    raise PeirceError(
-                        "idempotent fails Peirce compatibility "
-                        f"(e_i b) e_j != e_i (b e_j) at basis {b!r}")
-        for k, b in enumerate(basis):
-            total = sum((projected[ij][k] for ij in IJ_PAIRS), algebra.zero())
-            if not (total - b).is_zero():
-                # by bilinearity the four projections of b sum to u (b u)
-                raise PeirceError("Peirce components do not recombine to "
-                                  f"basis {b!r}: they sum to u (b u), so "
-                                  "the declared unit u is not two-sided")
+        # the matrix of the images of the basis.  With e2 = 1 - e1 and the
+        # unit two-sided, each image of b is a sum of b, L = e1 b, R = b e1
+        # and P = e1 (b e1), and the four laws (e_i b) e_j = e_i (b e_j)
+        # reduce to (e1 b) e1 = P, so that law alone is checked on the basis.
+        images = []
+        for b in algebra.basis():
+            left, right = e1 * b, b * e1
+            p11 = e1 * right
+            if not (left * e1 - p11).is_zero():
+                raise PeirceError(
+                    "idempotent fails Peirce compatibility "
+                    f"(e_i b) e_j != e_i (b e_j) at basis {b!r}")
+            images.append((p11, left - p11, right - p11,
+                           b - left - right + p11))
+        projected = dict(zip(IJ_PAIRS, zip(*images)))
 
         columns = {ij: linalg.from_columns([x.coords for x in cols])
                    for ij, cols in projected.items()}
@@ -136,8 +146,8 @@ class PeirceSystem:
         bases = {ij: [projected[ij][t] for t in linalg.rref(m)[1]]
                  for ij, m in columns.items()}
         self.component_bases = bases
-        # the projections recombine to the identity, so the components span
-        # the algebra; they form a direct sum exactly when their dimensions
+        # the four projections of b sum to b, so the components span the
+        # algebra; they form a direct sum exactly when their dimensions
         # add up to dim, and otherwise they overlap
         total = sum(len(v) for v in bases.values())
         if total != algebra.dim:
@@ -170,10 +180,10 @@ def peirce_decompose(p: PeirceSystem,
 
 def component_of(p: PeirceSystem, x: Element, ij: tuple[int, int]) -> bool:
     """True iff x lies in A_ij, decided by its stored projection matrix."""
-    # PeirceSystem checked on the basis that the four projections recombine
-    # to x and that the component dimensions add up to dim, so A11 + A12 +
-    # A21 + A22 is a direct sum: x lies in A_ij exactly when its A_ij
-    # projection is x.
+    # PeirceSystem checked that the unit is two-sided, so the four
+    # projections recombine to x, and that the component dimensions add up
+    # to dim, so A11 + A12 + A21 + A22 is a direct sum: x lies in A_ij
+    # exactly when its A_ij projection is x.
     return p.project(x, ij) == x
 
 
@@ -284,7 +294,7 @@ def check_spade(p: PeirceSystem, j: int) -> SpadeResult:
     its nullspace.  A nonzero nullspace vector x is returned as the witness
     after verifying the property itself: x g = 0 for each generator g.
     """
-    # PeirceSystem checked that the unit is two-sided, so
+    # PeirceSystem checked that the unit is two-sided (check_unit), so
     # b e_j = e_1 (b e_j) + e_2 (b e_j) and A e_j = A_1j + A_2j
     a = p.algebra
     gens = p.component_bases[(1, j)] + p.component_bases[(2, j)]

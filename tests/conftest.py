@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import altstar as st
-from altstar.scalars import I, MINUS_ONE, ONE, ZERO
+from altstar.scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,3 +89,26 @@ def incompatible():
                  (2, 1, 1): ONE}
     return st.Algebra("incompatible", 3, ["u", "e", "x"], structure,
                       [ONE, ZERO, ZERO], eye)
+
+
+@pytest.fixture(scope="session")
+def overlap():
+    """Basis e1, e2, v: e_i e_i = e_i, e1 e2 = e2 e1 = 0, e_i v = v e_i =
+    v/2 and v v = 0.  Every Peirce projection for e1 sends v to v/4, so v
+    lies in all four components and their sum is not direct."""
+    half = Scalar(1, 0, 2)
+    eye = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
+    return st.Algebra("overlap", 3, ["e1", "e2", "v"],
+                      {(0, 0, 0): ONE, (1, 1, 1): ONE, (0, 2, 2): half,
+                       (2, 0, 2): half, (1, 2, 2): half, (2, 1, 2): half},
+                      [ONE, ONE, ZERO], eye)
+
+
+@pytest.fixture(scope="session")
+def star_moved_unit():
+    """Basis f1, f2: orthogonal idempotents with the two-sided unit f1 + f2,
+    and f2* = 2 f2.  e1 = f1 is a symmetric idempotent, but star moves the
+    unit, so e2 = 1 - e1 = f2 is not symmetric."""
+    return st.Algebra("star-moved-unit", 2, ["f1", "f2"],
+                      {(0, 0, 0): ONE, (1, 1, 1): ONE}, [ONE, ONE],
+                      [[ONE, ZERO], [ZERO, Scalar(2)]])

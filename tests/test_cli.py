@@ -341,23 +341,55 @@ def test_malformed_scalar_literal_exits_2(tmp_path, source):
 @pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
 def test_unit_that_does_not_recombine_exits_2(tmp_path, command):
     # e1 = E11 is still a symmetric idempotent and every Peirce component
-    # stays 1-dimensional; only the recombination check rejects the file,
-    # and it names the cause: the four projections of b sum to u (b u)
+    # stays 1-dimensional, but the four projections of b sum to u (b u);
+    # the unit law rejects the file first and names its witness pair
     path = _matrix2_file(tmp_path, "m2.alg", unit=["1", "0", "0", "2"])
     code, out, err = run([command, path])
     assert code == 2
-    assert err.startswith("error:") and "recombine" in err
-    assert "two-sided" in err
+    what = "--e" if command == "spade" else "--e1"
+    assert err.splitlines() == [f"error: {what}: the declared unit fails "
+                                "two_sided_unit at (1*E12, 1*E11 + 2*E22)"]
+    assert out == ""
+
+
+def _algebra_file(tmp_path, a, e1):
+    path = tmp_path / f"{a.name}.alg"
+    path.write_text(canonical_json(st.algebra_to_dict(
+        a, {"e1": list(e1.coords)})), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
+def test_unit_that_star_moves_exits_2(tmp_path, star_moved_unit, command):
+    # e1 = f1 is a symmetric idempotent, yet e2 = 1 - e1 is not symmetric:
+    # a malformed file, not a refutation
+    a = star_moved_unit
+    code, out, err = run([command, _algebra_file(tmp_path, a,
+                                                 a.basis_element(0))])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "unit_fixed at (1*f1 + 1*f2)" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
+def test_overlapping_components_exit_2(tmp_path, overlap, command):
+    code, out, err = run([command, _algebra_file(tmp_path, overlap,
+                                                 overlap.basis_element(0))])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "overlap: their dimensions sum to 6 > dim 3" in err
     assert out == ""
 
 
 @pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
 def test_incompatible_idempotent_exits_2(tmp_path, incompatible, command):
-    path = tmp_path / "incompatible.alg"
-    path.write_text(canonical_json(st.algebra_to_dict(
-        incompatible, {"e1": [st.ZERO, st.ONE, st.ZERO]})), encoding="utf-8")
-    code, out, err = run([command, str(path)])
+    code, out, err = run([command, _algebra_file(
+        tmp_path, incompatible, incompatible.basis_element(1))])
     assert code == 2
+    assert len(err.splitlines()) == 1
     assert err.startswith("error:")
     assert "fails Peirce compatibility" in err and "at basis 1*x" in err
     assert out == ""

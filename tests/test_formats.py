@@ -1,6 +1,7 @@
 """File formats: round-trip stability, precise errors, spec grammar."""
 
 import json
+import sys
 
 import pytest
 
@@ -199,23 +200,31 @@ def _deep(depth):
     return "[" * depth
 
 
-@pytest.mark.parametrize("load,text", [
-    (st.load_algebra_file, _deep(200_000)),
-    (st.load_algebra_file, '{"dim": ' + "1" * 5000 + "}"),
+LONG_INT = f"a number has more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("load,text,detail", [
+    (st.load_algebra_file, _deep(200_000), "recursion"),
+    (st.load_algebra_file, '{"dim": ' + "1" * 5000 + "}", LONG_INT),
+    (st.load_algebra_file, '{"dim": ', "Expecting value: line 1 column 9"),
     (load_map_file, '{"name": "m", "domain": "zorn", "codomain": "zorn", '
-                    '"matrix": ' + _deep(200_000)),
+                    '"matrix": ' + _deep(200_000), "recursion"),
     (load_map_file, '{"name": "m", "domain": "zorn", "codomain": "zorn", '
-                    '"matrix": [[' + "1" * 5000 + "]]}"),
-], ids=["algebra-nested", "algebra-long-int", "map-nested", "map-long-int"])
+                    '"matrix": [[' + "1" * 5000 + "]]}", LONG_INT),
+], ids=["algebra-nested", "algebra-long-int", "algebra-truncated",
+        "map-nested", "map-long-int"])
 def test_json_past_the_decoder_limits_is_a_format_error(tmp_path, load,
-                                                          text):
+                                                          text, detail):
     # nesting past the recursion limit raises RecursionError, and an
-    # integer past the digit limit a ValueError, from json.load itself
+    # integer past the digit limit a ValueError, from json.load itself; the
+    # latter is reported in the file's terms, not as an interpreter setting
     path = tmp_path / "deep.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         load(str(path))
     assert "is not valid JSON" in str(exc.value)
+    assert detail in str(exc.value)
+    assert "set_int_max_str_digits" not in str(exc.value)
 
 
 def test_map_file_errors(m2):

@@ -5,7 +5,7 @@ import pytest
 import altstar as st
 from altstar import linalg
 from altstar.jordan import MAX_ARITY
-from altstar.maps import _pairs, sample_pool
+from altstar.maps import AlgebraMap, _mapped_pairs, _pairs, sample_pool
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, TWO, ZERO
 
@@ -277,6 +277,27 @@ def test_isomorphism_check_rejects_a_peirce_system_on_another_algebra(
     with pytest.raises(st.MapError, match="map's domain"):
         st.check_star_ring_isomorphism(st.identity_map(m2), zorn_peirce, 10,
                                        seed=1)
+
+
+def test_each_pool_element_is_mapped_once(zorn, zorn_peirce,
+                                          zorn_patched_double, monkeypatch):
+    # 500 pairs over a pool of 64: phi runs once per pool element drawn
+    phi = zorn_patched_double
+    pool = sample_pool(phi, zorn_peirce, 64, 3)
+    pairs = list(_pairs(pool, 500, 3))
+    calls = []
+    apply = AlgebraMap.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(AlgebraMap, "__call__", counted)
+    cases = list(_mapped_pairs(phi, zorn_peirce, 500, 3))
+    assert len(calls) == len(set(calls)) == len({x for ab in pairs
+                                                 for x in ab}) <= 64
+    monkeypatch.undo()
+    assert cases == [(a, b, phi(a), phi(b)) for a, b in pairs]
 
 
 def test_rotation_map_requires_zorn(m2):

@@ -1,5 +1,7 @@
 """Peirce decomposition, component relations, and the annihilator condition."""
 
+import re
+
 import pytest
 
 import altstar as st
@@ -147,24 +149,32 @@ def test_projection_is_one_matrix_product(spec, zorn_transported,
             assert not st.component_of(p, x, ij)
 
 
-@pytest.mark.parametrize("spec,products", [("zorn", 97), ("matrix:3", 109)])
-def test_system_build_makes_twelve_products_per_basis_vector(
+@pytest.mark.parametrize("spec,products", [("zorn", 49), ("matrix:3", 55)])
+def test_system_build_makes_six_products_per_basis_vector(
         spec, products, monkeypatch):
-    # e e for the idempotent check, then e_i b and b e_j once per basis
-    # vector and side, and one more product on each for e_i (b e_j) and
-    # (e_i b) e_j: 1 + 12 dim
+    # u b and b u for the unit law, e e for the idempotent check, then per
+    # basis vector e1 b, b e1, e1 (b e1) and (e1 b) e1: 6 dim + 1.  Every
+    # product has u or e1 as a factor, none e2 alone.  The stars are 1* and
+    # e1*.
     a, idem = st.resolve_algebra(spec)
     e1 = a.element(idem["e1"]) if idem else a.basis_element(0)
-    calls = []
-    multiply = Algebra.multiply
+    calls, stars = [], []
+    multiply, star = Algebra.multiply, Algebra.star
 
     def counted(self, x, y):
-        calls.append(None)
+        calls.append((x, y))
         return multiply(self, x, y)
 
+    def counted_star(self, x):
+        stars.append(x)
+        return star(self, x)
+
     monkeypatch.setattr(Algebra, "multiply", counted)
+    monkeypatch.setattr(Algebra, "star", counted_star)
     st.PeirceSystem(a, e1)
-    assert len(calls) == products == 12 * a.dim + 1
+    assert len(calls) == products == 6 * a.dim + 1
+    assert all(x in (a.unit, e1) or y in (a.unit, e1) for x, y in calls)
+    assert stars == [a.unit, e1]
 
 
 def test_system_rejects_incompatible_idempotent(incompatible):
@@ -182,29 +192,107 @@ def test_system_rejects_unit_that_does_not_recombine(m2):
     bad, _ = st.algebra_from_dict(doc)
     e1 = bad.basis_element(0)
     # E11 is still a symmetric idempotent with four 1-dimensional
-    # projections, so only the recombination check can reject it
+    # projections, yet they sum to u (b u), not b; the unit law rejects the
+    # system first, at E12 u = 2 E12
     assert st.is_symmetric_idempotent(bad, e1)
     e = {1: e1, 2: bad.unit - e1}
     for i, j in st.IJ_PAIRS:
         images = [list((e[i] * (b * e[j])).coords) for b in bad.basis()]
         assert rank(images) == 1
-    with pytest.raises(st.PeirceError, match="recombine"):
+    with pytest.raises(st.PeirceError, match=re.escape(
+            "two_sided_unit at (1*E12, 1*E11 + 2*E22)")):
         st.PeirceSystem(bad, e1)
 
 
-def test_system_rejects_overlapping_components():
-    # e_i e_i = e_i, e1 e2 = e2 e1 = 0, e_i v = v e_i = v/2, v v = 0: every
-    # projection sends v to v/4, so v lies in all four components
-    half = Scalar(1, 0, 2)
-    eye = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
-    a = Algebra("overlap", 3, ["e1", "e2", "v"],
-                {(0, 0, 0): ONE, (1, 1, 1): ONE, (0, 2, 2): half,
-                 (2, 0, 2): half, (1, 2, 2): half, (2, 1, 2): half},
-                [ONE, ONE, ZERO], eye)
+def test_system_rejects_unit_that_star_moves(star_moved_unit):
+    a = star_moved_unit
+    assert st.check_unit(a).ok
+    assert st.is_symmetric_idempotent(a, a.basis_element(0))
+    with pytest.raises(st.PeirceError, match=re.escape(
+            "unit_fixed at (1*f1 + 1*f2)")):
+        st.PeirceSystem(a, a.basis_element(0))
+
+
+def test_system_rejects_overlapping_components(overlap):
+    a = overlap
     assert st.check_unit(a).ok and st.check_involution(a).ok
     with pytest.raises(st.PeirceError,
                        match="overlap: their dimensions sum to 6 > dim 3"):
         st.PeirceSystem(a, a.basis_element(0))
+
+
+# -- the construction from both idempotents, kept as the reference ----------
+
+
+def _reference_system(a, e1):
+    """The construction that made e_i b, b e_j and e_i (b e_j) for both
+    idempotents, checked the four compatibility laws and the recombination
+    of the four projections of each basis vector, then the overlap.
+    Returns (projections of the basis, component bases)."""
+    from altstar import linalg
+    e = {1: e1, 2: a.unit - e1}
+    basis = a.basis()
+    left = {i: [e[i] * b for b in basis] for i in e}
+    right = {j: [b * e[j] for b in basis] for j in e}
+    projected = {(i, j): [e[i] * bj for bj in right[j]]
+                 for i, j in st.IJ_PAIRS}
+    for k, b in enumerate(basis):
+        for i, j in st.IJ_PAIRS:
+            if not (left[i][k] * e[j] - projected[(i, j)][k]).is_zero():
+                raise st.PeirceError(
+                    "idempotent fails Peirce compatibility "
+                    f"(e_i b) e_j != e_i (b e_j) at basis {b!r}")
+    for k, b in enumerate(basis):
+        total = sum((projected[ij][k] for ij in st.IJ_PAIRS), a.zero())
+        if not (total - b).is_zero():
+            raise st.PeirceError(f"Peirce components do not recombine to "
+                                 f"basis {b!r}")
+    bases = {ij: [cols[t] for t in linalg.rref(linalg.from_columns(
+        [x.coords for x in cols]))[1]] for ij, cols in projected.items()}
+    total = sum(len(v) for v in bases.values())
+    if total != a.dim:
+        raise st.PeirceError(
+            f"Peirce components overlap: their dimensions sum to {total} "
+            f"> dim {a.dim}, so the sum is not direct")
+    return projected, bases
+
+
+@pytest.mark.parametrize("spec", [
+    "zorn", "matrix:2", "matrix:3", "matrix:3/E11+E22", "matrix:5", "zorn~",
+    "dsum:zorn,matrix:3", "cd:-1,-1,-1"])
+def test_system_matches_the_construction_from_both_idempotents(
+        spec, zorn_transported):
+    if spec == "zorn~":
+        a = zorn_transported
+        e1s = st.find_symmetric_idempotents(a)[:1]
+    elif spec == "matrix:3/E11+E22":
+        a, _ = st.resolve_algebra("matrix:3")
+        e1s = [a.basis_element(0) + a.basis_element(4)]
+    elif spec == "cd:-1,-1,-1":
+        a, _ = st.resolve_algebra(spec)
+        e1s = st.find_symmetric_idempotents(a)
+    else:
+        a, idem = st.resolve_algebra(spec)
+        e1s = [a.element(idem["e1"])]
+    assert e1s
+    for e1 in e1s:
+        p = st.PeirceSystem(a, e1)
+        projected, bases = _reference_system(a, e1)
+        for ij in st.IJ_PAIRS:
+            assert [p.project(b, ij) for b in a.basis()] == projected[ij]
+        assert p.component_bases == bases
+
+
+@pytest.mark.parametrize("name", ["incompatible", "overlap"])
+def test_system_rejects_as_the_construction_from_both_idempotents(
+        name, request):
+    a = request.getfixturevalue(name)
+    e1 = a.basis_element(1 if name == "incompatible" else 0)
+    with pytest.raises(st.PeirceError) as ref:
+        _reference_system(a, e1)
+    with pytest.raises(st.PeirceError) as got:
+        st.PeirceSystem(a, e1)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("fixture,samples", [("m2_peirce", 100),
