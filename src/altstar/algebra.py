@@ -313,7 +313,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    algebra_name: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -356,11 +355,11 @@ def _witness(args: tuple, residual: Element) -> Optional[Witness]:
     return None if residual.is_zero() else Witness(args, residual)
 
 
-def _report(a: Algebra, *scans: Mapping[str, tuple]) -> AxiomReport:
+def _report(*scans: Mapping[str, tuple]) -> AxiomReport:
     """One CheckResult per law, in order; a law passes without a witness."""
-    return AxiomReport(a.name, tuple(CheckResult(name, w is None, w)
-                                     for found in scans
-                                     for name, (_, w) in found.items()))
+    return AxiomReport(tuple(CheckResult(name, w is None, w)
+                             for found in scans
+                             for name, (_, w) in found.items()))
 
 
 def check_alternative(a: Algebra) -> AxiomReport:
@@ -394,8 +393,8 @@ def check_alternative(a: Algebra) -> AxiomReport:
 
     left = scan("left_alternative_linearized", (1, 0, 2))
     right = scan("right_alternative_linearized", (0, 2, 1))
-    holds = _report(a, left, right).ok
-    return _report(a, left, right,
+    holds = _report(left, right).ok
+    return _report(left, right,
                    {"flexible_linearized": (0, None)} if holds
                    else scan("flexible_linearized", (2, 1, 0)))
 
@@ -415,7 +414,7 @@ def check_unit(a: Algebra) -> AxiomReport:
         return _witness(xy, x * y - (x + y - u))
 
     cases = (xy for b in a.basis() for xy in ((u, b), (b, u)))
-    return _report(a, first_witnesses(cases, {"two_sided_unit": law}))
+    return _report(first_witnesses(cases, {"two_sided_unit": law}))
 
 
 def check_involution(a: Algebra) -> AxiomReport:
@@ -435,7 +434,7 @@ def check_involution(a: Algebra) -> AxiomReport:
                         (basis[i] * basis[j]).star() - stars[j] * stars[i])
 
     return _report(
-        a, first_witnesses(range(a.dim), {"involutive": lambda k: _witness(
+        first_witnesses(range(a.dim), {"involutive": lambda k: _witness(
             (basis[k],), stars[k].star() - basis[k])}),
         first_witnesses([a.unit], {"unit_fixed": _unit_fixed}),
         first_witnesses(product(range(a.dim), repeat=2),
@@ -446,4 +445,4 @@ def check_axioms(a: Algebra) -> AxiomReport:
     """Unit, alternativity and involution checks in one report."""
     checks = (check_unit(a).checks + check_alternative(a).checks
               + check_involution(a).checks)
-    return AxiomReport(a.name, checks)
+    return AxiomReport(checks)

@@ -4,9 +4,11 @@ Subcommands: gen, check, peirce, spade, qprod, lemmas, mapcheck.
 Exit codes: 0 = all checks pass / not refuted, 1 = violation witnessed,
 2 = input or usage error.
 
-A report is its library dataclasses serialized field by field: one encoder
-writes each field in declaration order, so a field added to a report
-dataclass appears in every report that carries it.
+Each report field has one source: a command writes the envelope (the
+algebra or map, e1, n, samples, seed) from its arguments, and the library
+reports hold only results, which one encoder writes field by field in
+declaration order.  It hides only EntryRun.entry_id: lemmas nests each run
+under its entry's "id".
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from typing import Optional, Sequence
 from .algebra import Algebra, AlgebraError, Element, check_axioms
 from .formats import (algebra_to_dict, canonical_json, load_map_file,
                       resolve_algebra, scalar_list)
-from .jordan import (CatalogReport, audit_catalog, q_star,
-                     require_audit_range)
+from .jordan import audit_catalog, q_star, require_audit_range
 from .maps import (check_jordan_condition, check_star_ring_isomorphism,
                    require_condition_arity)
-from .peirce import (IJ_PAIRS, PeirceSystem, check_peirce_relations,
-                     spade_pair)
+from .peirce import (IJ_PAIRS, PeirceSystem, UnitLawError,
+                     check_peirce_relations, spade_pair)
 from .scalars import Scalar, ScalarError, parse_scalar
 
 
@@ -64,11 +65,15 @@ def pick_idempotent(a: Algebra, idem: dict[str, list[Scalar]],
         f"{what}: unknown idempotent name {text!r} (known: {known})")
 
 
-def build_peirce(a: Algebra, idem: dict[str, list[Scalar]],
+def build_peirce(source: str, a: Algebra, idem: dict[str, list[Scalar]],
                  text: str, what: str = "--e1") -> PeirceSystem:
+    """e1 as the option *what* names it; a unit law that fails is a defect
+    of the algebra, so its error names *source*, not the option."""
     e1 = pick_idempotent(a, idem, text, what)
     try:
         return PeirceSystem(a, e1)
+    except UnitLawError as exc:
+        raise CliInputError(f"{source}: {exc}") from exc
     except AlgebraError as exc:
         raise CliInputError(f"{what}: {exc}") from exc
 
@@ -85,9 +90,9 @@ def _encode(x):
     if hasattr(x, "__dataclass_fields__"):
         doc = {}
         for name in x.__dataclass_fields__:
-            # the only special cases: two fields the reports omit, and the
-            # verdict property, shown after the field it reads
-            if name not in ("entry_id", "map_name"):
+            # the only special cases: entry_id, which lemmas nests runs
+            # under, and the verdict property, after the field it reads
+            if name != "entry_id":
                 doc[name] = _encode(getattr(x, name))
             if name == "refuted":
                 doc["verdict"] = x.verdict
@@ -97,21 +102,6 @@ def _encode(x):
     if isinstance(x, dict):
         return {k: _encode(v) for k, v in sorted(x.items())}
     return x
-
-
-def catalog_report_dict(rep: CatalogReport) -> dict:
-    entries: dict[str, dict] = {}
-    for run in rep.runs:
-        entry = entries.setdefault(run.entry_id, {"id": run.entry_id,
-                                                  "runs": []})
-        entry["runs"].append(run)
-    return {
-        "algebra": rep.algebra_name,
-        "n_min": rep.n_min, "n_max": rep.n_max,
-        "samples": rep.samples, "seed": rep.seed,
-        "entries": _encode(list(entries.values())),
-        "derived_all_ok": rep.derived_all_ok,
-    }
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -144,7 +134,7 @@ def _cmd_check(args) -> tuple[int, Optional[dict]]:
 def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
     a, idem = resolve_algebra(args.algebra)
-    p = build_peirce(a, idem, args.e1)
+    p = build_peirce(args.algebra, a, idem, args.e1)
     rep = check_peirce_relations(p, args.samples, args.seed)
     dims = p.component_dims()
     doc = {
@@ -164,7 +154,7 @@ def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
 
 def _cmd_spade(args) -> tuple[int, Optional[dict]]:
     a, idem = resolve_algebra(args.algebra)
-    p = build_peirce(a, idem, args.e, what="--e")
+    p = build_peirce(args.algebra, a, idem, args.e, what="--e")
     r1, r2 = spade_pair(p)
     doc = {
         "command": "spade",
@@ -202,10 +192,22 @@ def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
     require_audit_range(args.n_min, args.n_max)
     a, idem = resolve_algebra(args.algebra)
-    p = build_peirce(a, idem, args.e1)
+    p = build_peirce(args.algebra, a, idem, args.e1)
     rep = audit_catalog(p, args.n_min, args.n_max, args.samples, args.seed)
-    doc = {"command": "lemmas", "e1": _encode(p.e1)}
-    doc.update(catalog_report_dict(rep))
+    entries: dict[str, dict] = {}
+    for run in rep.runs:
+        entry = entries.setdefault(run.entry_id, {"id": run.entry_id,
+                                                  "runs": []})
+        entry["runs"].append(run)
+    doc = {
+        "command": "lemmas",
+        "e1": _encode(p.e1),
+        "algebra": a.name,
+        "n_min": args.n_min, "n_max": args.n_max,
+        "samples": args.samples, "seed": args.seed,
+        "entries": _encode(list(entries.values())),
+        "derived_all_ok": rep.derived_all_ok,
+    }
     return (0 if rep.derived_all_ok else 1), doc
 
 
@@ -213,7 +215,8 @@ def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
     require_samples(args)
     require_condition_arity(args.n)
     phi, dom_idem = load_map_file(args.mapfile)
-    p = build_peirce(phi.domain, dom_idem, args.e1)
+    p = build_peirce(f"{args.mapfile}: domain", phi.domain, dom_idem,
+                     args.e1)
     jordan = check_jordan_condition(phi, p, args.n, args.samples, args.seed)
     iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)
     refuted = jordan.refuted or not iso.ok

@@ -511,11 +511,6 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
 
 @dataclass(frozen=True)
 class CatalogReport:
-    algebra_name: str
-    n_min: int
-    n_max: int
-    samples: int
-    seed: int
     runs: tuple[EntryRun, ...]
 
     @property
@@ -536,4 +531,4 @@ def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
     require_audit_range(n_min, n_max)
     runs = tuple(verify_identity(entry, p, n, samples, seed)
                  for entry in CATALOG for n in range(n_min, n_max + 1))
-    return CatalogReport(p.algebra.name, n_min, n_max, samples, seed, runs)
+    return CatalogReport(runs)

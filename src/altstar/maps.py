@@ -238,7 +238,6 @@ class MapWitness:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    map_name: str
     check: str
     n: Optional[int]
     samples_run: int
@@ -251,11 +250,11 @@ class ConditionReport:
                 else f"not refuted ({self.samples_run} samples)")
 
 
-def _reports(phi: AlgebraMap, n: Optional[int], cases: Iterable,
+def _reports(n: Optional[int], cases: Iterable,
              laws: dict) -> list[ConditionReport]:
     """One first-witness scan of the laws over the cases; a witness refutes
     its law, and samples_run counts the cases run up to it."""
-    return [ConditionReport(phi.name, check, n, run, w is not None, w)
+    return [ConditionReport(check, n, run, w is not None, w)
             for check, (run, w) in first_witnesses(cases, laws).items()]
 
 
@@ -298,12 +297,11 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
                 return MapWitness(f"xi={tag}", (a, b), lhs, rval)
         return None
 
-    return _reports(phi, n, cases, {"jordan_condition": law})[0]
+    return _reports(n, cases, {"jordan_condition": law})[0]
 
 
 @dataclass(frozen=True)
 class IsomorphismReport:
-    map_name: str
     checks: tuple[ConditionReport, ...]
 
     @property
@@ -328,7 +326,7 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
         "star_preservation": lambda a, b, fa, fb: ((a,), phi(a.star()),
                                                    fa.star()),
     }
-    reports = _reports(phi, None, _mapped_pairs(phi, peirce, samples, seed),
+    reports = _reports(None, _mapped_pairs(phi, peirce, samples, seed),
                        {check: partial(_equation, check, sides)
                         for check, sides in laws.items()})
 
@@ -336,7 +334,7 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                  witness: Callable[[], tuple]) -> ConditionReport:
         """A verdict decided in one step; witness() gives the failure's
         (inputs, lhs, rhs) and runs only when ok is false."""
-        return ConditionReport(phi.name, check, None, 0, not ok,
+        return ConditionReport(check, None, 0, not ok,
                                None if ok else MapWitness(check, *witness()))
 
     reports.append(one_shot("linear_part_bijective", bijective_claim(phi),
@@ -354,9 +352,10 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
 
     # block preservation phi(A_ij) in A'_ij for the image system; without a
     # nontrivial symmetric image idempotent there is no image system for
-    # the blocks to land in, so they are refuted outright
+    # the blocks to land in, so they are refuted outright.  f1 == e1 holds
+    # only when the codomain is the domain, whose system is already built
     if all(oks) and not infos[0].is_trivial:
-        cod_p = PeirceSystem(phi.codomain, f1)
+        cod_p = peirce if f1 == peirce.e1 else PeirceSystem(phi.codomain, f1)
 
         def block(case: tuple) -> Optional[MapWitness]:
             x, ij = case
@@ -376,9 +375,9 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                  for rng in (derive_rng(seed, "blocks", s)
                              for s in range(samples))
                  for ij in IJ_PAIRS if peirce.component_bases[ij])
-        reports += _reports(phi, None, cases, {"peirce_blocks": block})
+        reports += _reports(None, cases, {"peirce_blocks": block})
     else:
         reports.append(one_shot("peirce_blocks", False,
                                 lambda: ((), f1, f1)))
 
-    return IsomorphismReport(phi.name, tuple(reports))
+    return IsomorphismReport(tuple(reports))

@@ -46,6 +46,10 @@ class PeirceError(AlgebraError):
     pass
 
 
+class UnitLawError(PeirceError):
+    """The algebra's declared unit fails a unit law, whatever e1 is."""
+
+
 @dataclass(frozen=True)
 class IdempotentInfo:
     is_idempotent: bool
@@ -110,7 +114,8 @@ class PeirceSystem:
         for law, w in unit_laws.items():
             if w is not None:
                 args = ", ".join(map(repr, w.args))
-                raise PeirceError(f"the declared unit fails {law} at ({args})")
+                raise UnitLawError(
+                    f"the declared unit fails {law} at ({args})")
         info = classify_idempotent(algebra, e1)
         if not info.is_idempotent:
             raise PeirceError("e1 is not idempotent")
@@ -225,9 +230,6 @@ _RELATIONS = _relation_table()
 
 @dataclass(frozen=True)
 class PeirceRelationsReport:
-    algebra_name: str
-    samples: int
-    seed: int
     checks: tuple[CheckResult, ...]
     offdiag_product_witness: Optional[Witness]  # nonzero x12*y12 if seen
 
@@ -276,8 +278,7 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
     witness = {name: w for name, (_, w) in found.items()}
     checks = tuple(CheckResult(name, witness.get(name) is None,
                                witness.get(name)) for name, *_ in _RELATIONS)
-    return PeirceRelationsReport(p.algebra.name, samples, seed, checks,
-                                 witness.get("offdiag"))
+    return PeirceRelationsReport(checks, witness.get("offdiag"))
 
 
 @dataclass(frozen=True)

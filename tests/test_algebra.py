@@ -326,7 +326,7 @@ def _partner_loop(a):
                 r = base + a.associator(*(t[k] for k in perm))
                 if not r.is_zero():
                     found[name] = Witness(t, r)
-    return AxiomReport(a.name, tuple(
+    return AxiomReport(tuple(
         CheckResult(name, name not in found, found.get(name))
         for name, _ in partners))
 
@@ -334,8 +334,8 @@ def _partner_loop(a):
 def _element_path_involution(a):
     """Reference: the involution laws with every star remade per case."""
     ref = _reference_involution(a)
-    return AxiomReport(a.name, tuple(CheckResult(name, w is None, w)
-                                     for name, w in ref.items()))
+    return AxiomReport(tuple(CheckResult(name, w is None, w)
+                             for name, w in ref.items()))
 
 
 def _assert_scans_match_references(a):

@@ -177,6 +177,32 @@ def test_mapcheck_positive(tmp_path, zorn):
     assert all(c["refuted"] is False for c in doc["isomorphism_checks"])
 
 
+def test_a_map_that_fixes_e1_builds_one_peirce_system(tmp_path, zorn, m2,
+                                                      monkeypatch):
+    # the rotation fixes e1, so its image system is the domain system; the
+    # swap sends E11 to E22 and needs a second one
+    built = []
+    init = st.PeirceSystem.__init__
+
+    def counted(self, algebra, e1):
+        built.append(e1)
+        init(self, algebra, e1)
+
+    monkeypatch.setattr(st.PeirceSystem, "__init__", counted)
+    rot = _write_map(tmp_path, st.zorn_rotation_map(zorn), "rot.map")
+    swap = tmp_path / "swap.map"
+    swap.write_text(canonical_json(map_to_dict(
+        st.matrix_swap_conjugation(m2), "matrix:2", "matrix:2")),
+        encoding="utf-8")
+    counts = []
+    for path in (rot, str(swap)):
+        built.clear()
+        code, _ = run_json(["mapcheck", path, "--samples", "20"])
+        assert code == 0
+        counts.append(len(built))
+    assert counts == [1, 2]
+
+
 def test_mapcheck_negative_and_deterministic(tmp_path, zorn):
     u1 = zorn.basis_element(2)
     bad = st.patched_map(st.identity_map(zorn), {u1: u1.scale(st.TWO)},
@@ -338,16 +364,32 @@ def test_malformed_scalar_literal_exits_2(tmp_path, source):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
+def _run_on_algebra_file(tmp_path, command, path):
+    """(exit code, stdout, stderr) of command on the algebra file at path,
+    and the source its unit-law errors name: the file, or for mapcheck the
+    identity map's domain."""
+    if command != "mapcheck":
+        return run([command, path]), path
+    a, _ = st.resolve_algebra(path)
+    map_path = tmp_path / "id.map"
+    map_path.write_text(canonical_json(map_to_dict(st.identity_map(a), path,
+                                                   path)), encoding="utf-8")
+    return run(["mapcheck", str(map_path)]), f"{map_path}: domain"
+
+
+UNIT_LAW_COMMANDS = ["peirce", "spade", "lemmas", "mapcheck"]
+
+
+@pytest.mark.parametrize("command", UNIT_LAW_COMMANDS)
 def test_unit_that_does_not_recombine_exits_2(tmp_path, command):
     # e1 = E11 is still a symmetric idempotent and every Peirce component
     # stays 1-dimensional, but the four projections of b sum to u (b u);
-    # the unit law rejects the file first and names its witness pair
+    # the unit law rejects the file first and names its witness pair.  The
+    # defect is the file's, so the error names the file, not --e1 or --e
     path = _matrix2_file(tmp_path, "m2.alg", unit=["1", "0", "0", "2"])
-    code, out, err = run([command, path])
+    (code, out, err), source = _run_on_algebra_file(tmp_path, command, path)
     assert code == 2
-    what = "--e" if command == "spade" else "--e1"
-    assert err.splitlines() == [f"error: {what}: the declared unit fails "
+    assert err.splitlines() == [f"error: {source}: the declared unit fails "
                                 "two_sided_unit at (1*E12, 1*E11 + 2*E22)"]
     assert out == ""
 
@@ -359,17 +401,16 @@ def _algebra_file(tmp_path, a, e1):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
+@pytest.mark.parametrize("command", UNIT_LAW_COMMANDS)
 def test_unit_that_star_moves_exits_2(tmp_path, star_moved_unit, command):
     # e1 = f1 is a symmetric idempotent, yet e2 = 1 - e1 is not symmetric:
     # a malformed file, not a refutation
     a = star_moved_unit
-    code, out, err = run([command, _algebra_file(tmp_path, a,
-                                                 a.basis_element(0))])
+    path = _algebra_file(tmp_path, a, a.basis_element(0))
+    (code, out, err), source = _run_on_algebra_file(tmp_path, command, path)
     assert code == 2
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:")
-    assert "unit_fixed at (1*f1 + 1*f2)" in err
+    assert err.splitlines() == [f"error: {source}: the declared unit fails "
+                                "unit_fixed at (1*f1 + 1*f2)"]
     assert out == ""
 
 
@@ -525,14 +566,39 @@ def contract_files(tmp_path_factory, m2):
     return ((algebra, base / "m2.alg"), (identity, base / "id.map"))
 
 
+# a scalar literal or an index one step away from a valid one
+NEAR_VALUES = (hst.sampled_from(["0", "1", "-1", "2", "1/2", "0+1i", "1/0",
+                                 "1/2-1i", "e1"])
+               | hst.integers(-1, 5))
+
+
+def _leaves(x, path=()):
+    """The path to each scalar or index inside x."""
+    if not isinstance(x, (list, dict)):
+        yield path
+        return
+    for key, value in (x.items() if isinstance(x, dict) else enumerate(x)):
+        yield from _leaves(value, path + (key,))
+
+
 def _perturb(data, doc):
-    """A copy of doc with a top-level field, or one item in it, replaced by
-    a random JSON value."""
+    """A copy of doc with one value replaced: a top-level field or one item
+    in it by a random JSON value, or one scalar or index inside a field (a
+    unit or star scalar, a structure index, an idempotent coordinate, a map
+    matrix entry) by a near one."""
     doc = json.loads(json.dumps(doc))
-    key = data.draw(hst.sampled_from(sorted(doc)))
+    nested = [key for key in sorted(doc) if isinstance(doc[key], (list, dict))
+              and doc[key]]
+    how = data.draw(hst.sampled_from(["leaf", "item", "field"]))
+    key = data.draw(hst.sampled_from(nested if how != "field"
+                                     else sorted(doc)))
     field = doc[key]
-    if isinstance(field, (list, dict)) and field \
-            and data.draw(hst.booleans()):
+    if how == "leaf":
+        *path, last = data.draw(hst.sampled_from(list(_leaves(field))))
+        for step in path:
+            field = field[step]
+        field[last] = data.draw(NEAR_VALUES)
+    elif how == "item":
         inner = data.draw(hst.sampled_from(
             range(len(field)) if isinstance(field, list) else sorted(field)))
         field[inner] = data.draw(JSON_VALUES)
@@ -541,10 +607,11 @@ def _perturb(data, doc):
     return doc
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=hst.data())
 def test_malformed_files_keep_the_exit_code_contract(contract_files, data):
-    # 0 = pass, 1 = witness, 2 = input error; an escaping exception fails
+    # 0 = pass, 1 = witness, both with one JSON report and a silent stderr;
+    # 2 = input error, with one error line; an escaping exception fails
     (algebra, alg_path), (identity, map_path) = contract_files
     alg_path.write_text(canonical_json(_perturb(data, algebra)),
                         encoding="utf-8")
@@ -554,7 +621,12 @@ def test_malformed_files_keep_the_exit_code_contract(contract_files, data):
     runs.append(["mapcheck", str(map_path), "--samples", "3"])
     for args in runs:
         code, out, err = run(args)
-        assert code in (0, 1, 2), (args, err)
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1 \
+                and err.startswith("error: "), (args, err)
+        else:
+            assert code in (0, 1) and err == "", (args, code, err)
+            json.loads(out)
 
 
 def test_installed_entry_point():

@@ -118,8 +118,7 @@ def _reference_peirce_relations(p, samples, seed):
                 failures[name] = Witness(args, value)
     checks = tuple(CheckResult(name, name not in failures, failures.get(name))
                    for name, *_ in _RELATIONS)
-    return PeirceRelationsReport(p.algebra.name, samples, seed, checks,
-                                 offdiag_witness)
+    return PeirceRelationsReport(checks, offdiag_witness)
 
 
 def _reference_verify_identity(entry, p, n, samples, seed):
@@ -156,15 +155,15 @@ def _reference_verify_identity(entry, p, n, samples, seed):
                     derived_bad, display_bad)
 
 
-def _first_refutation(phi, check, n, cases, law):
+def _first_refutation(check, n, cases, law):
     """One law over its own cases; the first witness refutes the map."""
     run = 0
     for case in cases:
         run += 1
         w = law(*case)
         if w is not None:
-            return ConditionReport(phi.name, check, n, run, True, w)
-    return ConditionReport(phi.name, check, n, run, False, None)
+            return ConditionReport(check, n, run, True, w)
+    return ConditionReport(check, n, run, False, None)
 
 
 def _reference_jordan_condition(phi, p, n, samples, seed):
@@ -183,7 +182,7 @@ def _reference_jordan_condition(phi, p, n, samples, seed):
                 return MapWitness(f"xi={tag}", (a, b), lhs, rval)
         return None
 
-    return _first_refutation(phi, "jordan_condition", n,
+    return _first_refutation("jordan_condition", n,
                              _pairs(pool, samples, seed), law)
 
 
@@ -205,7 +204,7 @@ def _reference_scanned_isomorphism_checks(phi, p, samples, seed):
             return None if (w.lhs - w.rhs).is_zero() else w
         return law
 
-    reports = {check: _first_refutation(phi, check, None,
+    reports = {check: _first_refutation(check, None,
                                         _pairs(pool, samples, seed),
                                         equation(check))
                for check in sides}
@@ -234,7 +233,7 @@ def _reference_scanned_isomorphism_checks(phi, p, samples, seed):
         return MapWitness(f"peirce_block_{ij[0]}{ij[1]}", (x,), img,
                           img - bad)
 
-    reports["peirce_blocks"] = _first_refutation(phi, "peirce_blocks", None,
+    reports["peirce_blocks"] = _first_refutation("peirce_blocks", None,
                                                  blocks(), block)
     return reports
 

@@ -1,7 +1,8 @@
 """Source hygiene, decided with the standard library alone: no unused
 imports in the package or the tests, no typing generic built at run time in
-the package, no package code but ``cli.main`` writing to stdout, and the
-package exports exactly what its __init__ imports from its submodules."""
+the package, no package code but ``cli.main`` writing to stdout, the
+package exports exactly what its __init__ imports from its submodules, and
+the README's library quick start runs as written."""
 
 import ast
 import pathlib
@@ -185,3 +186,14 @@ def test_all_lists_exactly_the_names_imported_from_submodules():
                 for alias in node.names]
     public = [name for name in imported if not name.startswith("_")]
     assert sorted(st.__all__) == sorted(public)
+
+
+def test_readme_library_quick_start_runs():
+    # the block asserts its own claims; it pins the documented report API
+    # (offdiag_product_witness, ok, derived_all_ok, runs, entry_id)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["audit"].runs and scope["flagged"]

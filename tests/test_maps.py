@@ -398,10 +398,9 @@ def _reference_condition(phi, p, n, samples, seed):
             rval = st.q_star(cod + [img_a, img_b])
             if not (lhs - rval).is_zero():
                 w = st.MapWitness(f"xi={tag}", (a, b), lhs, rval)
-                return st.ConditionReport(phi.name, "jordan_condition", n,
-                                          run, True, w)
-    return st.ConditionReport(phi.name, "jordan_condition", n, run, False,
-                              None)
+                return st.ConditionReport("jordan_condition", n, run, True,
+                                          w)
+    return st.ConditionReport("jordan_condition", n, run, False, None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])

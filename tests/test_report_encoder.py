@@ -4,7 +4,9 @@ A report used to be written by six hand-made serializers, each copying the
 fields of one report dataclass key by key.  They are kept here as the
 reference: the encoder gives the same JSON on report objects built directly,
 covering every witness and None combination, and on real failing runs; and
-each report emits exactly its dataclass fields, in declaration order.
+each report emits exactly its dataclass fields, in declaration order.  The
+lemmas envelope (algebra, n range, samples, seed) comes from the command's
+arguments, so the catalog reference is compared with a lemmas report.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import pytest
 
 import altstar as st
 from altstar.algebra import CheckResult, Witness, check_axioms
-from altstar.cli import _encode, build_peirce, catalog_report_dict
+from altstar.cli import _encode, build_peirce, run_cli
 from altstar.formats import canonical_json, load_map_file, scalar_list
 from altstar.jordan import EntryRun, IdentitySample
 from altstar.maps import (ConditionReport, MapWitness, check_jordan_condition,
@@ -61,16 +63,16 @@ def _entry_run_dict(r):
             "display_counterexample": _sample_dict(r.display_counterexample)}
 
 
-def _catalog_report_dict(rep):
+def _catalog_report_dict(rep, algebra, n_min, n_max, samples, seed):
     entries = {}
     for run in rep.runs:
         entry = entries.setdefault(run.entry_id, {"id": run.entry_id,
                                                   "runs": []})
         entry["runs"].append(_entry_run_dict(run))
     return {
-        "algebra": rep.algebra_name,
-        "n_min": rep.n_min, "n_max": rep.n_max,
-        "samples": rep.samples, "seed": rep.seed,
+        "algebra": algebra,
+        "n_min": n_min, "n_max": n_max,
+        "samples": samples, "seed": seed,
         "entries": list(entries.values()),
         "derived_all_ok": rep.derived_all_ok,
     }
@@ -149,7 +151,7 @@ def _map_witnesses(zorn):
 
 
 def _condition_reports(zorn):
-    return [ConditionReport("phi", "star_preservation", n, run, refuted, w)
+    return [ConditionReport("star_preservation", n, run, refuted, w)
             for n in (None, 3) for run in (0, 7)
             for refuted, w in ([(False, None)]
                                + [(True, w) for w in _map_witnesses(zorn)])]
@@ -167,8 +169,7 @@ def test_encoder_matches_the_reference_on_built_reports(cls, zorn):
 
 @pytest.mark.parametrize("cls", list(BUILT), ids=lambda c: c.__name__)
 def test_report_keys_are_its_dataclass_fields(cls, zorn):
-    names = [f.name for f in dataclasses.fields(cls)
-             if f.name not in ("entry_id", "map_name")]
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "entry_id"]
     if cls is ConditionReport:
         names.insert(names.index("refuted") + 1, "verdict")
     for r in BUILT[cls](zorn):
@@ -198,8 +199,13 @@ def test_encoder_matches_the_reference_on_a_failing_catalog(zorn_peirce):
     rep = st.audit_catalog(zorn_peirce, 2, 4, samples=3, seed=1)
     assert any(r.display_counterexample is not None for r in rep.runs)
     assert any(r.skipped is not None for r in rep.runs)
-    assert canonical_json(catalog_report_dict(rep)) \
-        == canonical_json(_catalog_report_dict(rep))
+    code, doc = run_cli(["lemmas", "zorn", "--n-min", "2", "--n-max", "4",
+                         "--samples", "3", "--seed", "1"])
+    assert code == (0 if rep.derived_all_ok else 1)
+    assert doc.pop("command") == "lemmas"
+    assert doc.pop("e1") == _coords(zorn_peirce.e1)
+    assert canonical_json(doc) \
+        == canonical_json(_catalog_report_dict(rep, "zorn", 2, 4, 3, 1))
 
 
 @pytest.mark.parametrize("seed", [1, 7919])
@@ -214,7 +220,7 @@ def test_encoder_matches_the_reference_on_golden_maps(seed, tmp_path,
         n, samples, job_seed = (int(opts[k])
                                 for k in ("--n", "--samples", "--seed"))
         phi, idem = load_map_file(job.argv[1])
-        p = build_peirce(phi.domain, idem, "e1")
+        p = build_peirce(job.argv[1], phi.domain, idem, "e1")
         reports = (check_jordan_condition(phi, p, n, samples, job_seed),
                    *check_star_ring_isomorphism(phi, p, samples,
                                                 job_seed).checks)
