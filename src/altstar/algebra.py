@@ -20,10 +20,12 @@ triples; over a field of characteristic zero that is equivalent to the
 alternative laws themselves (substitute y = x to recover them, and the
 linearization of a quadratic identity is sum-of-substitutions).  Every law
 is one scan of ``first_witnesses``, the engine that also serves the Peirce
-relations, the identity catalog and the map checks: the basis products and
-basis stars are made once per check, and a linearized law, whose residual
-is symmetric under its swap of two slots, scans only the triples
-t <= swap(t).
+relations, the identity catalog and the map checks.  A linearized law,
+whose residual is symmetric under its swap of two slots, scans only the
+triples t <= swap(t).  Its residual on a basis triple is summed straight
+from the tensor cells b_i b_j, with the symmetric cells
+b_i b_j + b_j b_i made once per check, and an Element is built only for
+a witness; the basis stars are made once per check.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from operator import or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
+
+# the nonzero coefficients (k, re, im) of one basis product b_i b_j
+Cell = tuple[tuple[int, int, int], ...]
 
 
 class AlgebraError(ValueError):
@@ -362,41 +367,99 @@ def _report(*scans: Mapping[str, tuple]) -> AxiomReport:
                              for name, (_, w) in found.items()))
 
 
+def _cell_sum(x: Cell, y: Cell) -> Cell:
+    """The sum of two tensor cells, with its zero entries dropped."""
+    acc: dict[int, tuple[int, int]] = {}
+    for k, p, q in x + y:
+        r, s = acc.get(k, (0, 0))
+        acc[k] = (r + p, s + q)
+    return tuple((k, p, q) for k, (p, q) in sorted(acc.items()) if p or q)
+
+
+def _cell_element(a: Algebra, cell: Cell) -> Element:
+    """The basis product whose tensor cell is *cell*, as an element."""
+    re = [0] * a.dim
+    im = [0] * a.dim
+    for k, p, q in cell:
+        re[k] = p
+        im[k] = q
+    return _element(a, re, im, a._den)
+
+
 def check_alternative(a: Algebra) -> AxiomReport:
     """Linearized left/right alternative and flexible laws over basis triples.
 
     Each law swaps two slots of a triple t and has the residual
-    assoc(t) + assoc(swap(t)).  The basis products are made once, so an
-    associator is two products.  The residual at swap(t) equals the one at
-    t, so each law scans only the triples with t <= swap(t), in product
-    order, and its first witness is the first failing triple of all.
+    assoc(t) + assoc(swap(t)).  The residual at swap(t) equals the one at
+    t, so each law scans only the triples with t <= swap(t) (the first
+    swapped slot at most the second), in product order, and its first
+    witness is the first failing triple of all.
+
+    A residual is summed straight from the tensor cells: with
+    cell(i, j) the coefficients of b_i b_j, (c) b_k sums c^m cell(m, k)
+    and b_i (c) sums c^m cell(i, m), over numerators on den^2.  With the
+    symmetric cells S_ij = cell(i, j) + cell(j, i), made once per check,
+    left and right are three such passes each:
+
+        left(i, j, k)  = (S_ij) b_k - b_i (b_j b_k) - b_j (b_i b_k)
+        right(i, j, k) = (b_i b_j) b_k + (b_i b_k) b_j - b_i (S_jk)
+
+    and flexible, (b_i b_j) b_k + (b_k b_j) b_i - b_i (b_j b_k)
+    - b_k (b_j b_i), is four.  No Element is made except for a witness.
 
     The flexible law is scanned only when the left or the right law fails:
     the swaps (0 1) and (1 2) generate S3, so an associator that changes
     sign under both changes sign under (0 2) as well (Schafer, ch. III).
     """
-    basis = a.basis()
-    prods = [[x * y for y in basis] for x in basis]
+    n, rows, basis = a.dim, a._rows, a.basis()
+    cols = [[rows[m][k] for m in range(n)] for k in range(n)]
+    sym = [[_cell_sum(rows[i][j], rows[j][i]) for j in range(n)]
+           for i in range(n)]
+    den = a._den * a._den
 
-    def assoc(i: int, j: int, k: int) -> Element:
-        return prods[i][j] * basis[k] - basis[i] * prods[j][k]
+    def residual(*passes: tuple[Cell, Sequence[Cell], int]
+                 ) -> tuple[list[int], list[int]]:
+        # pass (c, cells, sign) adds sign * sum_m c^m cells[m]
+        re = [0] * n
+        im = [0] * n
+        for coeffs, cells, sign in passes:
+            for m, p, q in coeffs:
+                if sign < 0:
+                    p, q = -p, -q
+                for k, c, d in cells[m]:
+                    re[k] += p * c - q * d
+                    im[k] += p * d + q * c
+        return re, im
 
-    def scan(name: str, swap: tuple[int, int, int]) -> dict:
-        def law(t: tuple[int, int, int]) -> Optional[Witness]:
-            r = assoc(*t) + assoc(*(t[s] for s in swap))
-            return None if r.is_zero() else Witness(
-                tuple(basis[k] for k in t), r)
+    def left(i: int, j: int, k: int):
+        return residual((sym[i][j], cols[k], 1), (rows[j][k], rows[i], -1),
+                        (rows[i][k], rows[j], -1))
 
-        return first_witnesses((t for t in product(range(a.dim), repeat=3)
-                                if t <= tuple(t[s] for s in swap)),
-                               {name: law})
+    def right(i: int, j: int, k: int):
+        return residual((rows[i][j], cols[k], 1), (rows[i][k], cols[j], 1),
+                        (sym[j][k], rows[i], -1))
 
-    left = scan("left_alternative_linearized", (1, 0, 2))
-    right = scan("right_alternative_linearized", (0, 2, 1))
-    holds = _report(left, right).ok
-    return _report(left, right,
+    def flexible(i: int, j: int, k: int):
+        return residual((rows[i][j], cols[k], 1), (rows[k][j], cols[i], 1),
+                        (rows[j][k], rows[i], -1), (rows[j][i], rows[k], -1))
+
+    def scan(name: str, sums: Callable, s: int, t: int) -> dict:
+        # t <= swap(t) in product order iff slot s <= slot t (s < t)
+        def law(ijk: tuple[int, int, int]) -> Optional[Witness]:
+            re, im = sums(*ijk)
+            return Witness(tuple(basis[k] for k in ijk),
+                           _element(a, re, im, den)) \
+                if any(re) or any(im) else None
+
+        return first_witnesses((ijk for ijk in product(range(n), repeat=3)
+                                if ijk[s] <= ijk[t]), {name: law})
+
+    found = (scan("left_alternative_linearized", left, 0, 1),
+             scan("right_alternative_linearized", right, 1, 2))
+    holds = _report(*found).ok
+    return _report(*found,
                    {"flexible_linearized": (0, None)} if holds
-                   else scan("flexible_linearized", (2, 1, 0)))
+                   else scan("flexible_linearized", flexible, 0, 2))
 
 
 def _unit_fixed(u: Element) -> Optional[Witness]:
@@ -421,7 +484,8 @@ def check_involution(a: Algebra) -> AxiomReport:
     """star is involutive, unit-fixing and an anti-automorphism on products.
 
     The star of each basis vector is made once: involutive reads the star
-    of b*, and anti_automorphism compares (x y)* with y* x*.
+    of b*, and anti_automorphism compares (b_i b_j)*, with b_i b_j read off
+    its tensor cell, with b_j* b_i*.
     Conjugate-linearity holds by construction (star is a fixed matrix applied
     to conjugated coordinates), so it is not re-checked here.
     """
@@ -431,7 +495,8 @@ def check_involution(a: Algebra) -> AxiomReport:
     def anti_automorphism(ij: tuple[int, int]) -> Optional[Witness]:
         i, j = ij
         return _witness((basis[i], basis[j]),
-                        (basis[i] * basis[j]).star() - stars[j] * stars[i])
+                        _cell_element(a, a._rows[i][j]).star()
+                        - stars[j] * stars[i])
 
     return _report(
         first_witnesses(range(a.dim), {"involutive": lambda k: _witness(

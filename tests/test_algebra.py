@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import altstar as st
+import altstar.algebra as algebra_module
 from altstar.algebra import (AxiomReport, CheckResult, Algebra, Witness,
                              check_axioms)
 from altstar.sampling import derive_rng, random_element
@@ -345,13 +346,34 @@ def _assert_scans_match_references(a):
     return alt, inv
 
 
+def _unimodular(dim):
+    """A fixed dense unit-lower times unit-upper matrix with entries from
+    {-1, 0, 1} + {-1, 0, 1} i, so every new basis vector mixes old ones."""
+    def entry(r, c):
+        return Scalar((r + 2 * c) % 3 - 1, (2 * r + c) % 3 - 1)
+
+    lower = [[ONE if r == c else entry(r, c) if r > c else ZERO
+              for c in range(dim)] for r in range(dim)]
+    upper = [[ONE if r == c else entry(c, r) if r < c else ZERO
+              for c in range(dim)] for r in range(dim)]
+    return [[sum((lower[r][t] * upper[t][c] for t in range(dim)), ZERO)
+             for c in range(dim)] for r in range(dim)]
+
+
+def _dense(spec):
+    a = st.resolve_algebra(spec)[0]
+    return st.change_of_basis(a, _unimodular(a.dim), name=f"{spec}~")
+
+
 @pytest.mark.parametrize("spec", [
     "zorn", "matrix:1", "matrix:2", "matrix:3", "matrix:4", "cd:",
     "cd:-1", "cd:-1,2", "cd:-1,-1,-1", "cd:-1,-1,-1,-1", "cd:1,2,3,-1",
-    "dsum:zorn,matrix:2", "zorn~"])
+    "dsum:zorn,matrix:2", "zorn~", "matrix:3~", "cd:-1,-1,-1~"])
 def test_table_scans_match_the_element_path(spec, zorn_transported):
     if spec == "zorn~":
         a = zorn_transported
+    elif spec.endswith("~"):
+        a = _dense(spec[:-1])
     elif spec.startswith("cd:"):
         a = st.cayley_dickson([Scalar(int(g)) for g in spec[3:].split(",")
                                if g])
@@ -365,17 +387,20 @@ def test_table_scans_match_the_element_path(spec, zorn_transported):
 
 
 _SMALL = hst.builds(Scalar, hst.integers(-1, 1), hst.integers(-1, 1))
+# halves and thirds: the tensor's common denominator is 2, 3 or 6
+_FRACTIONS = hst.builds(Scalar, hst.integers(-2, 2), hst.integers(-2, 2),
+                        hst.sampled_from((2, 3)))
 
 
 @hst.composite
-def _random_star_algebras(draw):
-    """dim 1-4, sparse Gaussian-integer structure constants, a random unit
-    and either entrywise conjugation or a random star matrix."""
+def _random_star_algebras(draw, constants=_SMALL):
+    """dim 1-4, sparse structure constants drawn from *constants*, a random
+    unit and either entrywise conjugation or a random star matrix."""
     dim = draw(hst.integers(1, 4))
     triples = list(itertools.product(range(dim), repeat=3))
     keys = draw(hst.lists(hst.sampled_from(triples), max_size=2 * dim * dim,
                           unique=True))
-    structure = {t: draw(_SMALL) for t in keys}
+    structure = {t: draw(constants) for t in keys}
     unit = draw(hst.lists(_SMALL, min_size=dim, max_size=dim))
     if draw(hst.booleans()):
         star = [[ONE if r == c else ZERO for c in range(dim)]
@@ -425,6 +450,25 @@ def test_flexible_follows_from_left_and_right_on_random_algebras():
     assert sum(dim > 1 for dim in corollary) >= 10
 
 
+def test_kernel_matches_the_partner_loop_over_fractional_constants():
+    # residuals are summed over den^2; a witness must come out the same as
+    # the Element path's on tensors whose common denominator is not 1
+    refuted = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              database=None)
+    @given(_random_star_algebras(_FRACTIONS))
+    def scan(a):
+        rep = st.check_alternative(a)
+        assert rep == _partner_loop(a)
+        refuted.update((c.name, a._den) for c in rep.checks if not c.passed)
+
+    scan()
+    for name in ("left_alternative_linearized",
+                 "right_alternative_linearized", "flexible_linearized"):
+        assert {den for n, den in refuted if n == name} >= {2, 3, 6}, name
+
+
 def _signed_table(dim, signs):
     """Structure constants +-1 at the given (i, j, k), the identity star and
     the unit b0 (which the laws below never read)."""
@@ -461,20 +505,60 @@ def _count(monkeypatch, method):
     return calls
 
 
-@pytest.mark.parametrize("spec,products,stars", [
-    ("zorn", 2368, 81), ("matrix:3", 3321, 100)])
-def test_basis_products_and_stars_are_made_once(spec, products, stars,
-                                                monkeypatch):
-    # dim^2 products for the table, then four per case of the left and
-    # the right law, whose cases are the dim^2 (dim + 1) / 2 triples
-    # t <= swap(t); flexible is not scanned when both pass.  A passing
-    # involution check makes dim stars for the table, dim for b**, one
-    # for the unit and dim^2 for (x y)*
+def _count_cases(monkeypatch):
+    """Cases run per law: wraps each law that first_witnesses receives."""
+    runs = {}
+    original = algebra_module.first_witnesses
+
+    def counted(cases, laws):
+        def wrap(name, law):
+            def run(case):
+                runs[name] = runs.get(name, 0) + 1
+                return law(case)
+            return run
+        return original(cases, {n: wrap(n, law) for n, law in laws.items()})
+
+    monkeypatch.setattr(algebra_module, "first_witnesses", counted)
+    return runs
+
+
+@pytest.mark.parametrize("spec,flexible", [
+    ("zorn", False), ("matrix:3", False), ("matrix:8", False),
+    ("cd:-1,-1,-1,-1", True)])
+def test_alternative_kernel_makes_no_products(spec, flexible, monkeypatch):
+    # every residual is summed over the tensor cells: no multiply at all.
+    # A passing law runs each of the dim^2 (dim + 1) / 2 triples with
+    # t <= swap(t) once (133120 on matrix:8); flexible is scanned only
+    # when left or right fails, as on the sedenions
     a, _ = st.resolve_algebra(spec)
     n = a.dim
     multiplies = _count(monkeypatch, "multiply")
-    assert st.check_alternative(a).ok
-    assert len(multiplies) == products == n * n + 2 * 4 * n * n * (n + 1) // 2
+    runs = _count_cases(monkeypatch)
+    rep = st.check_alternative(a)
+    assert multiplies == []
+    assert ("flexible_linearized" in runs) == flexible
+    triples = n * n * (n + 1) // 2
+    for c in rep.checks:
+        if c.passed and c.name in runs:
+            assert runs[c.name] == triples, c.name
+    if spec == "matrix:8":
+        assert rep.ok and runs == dict.fromkeys(
+            ("left_alternative_linearized", "right_alternative_linearized"),
+            133120)
+    if flexible:
+        assert [c.passed for c in rep.checks] == [False, False, True]
+
+
+@pytest.mark.parametrize("spec,stars", [("zorn", 81), ("matrix:3", 100)])
+def test_involution_reads_basis_products_off_the_tensor(spec, stars,
+                                                        monkeypatch):
+    # a passing involution check makes dim stars for the table, dim for
+    # b**, one for the unit and dim^2 for (b_i b_j)*, with b_i b_j read off
+    # its tensor cell: its only products are the dim^2 b_j* b_i*
+    a, _ = st.resolve_algebra(spec)
+    n = a.dim
+    multiplies = _count(monkeypatch, "multiply")
     stars_made = _count(monkeypatch, "star")
     assert st.check_involution(a).ok
     assert len(stars_made) == stars == 2 * n + 1 + n * n
+    assert len(multiplies) == n * n
