@@ -10,9 +10,9 @@ the only file this writes in the checkout is ``--out`` (each run also
 writes its own ``perfbench/out/`` inside the temporary export).  For every
 seed and workload it runs PAIRS base/head pairs at ``--trace 0``,
 alternating which revision goes first, and one pair at ``--trace 1``, whose
-counters repeat exactly from run to run.  The output holds every run's result line and
-per-job medians, both git revs, the Python version and ``nproc``, and a
-summary: per metric, the median of each revision, the quartiles of the
+counters repeat exactly from run to run.  The output holds every run's
+result line and per-job medians, both git revs, the Python version and
+``nproc``, and a summary: per metric, the median of each revision, the quartiles of the
 base runs and how many pairs HEAD won (the direction is read from
 ``BENCHMARK.json``).  Standard library only.
 """
