@@ -443,16 +443,17 @@ def check_alternative(a: Algebra) -> AxiomReport:
         return residual((rows[i][j], cols[k], 1), (rows[k][j], cols[i], 1),
                         (rows[j][k], rows[i], -1), (rows[j][i], rows[k], -1))
 
-    def scan(name: str, sums: Callable, s: int, t: int) -> dict:
-        # t <= swap(t) in product order iff slot s <= slot t (s < t)
-        def law(ijk: tuple[int, int, int]) -> Optional[Witness]:
-            re, im = sums(*ijk)
-            return Witness(tuple(basis[k] for k in ijk),
-                           _element(a, re, im, den)) \
-                if any(re) or any(im) else None
+    def scan(name: str, sums: Callable, lo: int, hi: int) -> dict:
+        # the law swaps slots lo < hi, so t <= swap(t) iff t[lo] <= t[hi]
+        def law(t: tuple[int, int, int]) -> Optional[Witness]:
+            re, im = sums(*t)
+            if any(re) or any(im):
+                return Witness(tuple(basis[k] for k in t),
+                               _element(a, re, im, den))
+            return None
 
-        return first_witnesses((ijk for ijk in product(range(n), repeat=3)
-                                if ijk[s] <= ijk[t]), {name: law})
+        return first_witnesses((t for t in product(range(n), repeat=3)
+                                if t[lo] <= t[hi]), {name: law})
 
     found = (scan("left_alternative_linearized", left, 0, 1),
              scan("right_alternative_linearized", right, 1, 2))
