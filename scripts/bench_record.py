@@ -1,6 +1,6 @@
 """Run the benchmark on a base revision and on HEAD, and record both.
 
-    python3 scripts/bench_record.py BASE --out BENCH_17.json
+    python3 scripts/bench_record.py BASE --out BENCH_<n>.json
     python3 scripts/bench_record.py BASE --out pairs.json \\
         --workloads falsify --seeds 1 --traces 0 --pairs 10
 

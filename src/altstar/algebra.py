@@ -38,9 +38,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
-# the nonzero coefficients (k, re, im) of one basis product b_i b_j
-Cell = tuple[tuple[int, int, int], ...]
-
 
 class AlgebraError(ValueError):
     pass
@@ -367,8 +364,12 @@ def _report(*scans: Mapping[str, tuple]) -> AxiomReport:
                              for name, (_, w) in found.items()))
 
 
-def _cell_sum(x: Cell, y: Cell) -> Cell:
-    """The sum of two tensor cells, with its zero entries dropped."""
+def _cell_sum(x: tuple, y: tuple) -> tuple:
+    """The sum of two tensor cells, with its zero entries dropped.
+
+    A cell is the nonzero coefficients (k, re, im) of one basis product
+    b_i b_j, as in ``Algebra._rows``.
+    """
     acc: dict[int, tuple[int, int]] = {}
     for k, p, q in x + y:
         r, s = acc.get(k, (0, 0))
@@ -376,7 +377,7 @@ def _cell_sum(x: Cell, y: Cell) -> Cell:
     return tuple((k, p, q) for k, (p, q) in sorted(acc.items()) if p or q)
 
 
-def _cell_element(a: Algebra, cell: Cell) -> Element:
+def _cell_element(a: Algebra, cell: tuple) -> Element:
     """The basis product whose tensor cell is *cell*, as an element."""
     re = [0] * a.dim
     im = [0] * a.dim
@@ -417,7 +418,7 @@ def check_alternative(a: Algebra) -> AxiomReport:
            for i in range(n)]
     den = a._den * a._den
 
-    def residual(*passes: tuple[Cell, Sequence[Cell], int]
+    def residual(*passes: tuple[tuple, Sequence[tuple], int]
                  ) -> tuple[list[int], list[int]]:
         # pass (c, cells, sign) adds sign * sum_m c^m cells[m]
         re = [0] * n
