@@ -1,20 +1,19 @@
 """Run the benchmark on a base revision and on HEAD, and record both.
 
     python3 scripts/bench_record.py BASE --out BENCH_<n>.json
-    python3 scripts/bench_record.py BASE --out pairs.json \\
-        --workloads falsify --seeds 1 --traces 0 --pairs 10
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, and ``perfbench/run.py`` runs there from its committed files, so
 the only file this writes in the checkout is ``--out`` (each run also
 writes its own ``perfbench/out/`` inside the temporary export).  For every
-seed and workload it runs PAIRS base/head pairs at ``--trace 0``,
-alternating which revision goes first, and one pair at ``--trace 1``, whose
-counters repeat exactly from run to run.  The output holds every run's
-result line and per-job medians, both git revs, the Python version and
-``nproc``, and a summary: per metric, the median of each revision, the quartiles of the
-base runs and how many pairs HEAD won (the direction is read from
-``BENCHMARK.json``).  Standard library only.
+workload, at seed 1 and at the held-out seed 7919, it runs 10 base/head
+pairs at ``--trace 0``, alternating which revision goes first, and one pair
+at ``--trace 1``, whose counters repeat exactly from run to run.  Every run
+lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes.  The output holds
+every run's result line and per-job medians, both git revs, the Python
+version and ``nproc``, and a summary: per metric, the median of each
+revision, the quartiles of the base runs and how many pairs HEAD won (the
+direction is read from ``BENCHMARK.json``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ from statistics import median, quantiles
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("catalog", "falsify", "dense-basis")
 SEEDS = (1, 7919)
+TRACES = (0, 1)
+PAIRS = 10  # at least ten alternating pairs back a claimed gain
 
 
 def _git(*args: str) -> bytes:
@@ -84,41 +85,34 @@ def _summary(pairs: list[tuple[dict, dict]], better: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="the revision to compare against")
-    ap.add_argument("--head", default="HEAD")
     ap.add_argument("--out", required=True, help="the JSON file to write")
-    ap.add_argument("--workloads", nargs="+", default=WORKLOADS,
-                    choices=WORKLOADS)
-    ap.add_argument("--seeds", nargs="+", type=int, default=SEEDS)
-    ap.add_argument("--traces", nargs="+", type=int, default=(0, 1),
-                    choices=(0, 1))
-    ap.add_argument("--pairs", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=8.0)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
+    seconds = bench["run_seconds"]
     revs = {side: _git("rev-parse", rev).decode().strip()
-            for side, rev in (("base", args.base), ("head", args.head))}
+            for side, rev in (("base", args.base), ("head", "HEAD"))}
     record = {"revs": revs, "python": platform.python_version(),
               "nproc": len(os.sched_getaffinity(0)),
-              "seconds": args.seconds, "pairs": args.pairs,
+              "seconds": seconds, "pairs": PAIRS,
               "runs": [], "summary": {}}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {}
         for side, rev in revs.items():
             checkouts[side] = os.path.join(tmp, side)
             _export(rev, checkouts[side])
-        for seed in args.seeds:
-            for trace in args.traces:
-                for workload in args.workloads:
+        for seed in SEEDS:
+            for trace in TRACES:
+                for workload in WORKLOADS:
                     pairs = []
-                    for k in range(1 if trace else args.pairs):
+                    for k in range(1 if trace else PAIRS):
                         order = ("base", "head") if k % 2 == 0 \
                             else ("head", "base")
                         got = {}
                         for side in order:
                             got[side] = _run(checkouts[side], workload,
-                                             seed, trace, args.seconds)
+                                             seed, trace, seconds)
                             record["runs"].append(
                                 {"rev": side, "workload": workload,
                                  "seed": seed, "trace": trace, "pair": k,
