@@ -7,6 +7,8 @@ product and its identity catalog, and a falsification harness for candidate
 maps between algebras.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (Algebra, AlgebraError, AxiomReport, CheckResult,
                       Element, Witness, check_alternative, check_axioms,
                       check_involution, check_unit)
@@ -29,38 +31,16 @@ from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
                      PeirceRelationsReport, PeirceSystem,
                      SpadeResult, check_peirce_relations, check_spade,
                      classify_idempotent, component_of,
-                     find_symmetric_idempotents, is_symmetric_idempotent,
-                     peirce_decompose, random_component, spade_pair)
+                     find_symmetric_idempotents, peirce_decompose,
+                     random_component, spade_pair)
 from .sampling import (derive_rng, random_combination, random_element,
                        random_scalar)
 from .scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO, ZERO,
-                      format_scalar, half_power, integer, parse_scalar,
-                      rational)
+                      format_scalar, half_power, parse_scalar)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra", "AlgebraError", "AlgebraMap", "AxiomReport", "CATALOG",
-    "CatalogReport", "CheckResult", "ConditionReport", "ConstructionError",
-    "Element", "EntryRun", "FormatError", "I", "IJ_PAIRS", "IdempotentInfo",
-    "IdentityEntry", "IdentitySample", "IsomorphismReport", "MINUS_ONE",
-    "MapError", "MapWitness", "ONE", "PeirceError", "PeirceRelationsReport",
-    "PeirceSystem", "Scalar", "ScalarError", "SpadeResult",
-    "TWO", "Witness", "ZERO", "algebra_from_dict", "algebra_to_dict",
-    "audit_catalog", "bijective_claim", "canonical_json",
-    "catalog_entry", "cayley_dickson", "change_of_basis",
-    "check_alternative", "check_axioms", "check_involution",
-    "check_jordan_condition", "check_peirce_relations", "check_spade",
-    "check_star_ring_isomorphism", "check_unit", "check_unital",
-    "classify_idempotent", "collapse_prefix", "component_of",
-    "conjugation_map", "derive_rng", "direct_sum",
-    "find_symmetric_idempotents", "format_scalar", "half_power",
-    "identity_map", "integer", "is_symmetric_idempotent", "jordan_star",
-    "load_algebra_file", "load_map_file", "map_from_dict", "map_to_dict",
-    "matrix_algebra", "matrix_swap_conjugation", "parse_scalar",
-    "patched_map", "peirce_decompose", "q_star", "random_combination",
-    "random_component", "random_element",
-    "random_scalar", "rational",
-    "resolve_algebra", "sample_pool", "scale_map", "spade_pair",
-    "star_as_map", "verify_identity", "zorn_algebra", "zorn_rotation_map",
-]
+# every public name imported above, but no submodule object
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

@@ -246,12 +246,6 @@ class Algebra:
 
     # -- core operations ---------------------------------------------------
 
-    def structure_constant(self, i: int, j: int, k: int) -> Scalar:
-        for kk, a, b in self._rows[i][j]:
-            if kk == k:
-                return Scalar(a, b, self._den)
-        return ZERO
-
     def structure_entries(self) -> Iterable[tuple[int, int, int, Scalar]]:
         for i in range(self.dim):
             for j in range(self.dim):

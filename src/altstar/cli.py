@@ -23,7 +23,7 @@ from .formats import (algebra_to_dict, canonical_json, load_map_file,
 from .jordan import audit_catalog, q_star, require_audit_range
 from .maps import (check_jordan_condition, check_star_ring_isomorphism,
                    require_condition_arity)
-from .peirce import (IJ_PAIRS, PeirceSystem, UnitLawError,
+from .peirce import (IJ_PAIRS, PeirceError, PeirceSystem, UnitLawError,
                      check_peirce_relations, spade_pair)
 from .scalars import Scalar, ScalarError, parse_scalar
 
@@ -170,10 +170,6 @@ def _cmd_spade(args) -> tuple[int, Optional[dict]]:
 
 def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
     chunks = [t for t in args.args.split(";") if t.strip()]
-    if len(chunks) != args.n:
-        raise CliInputError(
-            f"--args: expected {args.n} semicolon-separated coordinate "
-            f"vectors, got {len(chunks)}")
     a, _ = resolve_algebra(args.algebra)
     elems = [a.element(parse_coords(t, a, f"--args[{k}]"))
              for k, t in enumerate(chunks)]
@@ -181,7 +177,7 @@ def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
     doc = {
         "command": "qprod",
         "algebra": a.name,
-        "n": args.n,
+        "n": len(elems),
         "args": _encode(elems),
         "result": _encode(result),
     }
@@ -218,7 +214,11 @@ def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
     p = build_peirce(f"{args.mapfile}: domain", phi.domain, dom_idem,
                      args.e1)
     jordan = check_jordan_condition(phi, p, args.n, args.samples, args.seed)
-    iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)
+    try:
+        iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)
+    except PeirceError as exc:
+        # only the image system, built on the codomain, can raise it here
+        raise CliInputError(f"{args.mapfile}: codomain: {exc}") from exc
     refuted = jordan.refuted or not iso.ok
     doc = {
         "command": "mapcheck",
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qprod", help="evaluate one left-nested *-Jordan "
                                      "product")
     p.add_argument("algebra", help="algebra file or builtin spec")
-    p.add_argument("--n", type=int, required=True, help="arity")
     p.add_argument("--args", required=True,
                    help="semicolon-separated coordinate vectors")
     p.set_defaults(func=_cmd_qprod)

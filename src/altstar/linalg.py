@@ -2,7 +2,7 @@
 
 Plain Gaussian elimination on lists of Scalar rows.  Everything here is
 deterministic: pivots are chosen as the first nonzero entry in column order,
-so repeated runs produce identical echelon forms, nullspace bases and ranks.
+so repeated runs produce identical echelon forms and nullspace bases.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ def rref(m: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(m: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(m)[1])
-
-
 def nullspace(m: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Basis of the right nullspace; free variables set to 1 in column order."""
     rows = len(m)
@@ -73,10 +69,6 @@ def inverse(m: Sequence[Sequence[Scalar]]) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def is_invertible(m: Sequence[Sequence[Scalar]]) -> bool:
-    return len(m) == 0 or (len(m) == len(m[0]) and rank(m) == len(m))
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:

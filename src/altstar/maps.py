@@ -80,7 +80,9 @@ class AlgebraMap:
 
 def bijective_claim(phi: AlgebraMap) -> bool:
     """Invertible linear part and a patch table that permutes its inputs."""
-    if not linalg.is_invertible(list(map(list, phi.linear_part))):
+    # invertible: square, with no kernel vector
+    if (phi.codomain.dim != phi.domain.dim
+            or linalg.nullspace(phi.linear_part)):
         return False
     # a map built through the API may send one algebra to a copy of it,
     # another Algebra object, so compare the numeric fields, not the
@@ -284,9 +286,10 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
         raise MapError("jordan condition requires a unital map")
     cases = _mapped_pairs(phi, peirce, samples, seed)
     memo: dict = {}
+    # at n = 2 every xi prefix is empty, so the three heads are one case
+    xis = (("1", phi.domain.unit), ("e1", peirce.e1), ("e2", peirce.e2))
     heads = [(tag, [xi] * (n - 2), [phi(xi)] * (n - 2))
-             for tag, xi in (("1", phi.domain.unit), ("e1", peirce.e1),
-                             ("e2", peirce.e2))]
+             for tag, xi in xis[:1 if n == 2 else 3]]
 
     def law(case: tuple[Element, ...]) -> Optional[MapWitness]:
         a, b, img_a, img_b = case

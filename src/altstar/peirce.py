@@ -64,11 +64,6 @@ def classify_idempotent(a: Algebra, e: Element) -> IdempotentInfo:
     return IdempotentInfo(idem, sym, trivial)
 
 
-def is_symmetric_idempotent(a: Algebra, e: Element) -> bool:
-    info = classify_idempotent(a, e)
-    return info.is_idempotent and info.is_symmetric
-
-
 def find_symmetric_idempotents(a: Algebra) -> list[Element]:
     """Nontrivial symmetric idempotents among structured candidates.
 

@@ -99,14 +99,6 @@ I = Scalar(0, 1)
 MINUS_ONE = Scalar(-1)
 
 
-def integer(n: int) -> Scalar:
-    return Scalar(n)
-
-
-def rational(p: int, q: int) -> Scalar:
-    return Scalar(p, 0, q)
-
-
 def half_power(k: int) -> Scalar:
     """1 / 2**k for k >= 0, 2**(-k) otherwise."""
     return Scalar(1, 0, 2 ** k) if k >= 0 else Scalar(2 ** (-k))

@@ -18,7 +18,7 @@ import altstar as st
 from altstar.cli import main as cli_main
 from altstar.jordan import q_star
 from altstar.sampling import derive_rng, random_element
-from altstar.scalars import MINUS_ONE, ONE, TWO, ZERO, integer
+from altstar.scalars import MINUS_ONE, ONE, Scalar, TWO, ZERO
 
 SEED = 20240813
 
@@ -117,7 +117,7 @@ def test_criterion_4_closed_forms(m2, zorn, m2_peirce, zorn_peirce):
     for e in (m2.basis_element(0), zorn.basis_element(0), m2.unit,
               zorn.unit):
         for n in range(2, 9):
-            ok = ok and q_star([e] * n) == e.scale(integer(2 ** (n - 1)))
+            ok = ok and q_star([e] * n) == e.scale(Scalar(2 ** (n - 1)))
 
     for a in (m2, zorn):
         rng = derive_rng(SEED, "closed-forms", a.name)
@@ -126,7 +126,7 @@ def test_criterion_4_closed_forms(m2, zorn, m2_peirce, zorn_peirce):
                 x = random_element(a, rng)
                 got = q_star([a.unit] * (n - 2) + [x, a.unit])
                 ok = ok and got == (x + x.star()).scale(
-                    integer(2 ** (n - 2)))
+                    Scalar(2 ** (n - 2)))
 
     for p in (m2_peirce, zorn_peirce):
         rng = derive_rng(SEED, "annihilation", p.algebra.name)

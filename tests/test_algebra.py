@@ -107,14 +107,11 @@ def test_frozen_m2_products(m2):
 
 
 def test_structure_constant_access(m2):
-    assert m2.structure_constant(1, 2, 0) == ONE  # E12 E21 = E11
-    assert m2.structure_constant(1, 1, 0) == ZERO
-    entries = set()
-    for i, j, k, c in m2.structure_entries():
-        assert c == ONE
-        entries.add((i, j, k))
-    assert (1, 2, 0) in entries and (2, 1, 3) in entries
-    assert len(entries) == 8
+    entries = {(i, j, k): c for i, j, k, c in m2.structure_entries()}
+    assert entries[(1, 2, 0)] == ONE  # E12 E21 = E11
+    assert (1, 1, 0) not in entries   # E12 E12 = 0 is not listed
+    assert set(entries.values()) == {ONE}
+    assert (2, 1, 3) in entries and len(entries) == 8
 
 
 def test_cross_algebra_operations_rejected(m2, m3):

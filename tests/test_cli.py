@@ -113,20 +113,22 @@ def test_spade_failure_carries_witness(tmp_path):
 
 
 def test_qprod_frozen_value():
-    code, doc = run_json(["qprod", "matrix:2", "--n", "2",
-                          "--args", "0,1,0,0;0,1,0,0"])
+    code, doc = run_json(["qprod", "matrix:2", "--args", "0,1,0,0;0,1,0,0"])
     assert code == 0
+    assert doc["n"] == 2  # the arity is the number of --args vectors
     assert doc["result"] == ["1", "0", "0", "0"]  # {E12, E12} = E11
 
 
-def test_qprod_arity_mismatch_is_input_error():
-    code, out, err = run(["qprod", "matrix:2", "--n", "3",
+def test_qprod_takes_no_arity_option():
+    code, out, err = run(["qprod", "matrix:2", "--n", "2",
                           "--args", "0,1,0,0;0,1,0,0"])
-    assert code == 2 and "expected 3" in err
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == ("altstar: error: unrecognized "
+                                    "arguments: --n 2")
 
 
 def test_qprod_wrong_vector_length_is_input_error():
-    code, out, err = run(["qprod", "matrix:2", "--n", "1", "--args", "1,0"])
+    code, out, err = run(["qprod", "matrix:2", "--args", "1,0"])
     assert code == 2 and "expected 4" in err
 
 
@@ -414,6 +416,38 @@ def test_unit_that_star_moves_exits_2(tmp_path, star_moved_unit, command):
     assert out == ""
 
 
+def test_codomain_unit_that_is_only_a_left_unit_exits_2(tmp_path):
+    # the domain is sound: orthogonal symmetric idempotents p, q with unit
+    # p + q.  In the codomain u f = f u = f and u g = g, but g u = 0, so u
+    # is only a left unit.  phi sends p to f and q to u - f: it is unital,
+    # and f and u - f are symmetric idempotents, so the image Peirce system
+    # is built on the codomain, whose unit law fails
+    def eye(n):
+        return [[st.ONE if r == c else st.ZERO for c in range(n)]
+                for r in range(n)]
+
+    dom = st.Algebra("pq", 2, ["p", "q"],
+                     {(0, 0, 0): st.ONE, (1, 1, 1): st.ONE},
+                     [st.ONE, st.ONE], eye(2))
+    cod = st.Algebra("left-unit", 3, ["u", "f", "g"],
+                     {(0, 0, 0): st.ONE, (0, 1, 1): st.ONE,
+                      (1, 0, 1): st.ONE, (0, 2, 2): st.ONE,
+                      (1, 1, 1): st.ONE},
+                     [st.ONE, st.ZERO, st.ZERO], eye(3))
+    dom_path = _algebra_file(tmp_path, dom, dom.basis_element(0))
+    cod_path = _algebra_file(tmp_path, cod, cod.basis_element(1))
+    # columns: phi(p) = f, phi(q) = u - f
+    phi = st.AlgebraMap(dom, cod, [[st.ZERO, st.ONE], [st.ONE, -st.ONE],
+                                   [st.ZERO, st.ZERO]])
+    map_path = tmp_path / "left-unit.map"
+    map_path.write_text(canonical_json(map_to_dict(phi, dom_path, cod_path)),
+                        encoding="utf-8")
+    code, out, err = run(["mapcheck", str(map_path)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {map_path}: codomain: the declared "
+                                "unit fails two_sided_unit at (1*g, 1*u)"]
+
+
 @pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
 def test_overlapping_components_exit_2(tmp_path, overlap, command):
     code, out, err = run([command, _algebra_file(tmp_path, overlap,
@@ -480,17 +514,6 @@ def test_arity_range_is_checked_before_anything_is_built(argv, bound,
     assert err.startswith("error:") and bound in err
 
 
-def test_qprod_argument_count_is_checked_before_the_algebra_is_built(
-        monkeypatch):
-    def no_load(*args):
-        raise AssertionError("built the algebra before counting --args")
-
-    monkeypatch.setattr("altstar.cli.resolve_algebra", no_load)
-    code, out, err = run(["qprod", "matrix:8", "--n", "3", "--args", "1;2"])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "expected 3" in err
-
-
 def test_file_inside_a_direct_sum_gets_the_verdict_of_the_file(tmp_path):
     # upper-triangular 2x2 matrices with entrywise conjugation: the unit is
     # two-sided, but the star is not an anti-automorphism
@@ -553,7 +576,7 @@ JSON_VALUES = hst.recursive(
 
 ALGEBRA_COMMANDS = (["check"], ["peirce", "--samples", "3"], ["spade"],
                     ["lemmas", "--n-max", "3", "--samples", "2"],
-                    ["qprod", "--n", "2", "--args", "0,1,0,0;0,1,0,0"])
+                    ["qprod", "--args", "0,1,0,0;0,1,0,0"])
 
 
 @pytest.fixture(scope="module")

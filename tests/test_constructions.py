@@ -117,8 +117,8 @@ def test_zorn_axioms_and_idempotents(zorn):
     assert st.check_axioms(zorn).ok
     _, idem = st.resolve_algebra("zorn")
     for name in ("e1", "e2"):
-        e = zorn.element(idem[name])
-        assert st.is_symmetric_idempotent(zorn, e)
+        info = st.classify_idempotent(zorn, zorn.element(idem[name]))
+        assert info.is_idempotent and info.is_symmetric
     assert (zorn.element(idem["e1"]) + zorn.element(idem["e2"])
             == zorn.unit)
 

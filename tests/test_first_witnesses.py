@@ -209,9 +209,9 @@ def _reference_scanned_isomorphism_checks(phi, p, samples, seed):
                                         equation(check))
                for check in sides}
     f1 = phi(p.e1)
-    if not st.is_symmetric_idempotent(phi.codomain, f1) \
-            or not st.is_symmetric_idempotent(phi.codomain, phi(p.e2)) \
-            or st.classify_idempotent(phi.codomain, f1).is_trivial:
+    infos = [st.classify_idempotent(phi.codomain, f) for f in (f1, phi(p.e2))]
+    if not all(i.is_idempotent and i.is_symmetric for i in infos) \
+            or infos[0].is_trivial:
         return reports
     cod_p = st.PeirceSystem(phi.codomain, f1)
     dims = p.component_dims()

@@ -123,8 +123,8 @@ def test_named_idempotents_are_symmetric_idempotents():
     for spec in BUILTINS:
         a, idem = resolve_algebra(spec)
         for name, coords in idem.items():
-            assert st.is_symmetric_idempotent(a, a.element(coords)), \
-                (spec, name)
+            info = st.classify_idempotent(a, a.element(coords))
+            assert info.is_idempotent and info.is_symmetric, (spec, name)
 
 
 def test_dsum_idempotents_are_block_units(dsum_m2_m2):

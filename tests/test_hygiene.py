@@ -1,11 +1,13 @@
 """Source hygiene, decided with the standard library alone: no unused
-imports in the package or the tests, no typing generic built at run time in
-the package, no package code but ``cli.main`` writing to stdout, the
+imports in the package or the tests, no private module-level name in the
+package that the package never reads, no typing generic built at run time
+in the package, no package code but ``cli.main`` writing to stdout, the
 package exports exactly what its __init__ imports from its submodules, and
 the README's library quick start runs as written."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -86,6 +88,76 @@ def test_unused_import_detector():
         "    import json\n"
         "    return osp\n")
     assert _unused_imports(tree) == [("Witness", 4), ("json", 6), ("os", 2)]
+
+
+def _reads(scope: ast.AST) -> Counter:
+    """How often each name is read in scope: loaded names, attribute names
+    (so module._helper counts) and names inside string annotations."""
+    reads = Counter(n.id for n in ast.walk(scope)
+                    if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store))
+    reads.update(n.attr for n in ast.walk(scope)
+                 if isinstance(n, ast.Attribute))
+    for ann in _annotations(scope):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                reads.update(_reads(ast.parse(n.value, mode="eval")))
+    return reads
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class or assignment
+    whose name starts with "_" and is not a dunder such as __version__."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _unread_private_names(trees: list[ast.Module]) -> list[tuple[str, int]]:
+    """(name, line) for each private module-level definition that no tree
+    reads outside the definition itself, so recursion alone is no use."""
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    return sorted((name, node.lineno) for tree in trees
+                  for name, node in _private_definitions(tree)
+                  if reads[name] == _reads(node)[name])
+
+
+# a private helper that nothing calls is dead code the package still carries
+def test_every_private_name_is_read_in_the_package():
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unread_private_names(trees) == []
+
+
+def test_unread_private_name_detector():
+    tree = ast.parse(
+        "import re\n"
+        "__version__ = '1'\n"
+        "_PATTERN = re.compile('x')\n"
+        "_unused: int = 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _PATTERN\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "class _Box:\n"
+        "    pass\n"
+        "def public(x: '_Box') -> int:\n"
+        "    return _helper()\n")
+    assert _unread_private_names([tree]) == [("_recursive", 5),
+                                             ("_unused", 4)]
+    other = ast.parse("from . import m\nm._recursive(0)\nm._unused\n")
+    assert _unread_private_names([tree, other]) == []
 
 
 def _typing_subscripts(tree: ast.Module) -> list[tuple[str, int]]:

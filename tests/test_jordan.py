@@ -15,7 +15,7 @@ from altstar.jordan import (CATALOG, MAX_ARITY, _q_cached, catalog_entry,
                             collapse_prefix, jordan_star, q_star,
                             verify_identity)
 from altstar.sampling import derive_rng, random_element
-from altstar.scalars import I, ONE, Scalar, TWO, ZERO, integer
+from altstar.scalars import I, ONE, Scalar, TWO, ZERO
 
 
 def q_oracle(args):
@@ -105,7 +105,7 @@ def test_idempotent_slots_double(m2, zorn):
     for e in (m2.basis_element(0), m2.unit, zorn.basis_element(0),
               zorn.unit):
         for n in range(2, 9):
-            assert q_star([e] * n) == e.scale(integer(2 ** (n - 1)))
+            assert q_star([e] * n) == e.scale(Scalar(2 ** (n - 1)))
 
 
 def test_unit_bracketing_symmetrizes(m2, zorn):
@@ -117,7 +117,7 @@ def test_unit_bracketing_symmetrizes(m2, zorn):
             for _ in range(25):
                 x = random_element(a, rng)
                 args = [one] * (n - 2) + [x, one]
-                want = (x + x.star()).scale(integer(2 ** (n - 2)))
+                want = (x + x.star()).scale(Scalar(2 ** (n - 2)))
                 assert q_star(args) == want
 
 
@@ -425,5 +425,5 @@ def test_displayed_mismatch_scales_with_n(m2):
     for n in range(3, 6):
         got = q_star([e11] * (n - 2) + [e12, e12])
         assert got == (e12 * e12 + e12 * e12.star()).scale(
-            integer(2 ** (n - 3)))
-        assert got == e11.scale(integer(2 ** (n - 3)))
+            Scalar(2 ** (n - 3)))
+        assert got == e11.scale(Scalar(2 ** (n - 3)))

@@ -182,8 +182,6 @@ def test_structure_accessors_rebuild_the_inputs(case):
     a, structure, star, _ = case
     nonzero = {ijk: c for ijk, c in structure.items() if not c.is_zero()}
     assert {(i, j, k): c for i, j, k, c in a.structure_entries()} == nonzero
-    for (i, j, k), c in nonzero.items():
-        assert a.structure_constant(i, j, k) == c
     assert a.star_matrix() == tuple(tuple(r) for r in star)
 
 

@@ -31,7 +31,7 @@ CASES = [(seed, rows, cols)
 @pytest.mark.parametrize("seed,rows,cols", CASES)
 def test_rank_matches_sympy(seed, rows, cols):
     m = random_matrix(random.Random(seed), rows, cols)
-    assert linalg.rank(m) == to_sympy(m).rank()
+    assert len(linalg.rref(m)[1]) == to_sympy(m).rank()
 
 
 @pytest.mark.parametrize("seed,rows,cols", CASES)
@@ -54,7 +54,7 @@ def test_rref_idempotent(seed, rows, cols):
 def test_nullspace_dimension_and_membership(seed, rows, cols):
     m = random_matrix(random.Random(seed), rows, cols)
     null = linalg.nullspace(m)
-    assert len(null) == cols - linalg.rank(m)
+    assert len(null) == cols - len(linalg.rref(m)[1])
     for v in null:
         assert any(not c.is_zero() for c in v)
         assert all(c.is_zero() for c in linalg.mat_vec(m, v))
@@ -67,7 +67,7 @@ def test_inverse_against_sympy(seed):
     m = random_matrix(rng, n, n, sparse=0.1)
     sm = to_sympy(m)
     if sm.det() == 0:
-        assert not linalg.is_invertible(m)
+        assert linalg.nullspace(m)
         with pytest.raises(linalg.SingularMatrixError):
             linalg.inverse(m)
         return
@@ -81,7 +81,7 @@ def test_inverse_against_sympy(seed):
 
 def test_singular_matrix_detected():
     m = [[ONE, ONE], [ONE, ONE]]
-    assert not linalg.is_invertible(m)
+    assert linalg.nullspace(m) == [[-ONE, ONE]]
     with pytest.raises(linalg.SingularMatrixError):
         linalg.inverse(m)
 

@@ -3,7 +3,7 @@
 import pytest
 
 import altstar as st
-from altstar import linalg
+from altstar import linalg, maps
 from altstar.jordan import MAX_ARITY
 from altstar.maps import AlgebraMap, _mapped_pairs, _pairs, sample_pool
 from altstar.sampling import derive_rng, random_element
@@ -81,6 +81,10 @@ def test_bijective_claim(m2):
     zero_map = st.AlgebraMap(m2, m2, [[ZERO] * 4 for _ in range(4)],
                              name="zero")
     assert not st.bijective_claim(zero_map)
+    # a map between algebras of different dimensions has no inverse, even
+    # when its linear part has no kernel vector
+    m1 = st.matrix_algebra(1)
+    assert not st.bijective_claim(st.AlgebraMap(m1, m2, [[ONE]] * 4))
 
 
 def test_unital_examples(m2):
@@ -403,21 +407,57 @@ def _reference_condition(phi, p, n, samples, seed):
     return st.ConditionReport("jordan_condition", n, run, False, None)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7])
-@pytest.mark.parametrize("subject", ["zorn-rotation", "rotation-patched",
-                                     "matrix2-swap", "matrix2-similarity"])
-def test_condition_matches_the_prefix_reference(subject, n, zorn, zorn_peirce,
-                                                m2, m2_peirce):
+def _condition_subject(subject, zorn, zorn_peirce, m2, m2_peirce):
+    """(phi, Peirce system on its domain) for a named condition subject."""
     u1 = zorn.basis_element(2)
-    phi, p = {
+    return {
         "zorn-rotation": lambda: (st.zorn_rotation_map(zorn), zorn_peirce),
         "rotation-patched": lambda: (st.patched_map(
             st.zorn_rotation_map(zorn), {u1: u1.scale(TWO)}), zorn_peirce),
         "matrix2-swap": lambda: (st.matrix_swap_conjugation(m2), m2_peirce),
         "matrix2-similarity": lambda: (_similarity(m2), m2_peirce),
     }[subject]()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("subject", ["zorn-rotation", "rotation-patched",
+                                     "matrix2-swap", "matrix2-similarity"])
+def test_condition_matches_the_prefix_reference(subject, n, zorn, zorn_peirce,
+                                                m2, m2_peirce):
+    phi, p = _condition_subject(subject, zorn, zorn_peirce, m2, m2_peirce)
     rep = st.check_jordan_condition(phi, p, n, 150, seed=4)
     assert rep == _reference_condition(phi, p, n, 150, 4)
+
+
+@pytest.mark.parametrize("subject", ["zorn-rotation", "rotation-patched",
+                                     "matrix2-swap"])
+def test_condition_at_arity_two_decides_each_case_once(
+        subject, zorn, zorn_peirce, m2, m2_peirce, monkeypatch):
+    # at n = 2 the xi prefixes are empty, so the heads 1, e1 and e2 fold
+    # the same q_2(a, b); one head gives the three-head report
+    phi, p = _condition_subject(subject, zorn, zorn_peirce, m2, m2_peirce)
+    want = _reference_condition(phi, p, 2, 150, 4)
+    folded = set()          # ids of fold results, each kept alive in a memo
+    fold, call = maps._q_cached, AlgebraMap.__call__
+
+    def recorded(args, cache):
+        out = fold(args, cache)
+        folded.add(id(out))
+        return out
+
+    applied = []
+
+    def counted(self, x):
+        if id(x) in folded:
+            applied.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(maps, "_q_cached", recorded)
+    monkeypatch.setattr(AlgebraMap, "__call__", counted)
+    rep = st.check_jordan_condition(phi, p, 2, 150, seed=4)
+    assert rep == want
+    # phi meets one folded left side per case, not one per head
+    assert len(applied) == rep.samples_run
 
 
 def test_condition_folds_each_step_once(zorn, zorn_peirce, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 import altstar as st
 from altstar.algebra import Algebra
-from altstar.linalg import rank
+from altstar.linalg import rref
 from altstar.sampling import derive_rng, random_element
 from altstar.scalars import I, ONE, Scalar, ZERO
 
@@ -27,8 +27,9 @@ def test_find_symmetric_idempotents(m2):
     assert m2.basis_element(0).coords in coords
     assert m2.basis_element(3).coords in coords
     for x in found:
-        assert st.is_symmetric_idempotent(m2, x)
-        assert not st.classify_idempotent(m2, x).is_trivial
+        info = st.classify_idempotent(m2, x)
+        assert info.is_idempotent and info.is_symmetric
+        assert not info.is_trivial
 
 
 def test_system_rejects_bad_idempotents(m2):
@@ -179,8 +180,8 @@ def test_system_build_makes_six_products_per_basis_vector(
 
 def test_system_rejects_incompatible_idempotent(incompatible):
     e = incompatible.basis_element(1)
-    assert st.is_symmetric_idempotent(incompatible, e)
-    assert not st.classify_idempotent(incompatible, e).is_trivial
+    info = st.classify_idempotent(incompatible, e)
+    assert info.is_idempotent and info.is_symmetric and not info.is_trivial
     with pytest.raises(st.PeirceError,
                        match=r"fails Peirce compatibility .* at basis 1\*x"):
         st.PeirceSystem(incompatible, e)
@@ -194,11 +195,12 @@ def test_system_rejects_unit_that_does_not_recombine(m2):
     # E11 is still a symmetric idempotent with four 1-dimensional
     # projections, yet they sum to u (b u), not b; the unit law rejects the
     # system first, at E12 u = 2 E12
-    assert st.is_symmetric_idempotent(bad, e1)
+    info = st.classify_idempotent(bad, e1)
+    assert info.is_idempotent and info.is_symmetric
     e = {1: e1, 2: bad.unit - e1}
     for i, j in st.IJ_PAIRS:
         images = [list((e[i] * (b * e[j])).coords) for b in bad.basis()]
-        assert rank(images) == 1
+        assert len(rref(images)[1]) == 1  # rank 1
     with pytest.raises(st.PeirceError, match=re.escape(
             "two_sided_unit at (1*E12, 1*E11 + 2*E22)")):
         st.PeirceSystem(bad, e1)
@@ -207,7 +209,8 @@ def test_system_rejects_unit_that_does_not_recombine(m2):
 def test_system_rejects_unit_that_star_moves(star_moved_unit):
     a = star_moved_unit
     assert st.check_unit(a).ok
-    assert st.is_symmetric_idempotent(a, a.basis_element(0))
+    info = st.classify_idempotent(a, a.basis_element(0))
+    assert info.is_idempotent and info.is_symmetric
     with pytest.raises(st.PeirceError, match=re.escape(
             "unit_fixed at (1*f1 + 1*f2)")):
         st.PeirceSystem(a, a.basis_element(0))

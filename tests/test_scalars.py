@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from altstar.scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO,
-                             ZERO, format_scalar, half_power, integer,
-                             parse_scalar, rational)
+                             ZERO, format_scalar, half_power, parse_scalar)
 
 # oracle: a Gaussian rational is an ordered pair of Fractions (re, im)
 
@@ -104,15 +103,14 @@ def test_division_by_zero_rejected():
 def test_constants():
     assert I * I == MINUS_ONE
     assert ONE + ONE == TWO
-    assert integer(7) == Scalar(7)
-    assert rational(3, 6) == Scalar(1, 0, 2)
-    assert half_power(3) == rational(1, 8)
+    assert Scalar(3, 0, 6) == Scalar(1, 0, 2)
+    assert half_power(3) == Scalar(1, 0, 8)
     assert half_power(0) == ONE
 
 
 def test_format_examples():
     assert format_scalar(Scalar(3)) == "3"
-    assert format_scalar(rational(-1, 2)) == "-1/2"
+    assert format_scalar(Scalar(-1, 0, 2)) == "-1/2"
     assert format_scalar(I) == "0+1i"
     assert format_scalar(Scalar(2, -15, 3)) == "2/3-5i"
     assert format_scalar(ZERO) == "0"
@@ -120,8 +118,8 @@ def test_format_examples():
 
 
 def test_parse_examples():
-    assert parse_scalar("3") == integer(3)
-    assert parse_scalar("-1/2") == rational(-1, 2)
+    assert parse_scalar("3") == Scalar(3)
+    assert parse_scalar("-1/2") == Scalar(-1, 0, 2)
     assert parse_scalar("0+1i") == I
     assert parse_scalar("2/3-5i") == Scalar(2, -15, 3)
     assert parse_scalar(" 1/2 + 1/2 i ") == Scalar(1, 1, 2)
