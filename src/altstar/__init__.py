@@ -18,9 +18,10 @@ from .constructions import (ConstructionError, cayley_dickson,
 from .formats import (FormatError, algebra_from_dict, algebra_to_dict,
                       canonical_json, load_algebra_file, load_map_file,
                       map_from_dict, map_to_dict, resolve_algebra)
-from .jordan import (CATALOG, CatalogReport, EntryRun, IdentityEntry,
-                     IdentitySample, audit_catalog, catalog_entry,
-                     collapse_prefix, jordan_star, q_star, verify_identity)
+from .jordan import (CATALOG, CatalogReport, EntryAudit, EntryRun,
+                     IdentityEntry, IdentitySample, audit_catalog,
+                     catalog_entry, collapse_prefix, jordan_star, q_star,
+                     verify_identity)
 from .maps import (AlgebraMap, ConditionReport, IsomorphismReport, MapError,
                    MapWitness, bijective_claim,
                    check_jordan_condition, check_star_ring_isomorphism,
@@ -32,7 +33,7 @@ from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
                      SpadeResult, check_peirce_relations, check_spade,
                      classify_idempotent, component_of,
                      find_symmetric_idempotents, peirce_decompose,
-                     random_component, spade_pair)
+                     random_component, require_unit_laws, spade_pair)
 from .sampling import (derive_rng, random_combination, random_element,
                        random_scalar)
 from .scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO, ZERO,

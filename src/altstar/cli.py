@@ -7,8 +7,7 @@ Exit codes: 0 = all checks pass / not refuted, 1 = violation witnessed,
 Each report field has one source: a command writes the envelope (the
 algebra or map, e1, n, samples, seed) from its arguments, and the library
 reports hold only results, which one encoder writes field by field in
-declaration order.  It hides only EntryRun.entry_id: lemmas nests each run
-under its entry's "id".
+declaration order.  Every command, gen included, prints its document.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraError, Element, check_axioms
 from .formats import (algebra_to_dict, canonical_json, load_map_file,
-                      resolve_algebra, scalar_list)
+                      parse_scalar_list, resolve_algebra, scalar_list)
 from .jordan import audit_catalog, q_star, require_audit_range
 from .maps import (check_jordan_condition, check_star_ring_isomorphism,
                    require_condition_arity)
 from .peirce import (IJ_PAIRS, PeirceError, PeirceSystem, UnitLawError,
-                     check_peirce_relations, spade_pair)
-from .scalars import Scalar, ScalarError, parse_scalar
+                     check_peirce_relations, require_unit_laws, spade_pair)
+from .scalars import Scalar, ScalarError
 
 
 class CliInputError(Exception):
@@ -33,18 +32,6 @@ class CliInputError(Exception):
 
 
 # -- argument parsing helpers -----------------------------------------------
-
-
-def parse_coords(text: str, a: Algebra, what: str) -> list[Scalar]:
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != a.dim:
-        raise CliInputError(
-            f"{what}: expected {a.dim} comma-separated scalars, "
-            f"got {len(parts)}")
-    try:
-        return [parse_scalar(t, f"{what}[{k}]") for k, t in enumerate(parts)]
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
 
 
 def require_samples(args) -> None:
@@ -57,7 +44,7 @@ def pick_idempotent(a: Algebra, idem: dict[str, list[Scalar]],
                     text: str, what: str) -> Element:
     """NAME from the algebra's idempotent table, or inline COORDS."""
     if "," in text:
-        return a.element(parse_coords(text, a, what))
+        return a.element(parse_scalar_list(text.split(","), what, a.dim))
     if text in idem:
         return a.element(idem[text])
     known = ", ".join(sorted(idem)) or "none"
@@ -90,10 +77,9 @@ def _encode(x):
     if hasattr(x, "__dataclass_fields__"):
         doc = {}
         for name in x.__dataclass_fields__:
-            # the only special cases: entry_id, which lemmas nests runs
-            # under, and the verdict property, after the field it reads
-            if name != "entry_id":
-                doc[name] = _encode(getattr(x, name))
+            doc[name] = _encode(getattr(x, name))
+            # the only special case: the verdict property, after the field
+            # it reads
             if name == "refuted":
                 doc["verdict"] = x.verdict
         return doc
@@ -107,17 +93,12 @@ def _encode(x):
 # -- subcommand implementations ---------------------------------------------
 
 
-def _cmd_gen(args) -> tuple[int, Optional[dict]]:
+def _cmd_gen(args) -> tuple[int, dict]:
     a, idem = resolve_algebra(args.spec)
-    doc = algebra_to_dict(a, idem)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
-        return 0, None
-    return 0, doc
+    return 0, algebra_to_dict(a, idem)
 
 
-def _cmd_check(args) -> tuple[int, Optional[dict]]:
+def _cmd_check(args) -> tuple[int, dict]:
     a, _ = resolve_algebra(args.algebra)
     rep = check_axioms(a)
     doc = {
@@ -131,7 +112,7 @@ def _cmd_check(args) -> tuple[int, Optional[dict]]:
     return (0 if rep.ok else 1), doc
 
 
-def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
+def _cmd_peirce(args) -> tuple[int, dict]:
     require_samples(args)
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(args.algebra, a, idem, args.e1)
@@ -152,7 +133,7 @@ def _cmd_peirce(args) -> tuple[int, Optional[dict]]:
     return (0 if rep.ok else 1), doc
 
 
-def _cmd_spade(args) -> tuple[int, Optional[dict]]:
+def _cmd_spade(args) -> tuple[int, dict]:
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(args.algebra, a, idem, args.e, what="--e")
     r1, r2 = spade_pair(p)
@@ -168,10 +149,10 @@ def _cmd_spade(args) -> tuple[int, Optional[dict]]:
     return (0 if (r1.holds and r2.holds) else 1), doc
 
 
-def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
+def _cmd_qprod(args) -> tuple[int, dict]:
     chunks = [t for t in args.args.split(";") if t.strip()]
     a, _ = resolve_algebra(args.algebra)
-    elems = [a.element(parse_coords(t, a, f"--args[{k}]"))
+    elems = [a.element(parse_scalar_list(t.split(","), f"--args[{k}]", a.dim))
              for k, t in enumerate(chunks)]
     result = q_star(elems)
     doc = {
@@ -184,40 +165,40 @@ def _cmd_qprod(args) -> tuple[int, Optional[dict]]:
     return 0, doc
 
 
-def _cmd_lemmas(args) -> tuple[int, Optional[dict]]:
+def _cmd_lemmas(args) -> tuple[int, dict]:
     require_samples(args)
     require_audit_range(args.n_min, args.n_max)
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(args.algebra, a, idem, args.e1)
     rep = audit_catalog(p, args.n_min, args.n_max, args.samples, args.seed)
-    entries: dict[str, dict] = {}
-    for run in rep.runs:
-        entry = entries.setdefault(run.entry_id, {"id": run.entry_id,
-                                                  "runs": []})
-        entry["runs"].append(run)
     doc = {
         "command": "lemmas",
         "e1": _encode(p.e1),
         "algebra": a.name,
         "n_min": args.n_min, "n_max": args.n_max,
         "samples": args.samples, "seed": args.seed,
-        "entries": _encode(list(entries.values())),
+        "entries": _encode(rep.entries),
         "derived_all_ok": rep.derived_all_ok,
     }
     return (0 if rep.derived_all_ok else 1), doc
 
 
-def _cmd_mapcheck(args) -> tuple[int, Optional[dict]]:
+def _cmd_mapcheck(args) -> tuple[int, dict]:
     require_samples(args)
     require_condition_arity(args.n)
     phi, dom_idem = load_map_file(args.mapfile)
     p = build_peirce(f"{args.mapfile}: domain", phi.domain, dom_idem,
                      args.e1)
-    jordan = check_jordan_condition(phi, p, args.n, args.samples, args.seed)
     try:
+        # a codomain unit that fails its laws is a defect of the file, which
+        # the unital check of the jordan condition would blame on the map
+        if phi.codomain is not phi.domain:
+            require_unit_laws(phi.codomain)
+        jordan = check_jordan_condition(phi, p, args.n, args.samples,
+                                        args.seed)
         iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)
     except PeirceError as exc:
-        # only the image system, built on the codomain, can raise it here
+        # only the codomain, or the image system built on it, raises it here
         raise CliInputError(f"{args.mapfile}: codomain: {exc}") from exc
     refuted = jordan.refuted or not iso.ok
     doc = {
@@ -250,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a builtin algebra as JSON")
     p.add_argument("spec", help="zorn | matrix:K | cd:G1,G2,... | dsum:A,B")
-    p.add_argument("-o", "--output", help="write to FILE instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="run the axiom suite on an algebra")
@@ -299,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_cli(argv: Sequence[str]) -> tuple[int, Optional[dict]]:
-    """Exit code plus the report document (None when gen writes a file)."""
+def run_cli(argv: Sequence[str]) -> tuple[int, dict]:
+    """Exit code plus the report document."""
     parser = build_parser()
     args = parser.parse_args(list(argv))
     return args.func(args)
@@ -311,11 +291,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         code, doc = run_cli(argv)
-    except (CliInputError, AlgebraError, ScalarError, OSError) as exc:
+    except (CliInputError, AlgebraError, ScalarError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if doc is not None:
-        sys.stdout.write(canonical_json(doc))
+    sys.stdout.write(canonical_json(doc))
     return code
 
 

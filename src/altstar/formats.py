@@ -46,7 +46,7 @@ def parse_scalar_list(items, what: str, dim: int) -> list[Scalar]:
                                               for t in items):
         raise FormatError(f"{what} must be a list of scalar literals")
     if len(items) != dim:
-        raise FormatError(f"{what} must have length {dim}")
+        raise FormatError(f"{what}: expected {dim} scalars, got {len(items)}")
     return [parse_scalar(t, f"{what}[{k}]") for k, t in enumerate(items)]
 
 

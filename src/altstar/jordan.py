@@ -18,10 +18,12 @@ the algebra, so one memo may serve many folds, on both sides of a map.
 Each catalog entry carries two closed forms for the same argument pattern:
 ``derived`` (independently computed from the recursion, the expected truth)
 and ``display`` (the closed form as displayed in the source material this
-catalog audits, transcribed without correction).  ``display`` defaults to
-``derived``; only ID-H, J, K and L display a different form.
-``verbatim_match`` records per run whether the displayed form agreed with
-every sample; a run is one ``first_witnesses`` scan of the two forms.
+catalog audits, transcribed without correction).  ``display`` is None for
+an entry that displays its derived form; only ID-H, J, K and L display a
+different one.  ``verbatim_match`` records per run whether the displayed
+form agreed with every sample; a run is one ``first_witnesses`` scan of the
+two forms.  ``audit_catalog`` groups the runs of each entry in one
+``EntryAudit``.
 """
 
 from __future__ import annotations
@@ -108,15 +110,9 @@ class IdentityEntry:
     frees: tuple[tuple[str, object], ...]
     args: Callable[[PeirceSystem, str, int, dict], list[Element]]
     derived: Callable[[PeirceSystem, str, int, dict], Element]
-    # both default to the derived form
+    # None: the entry displays its derived form
     display_form: Optional[str] = None
     display: Optional[Callable[[PeirceSystem, str, int, dict], Element]] = None
-
-    def __post_init__(self) -> None:
-        if self.display_form is None:
-            object.__setattr__(self, "display_form", self.derived_form)
-        if self.display is None:
-            object.__setattr__(self, "display", self.derived)
 
     def live_variants(self, p: PeirceSystem) -> list[str]:
         """The variants whose required components are all nonzero."""
@@ -137,7 +133,6 @@ class IdentitySample:
 
 @dataclass(frozen=True)
 class EntryRun:
-    entry_id: str
     n: int
     samples: int
     skipped: Optional[str]
@@ -476,12 +471,11 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
     if n > MAX_ARITY:
         raise AlgebraError(f"arity must be <= {MAX_ARITY}, got {n}")
     if n < entry.n_min:
-        return EntryRun(entry.entry_id, n, 0,
-                        f"requires n >= {entry.n_min}", True, True, None, None)
+        return EntryRun(n, 0, f"requires n >= {entry.n_min}", True, True,
+                        None, None)
     variants = entry.live_variants(p)
     if not variants:
-        return EntryRun(entry.entry_id, n, 0,
-                        "required Peirce component is zero-dimensional",
+        return EntryRun(n, 0, "required Peirce component is zero-dimensional",
                         True, True, None, None)
     cache: dict = {}
 
@@ -499,23 +493,28 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
                 else IdentitySample(v, frees, lhs, rhs, lhs - rhs))
 
     laws = {"derived": partial(law, entry.derived)}
-    if entry.display is not entry.derived:
+    if entry.display is not None:
         laws["display"] = partial(law, entry.display)
     found = first_witnesses(cases(), laws)
     derived_bad = found["derived"][1]
     display_bad = found.get("display", found["derived"])[1]
-    return EntryRun(entry.entry_id, n, samples, None,
-                    derived_bad is None, display_bad is None,
+    return EntryRun(n, samples, None, derived_bad is None, display_bad is None,
                     derived_bad, display_bad)
 
 
 @dataclass(frozen=True)
-class CatalogReport:
+class EntryAudit:
+    id: str
     runs: tuple[EntryRun, ...]
+
+
+@dataclass(frozen=True)
+class CatalogReport:
+    entries: tuple[EntryAudit, ...]  # in CATALOG order
 
     @property
     def derived_all_ok(self) -> bool:
-        return all(r.derived_ok for r in self.runs)
+        return all(r.derived_ok for e in self.entries for r in e.runs)
 
 
 def require_audit_range(n_min: int, n_max: int) -> None:
@@ -529,6 +528,8 @@ def require_audit_range(n_min: int, n_max: int) -> None:
 def audit_catalog(p: PeirceSystem, n_min: int, n_max: int, samples: int,
                   seed: int) -> CatalogReport:
     require_audit_range(n_min, n_max)
-    runs = tuple(verify_identity(entry, p, n, samples, seed)
-                 for entry in CATALOG for n in range(n_min, n_max + 1))
-    return CatalogReport(runs)
+    return CatalogReport(tuple(
+        EntryAudit(entry.entry_id,
+                   tuple(verify_identity(entry, p, n, samples, seed)
+                         for n in range(n_min, n_max + 1)))
+        for entry in CATALOG))

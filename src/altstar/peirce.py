@@ -90,27 +90,32 @@ def find_symmetric_idempotents(a: Algebra) -> list[Element]:
     return out
 
 
+def require_unit_laws(a: Algebra) -> None:
+    """Raise UnitLawError unless the declared unit is two-sided
+    (check_unit) and fixed by star (1* = 1)."""
+    unit_laws = {"two_sided_unit": check_unit(a).checks[0].witness,
+                 "unit_fixed": _unit_fixed(a.unit)}
+    for law, w in unit_laws.items():
+        if w is not None:
+            args = ", ".join(map(repr, w.args))
+            raise UnitLawError(f"the declared unit fails {law} at ({args})")
+
+
 class PeirceSystem:
     """A validated pair (e1, e2 = 1 - e1) with the four projection
     matrices and component bases.
 
-    The build checks, in order: the unit laws two_sided_unit (by
-    check_unit) and unit_fixed (1* = 1); e1 idempotent, symmetric and
-    nontrivial; Peirce compatibility on the basis; and that the components
-    form a direct sum.  It makes 6 dim + 1 products and 2 stars.
+    The build checks, in order: the unit laws (require_unit_laws); e1
+    idempotent, symmetric and nontrivial; Peirce compatibility on the
+    basis; and that the components form a direct sum.  It makes 6 dim + 1
+    products and 2 stars.
     """
 
     def __init__(self, algebra: Algebra, e1: Element):
         # e2 = 1 - e1 is a symmetric idempotent complementary to e1 only
         # for a two-sided unit that star fixes
+        require_unit_laws(algebra)
         u = algebra.unit
-        unit_laws = {"two_sided_unit": check_unit(algebra).checks[0].witness,
-                     "unit_fixed": _unit_fixed(u)}
-        for law, w in unit_laws.items():
-            if w is not None:
-                args = ", ".join(map(repr, w.args))
-                raise UnitLawError(
-                    f"the declared unit fails {law} at ({args})")
         info = classify_idempotent(algebra, e1)
         if not info.is_idempotent:
             raise PeirceError("e1 is not idempotent")

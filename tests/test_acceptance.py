@@ -155,13 +155,14 @@ def test_criterion_5_derived_forms_exact_and_zorn_flags(m2_audit,
                                                         zorn_audit):
     ok = True
     for rep in (m2_audit, zorn_audit):
-        active = [r for r in rep.runs if r.skipped is None]
-        covered = {r.entry_id for r in active}
+        active = [(e.id, r) for e in rep.entries for r in e.runs
+                  if r.skipped is None]
+        covered = {entry_id for entry_id, _ in active}
         ok = ok and covered == {e.entry_id for e in st.CATALOG}
-        ok = ok and all(r.derived_ok for r in active) \
+        ok = ok and all(r.derived_ok for _, r in active) \
             and rep.derived_all_ok
 
-    flagged = [r for r in zorn_audit.runs
+    flagged = [r for e in zorn_audit.entries for r in e.runs
                if r.skipped is None and not r.verbatim_match]
     ok = ok and bool(flagged)
     sample = flagged[0].display_counterexample
@@ -177,7 +178,8 @@ def test_criterion_5_derived_forms_exact_and_zorn_flags(m2_audit,
            "(E11, E12, E12 gives E11, not 0); the faithful audit "
            "therefore cannot mark every entry verbatim on matrix:2")
 def test_criterion_5_verbatim_all_true_on_m2(m2_audit):
-    active = [r for r in m2_audit.runs if r.skipped is None]
+    active = [r for e in m2_audit.entries for r in e.runs
+              if r.skipped is None]
     ok = all(r.verbatim_match for r in active)
     _line("5 catalog verbatim on matrix:2", ok)
 

@@ -35,10 +35,17 @@ def run_json(args):
 # -- gen / check ---------------------------------------------------------------
 
 
+def _gen_file(tmp_path, spec, name):
+    """The document gen prints for spec, saved as an algebra file."""
+    code, out, err = run(["gen", spec])
+    assert code == 0 and err == ""
+    path = tmp_path / name
+    path.write_text(out, encoding="utf-8")
+    return str(path)
+
+
 def test_gen_then_check_round_trip(tmp_path):
-    path = str(tmp_path / "z.alg")
-    code, out, err = run(["gen", "zorn", "-o", path])
-    assert code == 0 and out == ""
+    path = _gen_file(tmp_path, "zorn", "z.alg")
     code, doc = run_json(["check", path])
     assert code == 0
     assert doc["ok"] is True
@@ -52,6 +59,15 @@ def test_gen_to_stdout_is_loadable_and_stable():
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["idempotents"]["e1"] == ["1", "0", "0", "0"]
+
+
+def test_gen_writes_no_file(tmp_path):
+    # every command prints its document; redirect stdout to save it
+    code, out, err = run(["gen", "zorn", "-o", str(tmp_path / "z.alg")])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        "altstar: error: unrecognized arguments: -o")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_detects_violation_with_exit_1():
@@ -101,8 +117,7 @@ def test_spade_report_shape():
 
 
 def test_spade_failure_carries_witness(tmp_path):
-    path = str(tmp_path / "ds.alg")
-    assert run(["gen", "dsum:matrix:2,matrix:2", "-o", path])[0] == 0
+    path = _gen_file(tmp_path, "dsum:matrix:2,matrix:2", "ds.alg")
     code, doc = run_json(["spade", path, "--e", "e1"])
     assert code == 1
     assert doc["spade"] == {"e1": False, "e2": False}
@@ -366,17 +381,23 @@ def test_malformed_scalar_literal_exits_2(tmp_path, source):
     assert out == ""
 
 
+def _identity_map_file(tmp_path, a, domain, codomain):
+    """The identity map of a, written with the given domain and codomain."""
+    path = tmp_path / "id.map"
+    path.write_text(canonical_json(map_to_dict(st.identity_map(a), domain,
+                                               codomain)), encoding="utf-8")
+    return str(path)
+
+
 def _run_on_algebra_file(tmp_path, command, path):
     """(exit code, stdout, stderr) of command on the algebra file at path,
     and the source its unit-law errors name: the file, or for mapcheck the
     identity map's domain."""
     if command != "mapcheck":
         return run([command, path]), path
-    a, _ = st.resolve_algebra(path)
-    map_path = tmp_path / "id.map"
-    map_path.write_text(canonical_json(map_to_dict(st.identity_map(a), path,
-                                                   path)), encoding="utf-8")
-    return run(["mapcheck", str(map_path)]), f"{map_path}: domain"
+    map_path = _identity_map_file(tmp_path, st.resolve_algebra(path)[0], path,
+                                  path)
+    return run(["mapcheck", map_path]), f"{map_path}: domain"
 
 
 UNIT_LAW_COMMANDS = ["peirce", "spade", "lemmas", "mapcheck"]
@@ -414,6 +435,59 @@ def test_unit_that_star_moves_exits_2(tmp_path, star_moved_unit, command):
     assert err.splitlines() == [f"error: {source}: the declared unit fails "
                                 "unit_fixed at (1*f1 + 1*f2)"]
     assert out == ""
+
+
+# each matrix:2 file whose unit differs from (1, 0, 0, 1) in one coordinate
+# by one of -1, 0, 2, i: 4 values at each diagonal 1, 3 at each 0
+MOVED_UNITS = [(k, value) for k in range(4)
+               for value in ("-1", "0", "2", "0+1i")
+               if value != ("1" if k in (0, 3) else "0")]
+
+
+def _moved_unit_file(tmp_path, k, value):
+    unit = ["1", "0", "0", "1"]
+    unit[k] = value
+    return _matrix2_file(tmp_path, f"unit{k}.alg", unit=unit)
+
+
+@pytest.mark.parametrize("k,value", MOVED_UNITS)
+def test_moved_unit_coordinate_is_an_input_error_everywhere(tmp_path, m2, k,
+                                                            value):
+    # check reports the failing unit law; every command that builds a
+    # Peirce system or checks a map exits 2 on it, naming the law and the
+    # file, and for mapcheck which side of the map the file is
+    path = _moved_unit_file(tmp_path, k, value)
+    code, doc = run_json(["check", path])
+    assert code == 1
+    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert failed & {"two_sided_unit", "unit_fixed"}
+    runs = [(run([command, path]), path)
+            for command in ("peirce", "spade", "lemmas")]
+    for domain, codomain, side in ((path, "matrix:2", "domain"),
+                                   ("matrix:2", path, "codomain"),
+                                   (path, path, "domain")):
+        map_path = _identity_map_file(tmp_path, m2, domain, codomain)
+        runs.append((run(["mapcheck", map_path]), f"{map_path}: {side}"))
+    for (code, out, err), source in runs:
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        prefix = f"error: {source}: the declared unit fails "
+        assert line.startswith(prefix), line
+        assert line[len(prefix):].split(" ")[0] in failed
+
+
+def test_codomain_unit_that_fails_its_laws_is_not_blamed_on_the_map(
+        tmp_path, m2):
+    # the identity linear part is unital only against the declared unit,
+    # so without the codomain's unit laws this read "jordan condition
+    # requires a unital map"
+    path = _moved_unit_file(tmp_path, 1, "1")
+    map_path = _identity_map_file(tmp_path, m2, "matrix:2", path)
+    code, out, err = run(["mapcheck", map_path])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {map_path}: codomain: the declared "
+                                "unit fails two_sided_unit at (1*E11, "
+                                "1*E11 + 1*E12 + 1*E22)"]
 
 
 def test_codomain_unit_that_is_only_a_left_unit_exits_2(tmp_path):

@@ -124,16 +124,15 @@ def _reference_peirce_relations(p, samples, seed):
 def _reference_verify_identity(entry, p, n, samples, seed):
     """verify_identity as one loop over samples and variants."""
     if n < entry.n_min:
-        return EntryRun(entry.entry_id, n, 0,
-                        f"requires n >= {entry.n_min}", True, True, None, None)
+        return EntryRun(n, 0, f"requires n >= {entry.n_min}", True, True,
+                        None, None)
     variants = entry.live_variants(p)
     if not variants:
-        return EntryRun(entry.entry_id, n, 0,
-                        "required Peirce component is zero-dimensional",
+        return EntryRun(n, 0, "required Peirce component is zero-dimensional",
                         True, True, None, None)
     cache = {}
     derived_bad = display_bad = None
-    shared = entry.display is entry.derived
+    shared = entry.display is None
     for s, v in itertools.product(range(samples), variants):
         if derived_bad is not None and display_bad is not None:
             break
@@ -150,8 +149,7 @@ def _reference_verify_identity(entry, p, n, samples, seed):
             if lhs != shown:
                 display_bad = IdentitySample(v, frees, lhs, shown,
                                              lhs - shown)
-    return EntryRun(entry.entry_id, n, samples, None,
-                    derived_bad is None, display_bad is None,
+    return EntryRun(n, samples, None, derived_bad is None, display_bad is None,
                     derived_bad, display_bad)
 
 

@@ -1,15 +1,18 @@
 """Source hygiene, decided with the standard library alone: no unused
 imports in the package or the tests, no private module-level name in the
 package that the package never reads, no typing generic built at run time
-in the package, no package code but ``cli.main`` writing to stdout, the
-package exports exactly what its __init__ imports from its submodules, and
-the README's library quick start runs as written."""
+in the package, no package code but ``cli.main`` writing to stdout, no
+package code writing a file, the package exports exactly what its __init__
+imports from its submodules, the README's library quick start runs as
+written, and the package version has one source."""
 
 import ast
 import pathlib
+import warnings
 from collections import Counter
 
 import pytest
+from setuptools.config.pyprojecttoml import read_configuration
 
 import altstar as st
 
@@ -251,6 +254,77 @@ def test_stdout_use_detector():
     assert _stdout_uses(allowed) == [("print", 3), ("sys.stdout", 4)]
 
 
+def _open_mode(call: ast.Call):
+    """The mode node of open(file, mode) or of path.open(mode), or None
+    when the call leaves the mode at its default, "r"."""
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    index = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[index] if len(call.args) > index else None
+
+
+def _file_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(what, line) for each open whose mode may write (it contains w, a, x
+    or +, or is not a literal) and each write_text or write_bytes call."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+        if name in ("write_text", "write_bytes") \
+                and isinstance(f, ast.Attribute):
+            found.append((name, node.lineno))
+        elif name == "open":
+            mode = _open_mode(node)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str)) \
+                    or set(mode.value) & set("wax+"):
+                found.append(("open", node.lineno))
+    return sorted(found)
+
+
+# every command prints its document, so the package writes no file
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_writes_no_file(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _file_writes(tree) == []
+
+
+def test_file_write_detector():
+    flagged = ast.parse(
+        "import pathlib\n"
+        "def gen(path, doc, mode):\n"
+        "    with open(path, 'w', encoding='utf-8') as fh:\n"
+        "        fh.write(doc)\n"
+        "    open(path, mode='a')\n"
+        "    open(path, 'r+')\n"
+        "    open(path, 'xb')\n"
+        "    open(path, mode)\n"
+        "    pathlib.Path(path).open('w')\n"
+        "    pathlib.Path(path).write_text(doc)\n"
+        "    pathlib.Path(path).write_bytes(b'')\n")
+    assert _file_writes(flagged) == [
+        ("open", 3), ("open", 5), ("open", 6), ("open", 7), ("open", 8),
+        ("open", 9), ("write_bytes", 11), ("write_text", 10)]
+    allowed = ast.parse(
+        "import pathlib, sys\n"
+        "def load(path):\n"
+        "    with open(path, 'r', encoding='utf-8') as fh:\n"
+        "        text = fh.read()\n"
+        "    open(path)\n"
+        "    open(path, mode='rb')\n"
+        "    pathlib.Path(path).open()\n"
+        "    pathlib.Path(path).read_text()\n"
+        "    sys.stderr.write(text)\n")
+    assert _file_writes(allowed) == []
+
+
 def test_all_lists_exactly_the_names_imported_from_submodules():
     tree = ast.parse(INIT.read_text(encoding="utf-8"))
     imported = [alias.asname or alias.name for node in tree.body
@@ -262,10 +336,23 @@ def test_all_lists_exactly_the_names_imported_from_submodules():
 
 def test_readme_library_quick_start_runs():
     # the block asserts its own claims; it pins the documented report API
-    # (offdiag_product_witness, ok, derived_all_ok, runs, entry_id)
+    # (offdiag_product_witness, ok, derived_all_ok, entries, runs)
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library quick start\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     scope: dict = {}
     exec(compile(block, "README.md", "exec"), scope)
-    assert scope["audit"].runs and scope["flagged"]
+    assert scope["audit"].entries and scope["flagged"]
+
+
+def test_version_has_one_source():
+    # pyproject.toml declares the version dynamic and reads it from
+    # altstar.__version__, so the metadata cannot disagree with the package
+    pyproject = ROOT / "pyproject.toml"
+    with warnings.catch_warnings():
+        # setuptools calls its [tool.setuptools] table beta
+        warnings.simplefilter("ignore")
+        static = read_configuration(pyproject, expand=False)["project"]
+        expanded = read_configuration(pyproject, expand=True)["project"]
+    assert "version" not in static and "version" in static["dynamic"]
+    assert expanded["version"] == st.__version__

@@ -206,14 +206,15 @@ def test_catalog_shape():
 
 
 def test_display_defaults_to_derived():
+    # None stands for the derived form
     own_display = {"ID-H", "ID-J", "ID-K", "ID-L"}
     for e in CATALOG:
-        assert (e.display is e.derived) == (e.entry_id not in own_display)
-        assert callable(e.display)
+        assert (e.display is None) == (e.entry_id not in own_display)
+        assert e.display is None or callable(e.display)
     own_text = own_display | {"ID-F"}
     for e in CATALOG:
-        assert (e.display_form == e.derived_form) \
-            == (e.entry_id not in own_text)
+        assert (e.display_form is None) == (e.entry_id not in own_text)
+        assert e.display_form != e.derived_form
 
 
 def test_shared_display_form_is_evaluated_once(m2_peirce):
@@ -229,8 +230,7 @@ def test_shared_display_form_is_evaluated_once(m2_peirce):
         derived_form=base.derived_form, notes=base.notes, n_min=base.n_min,
         variants=base.variants, frees=base.frees, args=base.args,
         derived=derived)
-    assert entry.display is derived
-    assert entry.display_form == base.derived_form
+    assert entry.display is None and entry.display_form is None
     run = verify_identity(entry, m2_peirce, 3, 7, seed=2)
     assert run.derived_ok and run.verbatim_match
     assert len(calls) == 7 * len(base.live_variants(m2_peirce))
@@ -281,34 +281,40 @@ def test_audit_bounds_the_arity_up_front(m2_peirce):
         st.audit_catalog(m2_peirce, 2, MAX_ARITY + 1, 1, seed=1)
 
 
+def _active_runs(rep):
+    """(entry id, run) for each run of the audit that was not skipped."""
+    return [(e.id, r) for e in rep.entries for r in e.runs
+            if r.skipped is None]
+
+
 def test_catalog_audit_on_m2(m2_peirce):
     rep = st.audit_catalog(m2_peirce, 2, 5, samples=30, seed=11)
-    active = [r for r in rep.runs if r.skipped is None]
-    assert all(r.derived_ok for r in active)
+    active = _active_runs(rep)
+    assert all(r.derived_ok for _, r in active)
     assert rep.derived_all_ok
-    false_ids = sorted({r.entry_id for r in active if not r.verbatim_match})
+    false_ids = sorted({i for i, r in active if not r.verbatim_match})
     # ID-L's displayed factor drops a term that survives associatively
     assert false_ids == ["ID-L"]
-    for r in active:
-        if r.entry_id == "ID-L":
+    for i, r in active:
+        if i == "ID-L":
             assert r.display_counterexample is not None
 
 
 def test_catalog_audit_on_zorn(zorn_peirce):
     rep = st.audit_catalog(zorn_peirce, 2, 5, samples=30, seed=11)
-    active = [r for r in rep.runs if r.skipped is None]
-    assert all(r.derived_ok for r in active)
-    false_ids = sorted({r.entry_id for r in active if not r.verbatim_match})
+    active = _active_runs(rep)
+    assert all(r.derived_ok for _, r in active)
+    false_ids = sorted({i for i, r in active if not r.verbatim_match})
     assert false_ids == ["ID-H", "ID-K", "ID-L"]
-    true_ids = sorted({r.entry_id for r in active if r.verbatim_match
-                       and r.entry_id not in false_ids})
+    true_ids = sorted({i for i, r in active if r.verbatim_match
+                       and i not in false_ids})
     assert true_ids == ["ID-B", "ID-C", "ID-D", "ID-E", "ID-F", "ID-G",
                         "ID-I", "ID-J", "ID-M", "ID-N"]
 
 
 def test_counterexample_reproduces(zorn_peirce):
     rep = st.audit_catalog(zorn_peirce, 3, 3, samples=30, seed=11)
-    run = next(r for r in rep.runs if r.entry_id == "ID-L")
+    (run,) = next(e.runs for e in rep.entries if e.id == "ID-L")
     s = run.display_counterexample
     assert s is not None
     entry = catalog_entry("ID-L")
@@ -327,18 +333,28 @@ def test_audit_deterministic(zorn_peirce):
     assert a == b
 
 
+def test_audit_groups_the_runs_of_each_entry(m2_peirce):
+    rep = st.audit_catalog(m2_peirce, 2, 4, samples=3, seed=5)
+    assert [e.id for e in rep.entries] == [e.entry_id for e in CATALOG]
+    for audit, entry in zip(rep.entries, CATALOG):
+        assert audit.runs == tuple(verify_identity(entry, m2_peirce, n, 3, 5)
+                                   for n in (2, 3, 4))
+    # a run names no entry: EntryAudit.id is the one copy of the id
+    assert [f.name for f in dataclasses.fields(st.EntryRun)] == [
+        "n", "samples", "skipped", "derived_ok", "verbatim_match",
+        "derived_counterexample", "display_counterexample"]
+
+
 def test_audit_skips_missing_components(dsum_m2_m2):
     ds = dsum_m2_m2
     e1 = ds.element([ONE, ZERO, ZERO, ONE] + [ZERO] * 4)
     p = st.PeirceSystem(ds, e1)
     assert p.component_dims()[(1, 2)] == 0
     rep = st.audit_catalog(p, 2, 3, samples=5, seed=2)
-    by_id = {}
-    for r in rep.runs:
-        by_id.setdefault(r.entry_id, []).append(r)
+    by_id = {e.id: e.runs for e in rep.entries}
     assert all(r.skipped for r in by_id["ID-C"])  # needs an A12 element
-    active = [r for r in rep.runs if r.skipped is None]
-    assert active and all(r.derived_ok for r in active)
+    active = _active_runs(rep)
+    assert active and all(r.derived_ok for _, r in active)
 
 
 _EACH_I, _EACH_IJ = ["i=1", "i=2"], ["i=1,j=2", "i=2,j=1"]

@@ -18,7 +18,7 @@ import altstar as st
 from altstar.algebra import CheckResult, Witness, check_axioms
 from altstar.cli import _encode, build_peirce, run_cli
 from altstar.formats import canonical_json, load_map_file, scalar_list
-from altstar.jordan import EntryRun, IdentitySample
+from altstar.jordan import EntryAudit, EntryRun, IdentitySample
 from altstar.maps import (ConditionReport, MapWitness, check_jordan_condition,
                           check_star_ring_isomorphism)
 from altstar.scalars import I, TWO
@@ -63,17 +63,17 @@ def _entry_run_dict(r):
             "display_counterexample": _sample_dict(r.display_counterexample)}
 
 
+def _entry_audit_dict(e):
+    return {"id": e.id,
+            "runs": [_entry_run_dict(r) for r in e.runs]}
+
+
 def _catalog_report_dict(rep, algebra, n_min, n_max, samples, seed):
-    entries = {}
-    for run in rep.runs:
-        entry = entries.setdefault(run.entry_id, {"id": run.entry_id,
-                                                  "runs": []})
-        entry["runs"].append(_entry_run_dict(run))
     return {
         "algebra": algebra,
         "n_min": n_min, "n_max": n_max,
         "samples": samples, "seed": seed,
-        "entries": list(entries.values()),
+        "entries": [_entry_audit_dict(e) for e in rep.entries],
         "derived_all_ok": rep.derived_all_ok,
     }
 
@@ -98,7 +98,7 @@ def _condition_report_dict(c):
 
 REFERENCE = {Witness: _witness_dict, CheckResult: _check_dict,
              IdentitySample: _sample_dict, EntryRun: _entry_run_dict,
-             MapWitness: _map_witness_dict,
+             EntryAudit: _entry_audit_dict, MapWitness: _map_witness_dict,
              ConditionReport: _condition_report_dict}
 
 
@@ -138,10 +138,16 @@ def _samples(zorn):
 
 def _entry_runs(zorn):
     cases = [None] + _samples(zorn)
-    return [EntryRun("ID-X", 3, samples, skipped, ok, match, derived, shown)
+    return [EntryRun(3, samples, skipped, ok, match, derived, shown)
             for samples, skipped in ((0, "requires n >= 4"), (5, None))
             for ok, match in itertools.product((True, False), repeat=2)
             for derived, shown in itertools.product(cases, repeat=2)]
+
+
+def _entry_audits(zorn):
+    runs = tuple(_entry_runs(zorn))
+    return [EntryAudit(entry_id, runs[:k])
+            for entry_id, k in (("ID-X", 0), ("ID-Y", 1), ("ID-Z", 9))]
 
 
 def _map_witnesses(zorn):
@@ -159,7 +165,8 @@ def _condition_reports(zorn):
 
 BUILT = {Witness: _witnesses, CheckResult: _check_results,
          IdentitySample: _samples, EntryRun: _entry_runs,
-         MapWitness: _map_witnesses, ConditionReport: _condition_reports}
+         EntryAudit: _entry_audits, MapWitness: _map_witnesses,
+         ConditionReport: _condition_reports}
 
 
 @pytest.mark.parametrize("cls", list(BUILT), ids=lambda c: c.__name__)
@@ -169,7 +176,7 @@ def test_encoder_matches_the_reference_on_built_reports(cls, zorn):
 
 @pytest.mark.parametrize("cls", list(BUILT), ids=lambda c: c.__name__)
 def test_report_keys_are_its_dataclass_fields(cls, zorn):
-    names = [f.name for f in dataclasses.fields(cls) if f.name != "entry_id"]
+    names = [f.name for f in dataclasses.fields(cls)]
     if cls is ConditionReport:
         names.insert(names.index("refuted") + 1, "verdict")
     for r in BUILT[cls](zorn):
@@ -197,8 +204,9 @@ def test_encoder_matches_the_reference_on_peirce_relations(zorn_peirce):
 
 def test_encoder_matches_the_reference_on_a_failing_catalog(zorn_peirce):
     rep = st.audit_catalog(zorn_peirce, 2, 4, samples=3, seed=1)
-    assert any(r.display_counterexample is not None for r in rep.runs)
-    assert any(r.skipped is not None for r in rep.runs)
+    runs = [r for e in rep.entries for r in e.runs]
+    assert any(r.display_counterexample is not None for r in runs)
+    assert any(r.skipped is not None for r in runs)
     code, doc = run_cli(["lemmas", "zorn", "--n-min", "2", "--n-max", "4",
                          "--samples", "3", "--seed", "1"])
     assert code == (0 if rep.derived_all_ok else 1)
