@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 import altstar as st
 import altstar.algebra as algebra_module
@@ -546,12 +546,128 @@ def test_alternative_kernel_makes_no_products(spec, flexible, monkeypatch):
         assert [c.passed for c in rep.checks] == [False, False, True]
 
 
-@pytest.mark.parametrize("spec,stars", [("zorn", 81), ("matrix:3", 100)])
+@pytest.mark.parametrize("spec,stars", [("zorn", 17), ("matrix:3", 19)])
 def test_basis_stars_are_made_once(spec, stars, monkeypatch):
     # a passing involution check makes dim stars for the table, dim for
-    # b**, one for the unit and dim^2 for (x y)*
+    # b** and one for the unit; the tensor decides (x y)* = y* x* with none
     a, _ = st.resolve_algebra(spec)
     n = a.dim
     stars_made = _count(monkeypatch, "star")
     assert st.check_involution(a).ok
-    assert len(stars_made) == stars == 2 * n + 1 + n * n
+    assert len(stars_made) == stars == 2 * n + 1
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:3", "matrix:8",
+                                  "cd:-1,-1,-1,-1", "zorn~", "matrix:3~"])
+def test_involution_kernel_makes_no_products(spec, zorn_transported,
+                                             monkeypatch):
+    # once star is involutive, the pairs (b_i, b_j*) decide the law on the
+    # tensor and the star matrix, so a pass makes no Element product; the
+    # moved bases give dense cells and a dense, non-permutation star
+    if spec == "zorn~":
+        a = zorn_transported
+    elif spec.endswith("~"):
+        a = _dense(spec[:-1])
+    else:
+        a, _ = st.resolve_algebra(spec)
+    multiplies = _count(monkeypatch, "multiply")
+    assert st.check_involution(a).ok
+    assert multiplies == []
+
+
+# -- the anti-automorphism kernel against the Element path --------------------
+
+
+@hst.composite
+def _conjugate_symmetric_algebras(draw):
+    """dim 1-4 with entrywise conjugation and c[j][i][k] = conj(c[i][j][k])
+    (real where i = j), so (x y)* = y* x* holds, or with one constant then
+    changed, which breaks the symmetry when it lands off the diagonal or
+    off the reals.  Then, moved to the dense basis _unimodular(dim) with
+    each new basis vector scaled by 1, 2 or 3, the cells are dense and the
+    star is a dense matrix whose common denominator is 1, 2, 3 or 6."""
+    dim = draw(hst.integers(1, 4))
+    upper = [(i, j, k) for i in range(dim) for j in range(i, dim)
+             for k in range(dim)]
+    structure = {}
+    for i, j, k in draw(hst.lists(hst.sampled_from(upper), max_size=dim * dim,
+                                  unique=True)):
+        c = draw(_FRACTIONS)
+        c = c if i != j else Scalar(c.a, 0, c.d)
+        structure[(i, j, k)] = c
+        structure[(j, i, k)] = c.conj()
+    if draw(hst.booleans()):
+        t = draw(hst.sampled_from(list(itertools.product(range(dim),
+                                                         repeat=3))))
+        structure[t] = structure.get(t, ZERO) + draw(
+            _FRACTIONS.filter(lambda c: not c.is_zero()))
+    eye = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
+    unit = draw(hst.lists(_SMALL, min_size=dim, max_size=dim))
+    a = Algebra("conjugate-symmetric", dim, [f"b{k}" for k in range(dim)],
+                structure, unit, eye)
+    if not draw(hst.booleans()):
+        return a
+    scale = draw(hst.lists(hst.integers(1, 3), min_size=dim, max_size=dim))
+    m = [[c * Scalar(s) for c, s in zip(row, scale)]
+         for row in _unimodular(dim)]
+    return st.change_of_basis(a, m)
+
+
+@hst.composite
+def _projection_star_algebras(draw):
+    """dim 1-3 with a star that conjugates and then projects onto some
+    coordinates: it fails involutive at each dropped basis vector, while
+    the pairs (b_i, b_j*) may still satisfy the law."""
+    dim = draw(hst.integers(1, 3))
+    keep = draw(hst.lists(hst.booleans(), min_size=dim, max_size=dim))
+    triples = list(itertools.product(range(dim), repeat=3))
+    keys = draw(hst.lists(hst.sampled_from(triples), max_size=dim * dim,
+                          unique=True))
+    star = [[ONE if r == c and keep[c] else ZERO for c in range(dim)]
+            for r in range(dim)]
+    return Algebra("projection-star", dim, [f"b{k}" for k in range(dim)],
+                   {t: draw(_SMALL) for t in keys},
+                   [ONE] + [ZERO] * (dim - 1), star)
+
+
+def _tensor_passes_a_projection_star():
+    """b0 b0 = b0, b0 b1 = b1, b1 b1 = b0 and b1 b0 = 0, with the star
+    x -> conj(x_0) b0: b_i b_j* = b_j b_i* on every pair, yet
+    (b1 b1)* = b0 while b1* b1* = 0, so the pairs decide nothing once
+    star is not involutive."""
+    return Algebra("projection-star", 2, ["b0", "b1"],
+                   {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 1, 0): ONE},
+                   [ONE, ZERO], [[ONE, ZERO], [ZERO, ZERO]])
+
+
+def test_involution_kernel_matches_the_element_path(monkeypatch):
+    # the whole report, witnesses included, equals the Element scan's; a
+    # report that passes involutive and anti_automorphism made no product,
+    # and any other report made the Element scan's
+    multiplies = _count(monkeypatch, "multiply")
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              database=None)
+    @given(hst.one_of(_random_star_algebras(_FRACTIONS),
+                      _conjugate_symmetric_algebras(),
+                      _projection_star_algebras()))
+    @example(_tensor_passes_a_projection_star())
+    def scan(a):
+        multiplies.clear()
+        rep = st.check_involution(a)
+        involutive = rep.check("involutive").passed
+        law = rep.check("anti_automorphism").passed
+        assert (multiplies == []) == (involutive and law)
+        assert rep == _element_path_involution(a)
+        seen.add((involutive, law))
+        if involutive and a._star._den > 1:
+            seen.add(("star den", law))
+        if not involutive and not law \
+                and algebra_module._anti_automorphic(a):
+            seen.add("the tensor passes a star that is not involutive")
+
+    scan()
+    assert seen >= {(True, True), (True, False), (False, False),
+                    ("star den", True), ("star den", False),
+                    "the tensor passes a star that is not involutive"}
