@@ -33,7 +33,8 @@ from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
                      SpadeResult, check_peirce_relations, check_spade,
                      classify_idempotent, component_of,
                      find_symmetric_idempotents, peirce_decompose,
-                     random_component, require_unit_laws, spade_pair)
+                     random_component, require_star_algebra_laws,
+                     spade_pair)
 from .sampling import (derive_rng, random_combination, random_element,
                        random_scalar)
 from .scalars import (I, MINUS_ONE, ONE, Scalar, ScalarError, TWO, ZERO,

@@ -452,11 +452,6 @@ def check_alternative(a: Algebra) -> AxiomReport:
                    else scan("flexible_linearized", flexible, 0, 2))
 
 
-def _unit_fixed(u: Element) -> Optional[Witness]:
-    """The law 1* = 1 at the unit u."""
-    return _witness((u,), u.star() - u)
-
-
 def check_unit(a: Algebra) -> AxiomReport:
     """u b = b, then b u = b, for each basis vector b in order."""
     u = a.unit
@@ -543,9 +538,10 @@ def check_involution(a: Algebra) -> AxiomReport:
 
     found = first_witnesses(range(a.dim), {"involutive": involutive})
     holds = _report(found).ok and _anti_automorphic(a)
+    u = a.unit
     return _report(
         found,
-        first_witnesses([a.unit], {"unit_fixed": _unit_fixed}),
+        {"unit_fixed": (1, _witness((u,), u.star() - u))},
         {"anti_automorphism": (0, None)} if holds
         else first_witnesses(product(range(a.dim), repeat=2),
                              {"anti_automorphism": anti_automorphism}))

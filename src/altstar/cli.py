@@ -22,8 +22,9 @@ from .formats import (algebra_to_dict, canonical_json, load_map_file,
 from .jordan import audit_catalog, q_star, require_audit_range
 from .maps import (check_jordan_condition, check_star_ring_isomorphism,
                    require_condition_arity)
-from .peirce import (IJ_PAIRS, PeirceError, PeirceSystem, UnitLawError,
-                     check_peirce_relations, require_unit_laws, spade_pair)
+from .peirce import (IJ_PAIRS, PeirceError, PeirceSystem,
+                     StarAlgebraLawError, check_peirce_relations,
+                     require_star_algebra_laws, spade_pair)
 from .scalars import Scalar, ScalarError
 
 
@@ -54,12 +55,13 @@ def pick_idempotent(a: Algebra, idem: dict[str, list[Scalar]],
 
 def build_peirce(source: str, a: Algebra, idem: dict[str, list[Scalar]],
                  text: str, what: str = "--e1") -> PeirceSystem:
-    """e1 as the option *what* names it; a unit law that fails is a defect
-    of the algebra, so its error names *source*, not the option."""
+    """e1 as the option *what* names it; a unit or involution law that
+    fails is a defect of the algebra, so its error names *source*, not the
+    option."""
     e1 = pick_idempotent(a, idem, text, what)
     try:
         return PeirceSystem(a, e1)
-    except UnitLawError as exc:
+    except StarAlgebraLawError as exc:
         raise CliInputError(f"{source}: {exc}") from exc
     except AlgebraError as exc:
         raise CliInputError(f"{what}: {exc}") from exc
@@ -190,10 +192,10 @@ def _cmd_mapcheck(args) -> tuple[int, dict]:
     p = build_peirce(f"{args.mapfile}: domain", phi.domain, dom_idem,
                      args.e1)
     try:
-        # a codomain unit that fails its laws is a defect of the file, which
-        # the unital check of the jordan condition would blame on the map
+        # a codomain that fails its unit or involution laws is a defect of
+        # the file, which the checks of the map would blame on the map
         if phi.codomain is not phi.domain:
-            require_unit_laws(phi.codomain)
+            require_star_algebra_laws(phi.codomain)
         jordan = check_jordan_condition(phi, p, args.n, args.samples,
                                         args.seed)
         iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)

@@ -96,10 +96,9 @@ class IdentityEntry:
 
     ``frees`` declares the free arguments in draw order as (name, component)
     pairs.  A component is None (the whole algebra), a Peirce template such
-    as "ij", "ji", "ii" or "12" read against the variant's indices, the same
-    with a trailing "?" (zero when the component is zero-dimensional), or a
+    as "ij", "ji", "ii" or "12" read against the variant's indices, or a
     pair of earlier names (their sum: t = t12 + t21 in ID-D and ID-E).  A
-    variant runs only when every component without "?" is nonzero.
+    variant runs only when every template component is nonzero.
     """
     entry_id: str
     pattern: str
@@ -119,7 +118,7 @@ class IdentityEntry:
         dims = p.component_dims()
         return [v for v in self.variants
                 if all(dims[_component(c, v)] for _, c in self.frees
-                       if isinstance(c, str) and not c.endswith("?"))]
+                       if isinstance(c, str))]
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,9 @@ class EntryRun:
 @lru_cache(maxsize=None)  # a few calls per sample, keyed on catalog strings
 def _component(template: str, variant: str) -> tuple[int, ...]:
     """The indices a template names under a variant: "ji" under "i=1,j=2"
-    is (2, 1), "12" is (1, 2) under any variant; a trailing "?" is ignored."""
+    is (2, 1), "12" is (1, 2) under any variant."""
     index = dict(kv.split("=") for kv in variant.split(",") if "=" in kv)
-    return tuple(int(index.get(c, c)) for c in template.rstrip("?"))
+    return tuple(int(index.get(c, c)) for c in template)
 
 
 def _ei(p: PeirceSystem, variant: str, index: str = "i") -> Element:
@@ -164,14 +163,12 @@ def _draw(p: PeirceSystem, entry: IdentityEntry, variant: str,
         elif isinstance(c, tuple):
             frees[name] = frees[c[0]] + frees[c[1]]
         else:
-            ij = _component(c, variant)
-            frees[name] = (random_component(p, ij, rng)
-                           if p.component_bases[ij] else p.algebra.zero())
+            frees[name] = random_component(p, _component(c, variant), rng)
     return frees
 
 
-# t = t12 + t21 with zero diagonal; A21 may be zero (t21 = 0), A12 may not
-_T_OFFDIAG = (("t12", "12"), ("t21", "21?"), ("t", ("t12", "t21")),
+# t = t12 + t21 with zero diagonal
+_T_OFFDIAG = (("t12", "12"), ("t21", "21"), ("t", ("t12", "t21")),
               ("c12", "12"))
 
 

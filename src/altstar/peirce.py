@@ -11,14 +11,14 @@ component relations checked here:
   (iv)  x*x = 0  for x in A_12 or A_21
   (v)   star maps A_ij into A_ji
 
-Each projection x -> e_i (x e_j) is linear.  PeirceSystem checks that the
-declared unit is two-sided and fixed by star, so e2 is a symmetric
-idempotent, and builds all four projections of a basis vector b from e1
-alone: from e1 b, b e1 and e1 (b e1) by subtraction.  It stores each
-projection once as a matrix from the images of the basis, compiled to an
-IntMatrix, so a projection, a decomposition or a membership test costs
-integer matrix-vector products and no algebra product.  The relations are
-one ``first_witnesses`` scan whose case is one sample's draws.
+Each projection x -> e_i (x e_j) is linear.  PeirceSystem checks the unit
+and involution laws of ``check``, so e2 is a symmetric idempotent, and
+builds all four projections of a basis vector b from e1 alone: from e1 b,
+b e1 and e1 (b e1) by subtraction.  It stores each projection once as a
+matrix from the images of the basis, compiled to an IntMatrix, so a
+projection, a decomposition or a membership test costs integer
+matrix-vector products and no algebra product.  The relations are one
+``first_witnesses`` scan whose case is one sample's draws.
 
 The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
 implies x = 0; note the parenthesization, the products are x(ae), never
@@ -34,8 +34,8 @@ from typing import Optional
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, CheckResult, Element,
-                      IntMatrix, Witness, _unit_fixed, _witness, check_unit,
-                      first_witnesses)
+                      IntMatrix, Witness, _witness, check_involution,
+                      check_unit, first_witnesses)
 from .sampling import derive_rng, random_combination
 from .scalars import I, half_power
 
@@ -46,8 +46,8 @@ class PeirceError(AlgebraError):
     pass
 
 
-class UnitLawError(PeirceError):
-    """The algebra's declared unit fails a unit law, whatever e1 is."""
+class StarAlgebraLawError(PeirceError):
+    """The algebra fails a unit or involution law, whatever e1 is."""
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,32 @@ def find_symmetric_idempotents(a: Algebra) -> list[Element]:
     return out
 
 
-def require_unit_laws(a: Algebra) -> None:
-    """Raise UnitLawError unless the declared unit is two-sided
-    (check_unit) and fixed by star (1* = 1)."""
-    unit_laws = {"two_sided_unit": check_unit(a).checks[0].witness,
-                 "unit_fixed": _unit_fixed(a.unit)}
-    for law, w in unit_laws.items():
-        if w is not None:
-            args = ", ".join(map(repr, w.args))
-            raise UnitLawError(f"the declared unit fails {law} at ({args})")
+def require_star_algebra_laws(a: Algebra) -> None:
+    """Raise StarAlgebraLawError at the first law of check_unit and
+    check_involution, in check's order, that the algebra fails."""
+    for check in (check_unit, check_involution):
+        for c in check(a).checks:
+            if not c.passed:
+                args = ", ".join(map(repr, c.witness.args))
+                raise StarAlgebraLawError(
+                    f"the algebra fails {c.name} at ({args})")
 
 
 class PeirceSystem:
     """A validated pair (e1, e2 = 1 - e1) with the four projection
     matrices and component bases.
 
-    The build checks, in order: the unit laws (require_unit_laws); e1
-    idempotent, symmetric and nontrivial; Peirce compatibility on the
-    basis; and that the components form a direct sum.  It makes 6 dim + 1
-    products and 2 stars.
+    The build checks, in order: the unit and involution laws
+    (require_star_algebra_laws); e1 idempotent, symmetric and nontrivial;
+    Peirce compatibility on the basis; and that the components form a
+    direct sum.  It makes 6 dim + 1 products and 2 dim + 2 stars.
     """
 
     def __init__(self, algebra: Algebra, e1: Element):
-        # e2 = 1 - e1 is a symmetric idempotent complementary to e1 only
-        # for a two-sided unit that star fixes
-        require_unit_laws(algebra)
+        # e2 = 1 - e1 is a symmetric idempotent only for a two-sided unit
+        # that star fixes; with the involution laws and Peirce compatibility,
+        # (e_i (x e_j))* = e_j (x* e_i), so star maps A_ij onto A_ji
+        require_star_algebra_laws(algebra)
         u = algebra.unit
         info = classify_idempotent(algebra, e1)
         if not info.is_idempotent:

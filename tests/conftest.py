@@ -80,15 +80,21 @@ def zorn_transported(zorn, zorn_moved_basis):
 
 @pytest.fixture(scope="session")
 def incompatible():
-    """Basis u, e, x: u a two-sided unit, e e = e, x e = e, and e x = x x = 0;
-    the star conjugates coordinates.  e is a nontrivial symmetric idempotent
-    whose projections disagree at x: (e x) e = 0 but e (x e) = e."""
-    eye = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
-    structure = {(0, 0, 0): ONE, (0, 1, 1): ONE, (0, 2, 2): ONE,
-                 (1, 0, 1): ONE, (2, 0, 2): ONE, (1, 1, 1): ONE,
-                 (2, 1, 1): ONE}
-    return st.Algebra("incompatible", 3, ["u", "e", "x"], structure,
-                      [ONE, ZERO, ZERO], eye)
+    """B + B^op with the exchange involution (y, z)* = (z, y), which is
+    involutive and anti-automorphic for any unital B.  B has basis u, e, x:
+    u a two-sided unit, e e = e, x e = e, and e x = x x = 0; the basis of
+    B^op is u', e', x'.  e1 = e + e' is a nontrivial symmetric idempotent
+    whose projections disagree at x: (e1 x) e1 = (e x) e = 0 but
+    e1 (x e1) = e (x e) = e."""
+    structure = {}
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 0, 2),
+                    (1, 1, 1), (2, 1, 1)):
+        # b_i b_j = b_k in B, and b_j' b_i' = b_k' in B^op
+        structure[i, j, k] = structure[j + 3, i + 3, k + 3] = ONE
+    swap = [[ONE if c == (r + 3) % 6 else ZERO for c in range(6)]
+            for r in range(6)]
+    return st.Algebra("incompatible", 6, ["u", "e", "x", "u'", "e'", "x'"],
+                      structure, [ONE, ZERO, ZERO, ONE, ZERO, ZERO], swap)
 
 
 @pytest.fixture(scope="session")
@@ -108,7 +114,8 @@ def overlap():
 def star_moved_unit():
     """Basis f1, f2: orthogonal idempotents with the two-sided unit f1 + f2,
     and f2* = 2 f2.  e1 = f1 is a symmetric idempotent, but star moves the
-    unit, so e2 = 1 - e1 = f2 is not symmetric."""
+    unit, so e2 = 1 - e1 = f2 is not symmetric; the first law it fails in
+    check's order is involutive, at f2."""
     return st.Algebra("star-moved-unit", 2, ["f1", "f2"],
                       {(0, 0, 0): ONE, (1, 1, 1): ONE}, [ONE, ONE],
                       [[ONE, ZERO], [ZERO, Scalar(2)]])

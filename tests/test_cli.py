@@ -391,7 +391,7 @@ def _identity_map_file(tmp_path, a, domain, codomain):
 
 def _run_on_algebra_file(tmp_path, command, path):
     """(exit code, stdout, stderr) of command on the algebra file at path,
-    and the source its unit-law errors name: the file, or for mapcheck the
+    and the source its load-time errors name: the file, or for mapcheck the
     identity map's domain."""
     if command != "mapcheck":
         return run([command, path]), path
@@ -401,6 +401,42 @@ def _run_on_algebra_file(tmp_path, command, path):
 
 
 UNIT_LAW_COMMANDS = ["peirce", "spade", "lemmas", "mapcheck"]
+# the laws that every command but check validates at load, in check's order
+LOAD_LAWS = ("two_sided_unit", "involutive", "unit_fixed",
+             "anti_automorphism")
+
+
+def _failed_load_laws(path):
+    """The load-time laws that check fails on the algebra file at path, in
+    check's order; none where check cannot load it."""
+    code, out, _ = run(["check", path])
+    if code == 2:
+        return []
+    return [c["name"] for c in json.loads(out)["checks"]
+            if not c["passed"] and c["name"] in LOAD_LAWS]
+
+
+def _assert_refused_at_load(directory, path, sound="matrix:2"):
+    """The contract for an algebra file that check refutes at a load-time
+    law: peirce, spade and lemmas on it, and mapcheck with it as the
+    domain, the codomain or both (the other side the algebra *sound*),
+    each exit 2 with an empty stdout and one error line.  The line names
+    the file, for mapcheck its side, and the first law check fails."""
+    failed = _failed_load_laws(path)
+    assert failed, path
+    runs = [(run([command, path]), path)
+            for command in ("peirce", "spade", "lemmas")]
+    a, _ = st.resolve_algebra(path)
+    for domain, codomain, side in ((path, sound, "domain"),
+                                   (sound, path, "codomain"),
+                                   (path, path, "domain")):
+        map_path = _identity_map_file(directory, a, domain, codomain)
+        runs.append((run(["mapcheck", map_path]), f"{map_path}: {side}"))
+    for (code, out, err), source in runs:
+        assert code == 2 and out == "", (source, code, err)
+        (line,) = err.splitlines()
+        assert line.startswith(
+            f"error: {source}: the algebra fails {failed[0]} at ("), line
 
 
 @pytest.mark.parametrize("command", UNIT_LAW_COMMANDS)
@@ -412,7 +448,7 @@ def test_unit_that_does_not_recombine_exits_2(tmp_path, command):
     path = _matrix2_file(tmp_path, "m2.alg", unit=["1", "0", "0", "2"])
     (code, out, err), source = _run_on_algebra_file(tmp_path, command, path)
     assert code == 2
-    assert err.splitlines() == [f"error: {source}: the declared unit fails "
+    assert err.splitlines() == [f"error: {source}: the algebra fails "
                                 "two_sided_unit at (1*E12, 1*E11 + 2*E22)"]
     assert out == ""
 
@@ -427,14 +463,18 @@ def _algebra_file(tmp_path, a, e1):
 @pytest.mark.parametrize("command", UNIT_LAW_COMMANDS)
 def test_unit_that_star_moves_exits_2(tmp_path, star_moved_unit, command):
     # e1 = f1 is a symmetric idempotent, yet e2 = 1 - e1 is not symmetric:
-    # a malformed file, not a refutation
+    # a malformed file, not a refutation.  The first law it fails in
+    # check's order is involutive
     a = star_moved_unit
     path = _algebra_file(tmp_path, a, a.basis_element(0))
     (code, out, err), source = _run_on_algebra_file(tmp_path, command, path)
     assert code == 2
-    assert err.splitlines() == [f"error: {source}: the declared unit fails "
-                                "unit_fixed at (1*f1 + 1*f2)"]
+    assert err.splitlines() == [f"error: {source}: the algebra fails "
+                                "involutive at (1*f2)"]
     assert out == ""
+    if command == "mapcheck":
+        # and as either side of a map against a sound algebra of dim 2
+        _assert_refused_at_load(tmp_path, path, "dsum:matrix:1,matrix:1")
 
 
 # each matrix:2 file whose unit differs from (1, 0, 0, 1) in one coordinate
@@ -451,29 +491,34 @@ def _moved_unit_file(tmp_path, k, value):
 
 
 @pytest.mark.parametrize("k,value", MOVED_UNITS)
-def test_moved_unit_coordinate_is_an_input_error_everywhere(tmp_path, m2, k,
+def test_moved_unit_coordinate_is_an_input_error_everywhere(tmp_path, k,
                                                             value):
     # check reports the failing unit law; every command that builds a
     # Peirce system or checks a map exits 2 on it, naming the law and the
     # file, and for mapcheck which side of the map the file is
     path = _moved_unit_file(tmp_path, k, value)
-    code, doc = run_json(["check", path])
-    assert code == 1
-    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
-    assert failed & {"two_sided_unit", "unit_fixed"}
-    runs = [(run([command, path]), path)
-            for command in ("peirce", "spade", "lemmas")]
-    for domain, codomain, side in ((path, "matrix:2", "domain"),
-                                   ("matrix:2", path, "codomain"),
-                                   (path, path, "domain")):
-        map_path = _identity_map_file(tmp_path, m2, domain, codomain)
-        runs.append((run(["mapcheck", map_path]), f"{map_path}: {side}"))
-    for (code, out, err), source in runs:
-        assert code == 2 and out == ""
-        (line,) = err.splitlines()
-        prefix = f"error: {source}: the declared unit fails "
-        assert line.startswith(prefix), line
-        assert line[len(prefix):].split(" ")[0] in failed
+    assert set(_failed_load_laws(path)) & {"two_sided_unit", "unit_fixed"}
+    _assert_refused_at_load(tmp_path, path)
+
+
+M2_STAR = [[st.format_scalar(c) for c in row]
+           for row in st.matrix_algebra(2).star_matrix()]
+# each matrix:2 file whose star matrix differs in one entry, by one of -1, 0,
+# 1, 2, i: 4 values at each of the 16 entries
+STAR_ENTRIES = [(r, c, value) for r in range(4) for c in range(4)
+                for value in ("-1", "0", "1", "2", "0+1i")
+                if value != M2_STAR[r][c]]
+
+
+@pytest.mark.parametrize("r,c,value", STAR_ENTRIES)
+def test_star_entry_that_check_refutes_is_an_input_error_everywhere(
+        tmp_path, r, c, value):
+    # each fails involutive or unit_fixed; 32 of the 64 fix the unit and
+    # fail only involutive and anti_automorphism
+    star = [list(row) for row in M2_STAR]
+    star[r][c] = value
+    _assert_refused_at_load(tmp_path,
+                            _matrix2_file(tmp_path, "star.alg", star=star))
 
 
 def test_codomain_unit_that_fails_its_laws_is_not_blamed_on_the_map(
@@ -485,8 +530,8 @@ def test_codomain_unit_that_fails_its_laws_is_not_blamed_on_the_map(
     map_path = _identity_map_file(tmp_path, m2, "matrix:2", path)
     code, out, err = run(["mapcheck", map_path])
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"error: {map_path}: codomain: the declared "
-                                "unit fails two_sided_unit at (1*E11, "
+    assert err.splitlines() == [f"error: {map_path}: codomain: the algebra "
+                                "fails two_sided_unit at (1*E11, "
                                 "1*E11 + 1*E12 + 1*E22)"]
 
 
@@ -518,8 +563,8 @@ def test_codomain_unit_that_is_only_a_left_unit_exits_2(tmp_path):
                         encoding="utf-8")
     code, out, err = run(["mapcheck", str(map_path)])
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"error: {map_path}: codomain: the declared "
-                                "unit fails two_sided_unit at (1*g, 1*u)"]
+    assert err.splitlines() == [f"error: {map_path}: codomain: the algebra "
+                                "fails two_sided_unit at (1*g, 1*u)"]
 
 
 @pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
@@ -535,8 +580,9 @@ def test_overlapping_components_exit_2(tmp_path, overlap, command):
 
 @pytest.mark.parametrize("command", ["peirce", "spade", "lemmas"])
 def test_incompatible_idempotent_exits_2(tmp_path, incompatible, command):
-    code, out, err = run([command, _algebra_file(
-        tmp_path, incompatible, incompatible.basis_element(1))])
+    e1 = incompatible.basis_element(1) + incompatible.basis_element(4)
+    code, out, err = run([command, _algebra_file(tmp_path, incompatible,
+                                                 e1)])
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
@@ -708,7 +754,9 @@ def _perturb(data, doc):
 @given(data=hst.data())
 def test_malformed_files_keep_the_exit_code_contract(contract_files, data):
     # 0 = pass, 1 = witness, both with one JSON report and a silent stderr;
-    # 2 = input error, with one error line; an escaping exception fails
+    # 2 = input error, with one error line; an escaping exception fails.
+    # An algebra that check refutes at a load-time law is refused by every
+    # other command
     (algebra, alg_path), (identity, map_path) = contract_files
     alg_path.write_text(canonical_json(_perturb(data, algebra)),
                         encoding="utf-8")
@@ -724,6 +772,10 @@ def test_malformed_files_keep_the_exit_code_contract(contract_files, data):
         else:
             assert code in (0, 1) and err == "", (args, code, err)
             json.loads(out)
+    if _failed_load_laws(str(alg_path)):
+        sides = alg_path.parent / "sides"
+        sides.mkdir(exist_ok=True)
+        _assert_refused_at_load(sides, str(alg_path))
 
 
 def test_installed_entry_point():

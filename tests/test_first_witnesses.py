@@ -6,7 +6,8 @@ cases that record what is taken and run.  The loops that the Peirce
 relations, the catalog and the map conditions owned before are kept here as
 the reference: each harness gives the same report as its old loop, on
 zorn, matrix:3, zorn after a change of basis, the seeded patched zorn
-rotation and an upper-triangular algebra whose relations fail.
+rotation and cd:-1,-1,-1,-1, which is not alternative and whose relations
+fail.
 """
 
 import itertools
@@ -22,7 +23,6 @@ from altstar.peirce import (IJ_PAIRS, PeirceRelationsReport, _RELATIONS,
                             component_of, peirce_decompose, random_component)
 from altstar.sampling import derive_rng
 from altstar.scalars import ONE
-from test_jordan import _upper_triangular
 
 # -- the contract ------------------------------------------------------------
 
@@ -241,14 +241,16 @@ def _reference_scanned_isomorphism_checks(phi, p, samples, seed):
 
 @pytest.fixture(scope="module")
 def systems(zorn_peirce, m3_peirce, zorn_transported):
+    def first(a):
+        return st.PeirceSystem(a, st.find_symmetric_idempotents(a)[0])
+
+    # on cd16, which fails both alternative laws, e1 = (1 + i g1)/2
+    cd16, _ = st.resolve_algebra("cd:-1,-1,-1,-1")
     return {"zorn": zorn_peirce, "matrix:3": m3_peirce,
-            "zorn~": st.PeirceSystem(
-                zorn_transported,
-                st.find_symmetric_idempotents(zorn_transported)[0]),
-            "ut2": _upper_triangular()}
+            "zorn~": first(zorn_transported), "cd16": first(cd16)}
 
 
-SYSTEMS = ["zorn", "matrix:3", "zorn~", "ut2"]
+SYSTEMS = ["zorn", "matrix:3", "zorn~", "cd16"]
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -257,11 +259,12 @@ def test_peirce_relations_match_the_loop(name, seed, systems):
     p = systems[name]
     rep = st.check_peirce_relations(p, 12, seed)
     assert rep == _reference_peirce_relations(p, 12, seed)
-    if name == "ut2":
-        # star maps A12 to itself, not into A21 = 0
+    if name == "cd16":
+        # e1 = (1 + i g1)/2: the off-diagonal products leave their targets
         assert [c.name for c in rep.checks if not c.passed] \
-            == ["(v) star(A12) in A21"]
-    if name in ("zorn", "zorn~"):
+            == ["(ii) A12*A12 in A21", "(i) A12*A21 in A11",
+                "(i) A21*A12 in A22", "(ii) A21*A21 in A12"]
+    if name in ("zorn", "zorn~", "cd16"):
         assert rep.offdiag_product_witness is not None
 
 
@@ -316,7 +319,7 @@ def _maps(systems, load_perfbench, tmp_path):
                         {e11.scale(ONE + ONE): e11.scale(ONE + ONE + ONE)}),
          systems["matrix:3"]),
         (st.identity_map(systems["zorn~"].algebra), systems["zorn~"]),
-        (st.conjugation_map(systems["ut2"].algebra), systems["ut2"]),
+        (st.conjugation_map(systems["cd16"].algebra), systems["cd16"]),
     ]
     workloads = load_perfbench("workloads", "workloads.py")
     for seed in (1, 7919):

@@ -5,6 +5,7 @@ forms are anchored by hand-computed frozen values on M2 and Zorn.
 """
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -383,42 +384,18 @@ def test_live_variants_match_recorded_table(spec):
     assert live == LIVE_VARIANTS[spec]
 
 
-def _upper_triangular():
-    """E11, E12, E22 under the matrix product, star = entrywise
-    conjugation; with e1 = E11 the component dims are 1/1/0/1."""
+def test_upper_triangular_star_is_refused_at_build():
+    # E11, E12, E22 under the matrix product, star = entrywise conjugation:
+    # star would map A12 to itself and leave A21 = 0, but it is no
+    # anti-automorphism, so no Peirce system is built on it
     identity = [[ONE if r == c else ZERO for c in range(3)] for r in range(3)]
     structure = {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 2, 1): ONE,
                  (2, 2, 2): ONE}
     a = st.Algebra("ut2", 3, ["E11", "E12", "E22"], structure,
                    [ONE, ZERO, ONE], identity)
-    return st.PeirceSystem(a, a.basis_element(0))
-
-
-@pytest.mark.parametrize("entry_id", ["ID-D", "ID-E"])
-def test_zero_a21_makes_t21_zero_without_skipping(entry_id):
-    p = _upper_triangular()
-    assert p.component_dims() == {(1, 1): 1, (1, 2): 1, (2, 1): 0,
-                                  (2, 2): 1}
-    base = catalog_entry(entry_id)
-    drawn = []
-
-    def derived(p, v, n, f):
-        drawn.append(f)
-        return base.derived(p, v, n, f)
-
-    entry = st.IdentityEntry(
-        entry_id=base.entry_id, pattern=base.pattern,
-        derived_form=base.derived_form, notes=base.notes, n_min=base.n_min,
-        variants=base.variants, frees=base.frees, args=base.args,
-        derived=derived)
-    assert entry.live_variants(p) == ["-"]
-    run = verify_identity(entry, p, 3, 6, seed=3)
-    assert run.skipped is None and run.samples == 6
-    assert run.derived_ok and run.verbatim_match
-    assert len(drawn) == 6
-    for f in drawn:
-        assert f["t21"].is_zero() and f["t"] == f["t12"]
-    assert run == verify_identity(base, p, 3, 6, seed=3)
+    with pytest.raises(st.PeirceError, match=re.escape(
+            "the algebra fails anti_automorphism at (1*E11, 1*E12)")):
+        st.PeirceSystem(a, a.basis_element(0))
 
 
 # -- the one entry whose displayed factor fails associatively -----------------

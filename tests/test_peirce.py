@@ -155,8 +155,9 @@ def test_system_build_makes_six_products_per_basis_vector(
         spec, products, monkeypatch):
     # u b and b u for the unit law, e e for the idempotent check, then per
     # basis vector e1 b, b e1, e1 (b e1) and (e1 b) e1: 6 dim + 1.  Every
-    # product has u or e1 as a factor, none e2 alone.  The stars are 1* and
-    # e1*.
+    # product has u or e1 as a factor, none e2 alone; the anti-automorphism
+    # law is decided on the structure tensor.  The stars are each b* and
+    # b** for the involutive law, 1* and e1*.
     a, idem = st.resolve_algebra(spec)
     e1 = a.element(idem["e1"]) if idem else a.basis_element(0)
     calls, stars = [], []
@@ -175,13 +176,17 @@ def test_system_build_makes_six_products_per_basis_vector(
     st.PeirceSystem(a, e1)
     assert len(calls) == products == 6 * a.dim + 1
     assert all(x in (a.unit, e1) or y in (a.unit, e1) for x, y in calls)
-    assert stars == [a.unit, e1]
+    basis = list(a.basis())
+    assert stars == basis + [star(a, b) for b in basis] + [a.unit, e1]
 
 
 def test_system_rejects_incompatible_idempotent(incompatible):
-    e = incompatible.basis_element(1)
+    e = incompatible.basis_element(1) + incompatible.basis_element(4)
     info = st.classify_idempotent(incompatible, e)
     assert info.is_idempotent and info.is_symmetric and not info.is_trivial
+    # the build reaches the compatibility law past every load-time law
+    assert st.check_unit(incompatible).ok
+    assert st.check_involution(incompatible).ok
     with pytest.raises(st.PeirceError,
                        match=r"fails Peirce compatibility .* at basis 1\*x"):
         st.PeirceSystem(incompatible, e)
@@ -211,8 +216,11 @@ def test_system_rejects_unit_that_star_moves(star_moved_unit):
     assert st.check_unit(a).ok
     info = st.classify_idempotent(a, a.basis_element(0))
     assert info.is_idempotent and info.is_symmetric
+    # the first law that fails in check's order
+    failed = [c.name for c in st.check_involution(a).checks if not c.passed]
+    assert failed == ["involutive", "unit_fixed", "anti_automorphism"]
     with pytest.raises(st.PeirceError, match=re.escape(
-            "unit_fixed at (1*f1 + 1*f2)")):
+            "the algebra fails involutive at (1*f2)")):
         st.PeirceSystem(a, a.basis_element(0))
 
 
@@ -290,7 +298,8 @@ def test_system_matches_the_construction_from_both_idempotents(
 def test_system_rejects_as_the_construction_from_both_idempotents(
         name, request):
     a = request.getfixturevalue(name)
-    e1 = a.basis_element(1 if name == "incompatible" else 0)
+    e1 = (a.basis_element(1) + a.basis_element(4) if name == "incompatible"
+          else a.basis_element(0))
     with pytest.raises(st.PeirceError) as ref:
         _reference_system(a, e1)
     with pytest.raises(st.PeirceError) as got:
