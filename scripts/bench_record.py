@@ -37,13 +37,13 @@ TRACES = (0, 1)
 PAIRS = 10  # at least ten alternating pairs back a claimed gain
 
 
-def _git(*args: str) -> bytes:
+def git(*args: str) -> bytes:
     return subprocess.run(("git", "-C", str(ROOT)) + args, check=True,
                           stdout=subprocess.PIPE).stdout
 
 
-def _export(rev: str, into: str) -> None:
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+def export(rev: str, into: str) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
         tar.extractall(into)
 
 
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
     seconds = bench["run_seconds"]
-    revs = {side: _git("rev-parse", rev).decode().strip()
+    revs = {side: git("rev-parse", rev).decode().strip()
             for side, rev in (("base", args.base), ("head", "HEAD"))}
     record = {"revs": revs, "python": platform.python_version(),
               "nproc": len(os.sched_getaffinity(0)),
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
         checkouts = {}
         for side, rev in revs.items():
             checkouts[side] = os.path.join(tmp, side)
-            _export(rev, checkouts[side])
+            export(rev, checkouts[side])
         for seed in SEEDS:
             for trace in TRACES:
                 for workload in WORKLOADS:

@@ -12,6 +12,7 @@ Nothing is written under ``perfbench/``, not even bytecode.
 
 ``replay(workload, seed, ...)`` is the one replay loop: the golden-report
 tests load this file by path and call it on a few seeds.
+``scripts/diff_reports.py`` builds its job list from the same runs.
 
 The whole table (three workloads, seeds 0-31 and 7919, 792 reports) takes
 about 85 s of wall time, 75 s of it CPU, on one core of a 2-core machine.
@@ -32,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load(name: str, filename: str):
+def load_perfbench(name: str, filename: str):
     spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     mod = importlib.util.module_from_spec(spec)
     # the oracle imports its job type from the top-level module `workloads`
@@ -77,17 +78,21 @@ def replay(workload: str, seed: int, golden: dict, workloads,
     return matched, failures
 
 
+def golden_runs(golden: dict) -> list[tuple[str, int]]:
+    """The (workload, seed) pairs of the golden table, in replay order."""
+    return sorted({(workload, int(seed)) for workload, seed, _
+                   in (key.split("/", 2) for key in golden)})
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
-    workloads = _load("workloads", "workloads.py")
-    oracle = _load("perfbench_oracle", "oracle.py")
+    workloads = load_perfbench("workloads", "workloads.py")
+    oracle = load_perfbench("perfbench_oracle", "oracle.py")
     golden = json.loads((PERFBENCH / "golden.json").read_text("utf-8"))
-    runs = sorted({tuple(key.split("/")[:2]) for key in golden},
-                  key=lambda ws: (ws[0], int(ws[1])))
     matched, failures = 0, []
-    for workload, seed in runs:
-        ok, lines = replay(workload, int(seed), golden, workloads, oracle)
+    for workload, seed in golden_runs(golden):
+        ok, lines = replay(workload, seed, golden, workloads, oracle)
         matched += ok
         failures += lines
     for line in failures:

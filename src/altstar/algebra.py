@@ -32,7 +32,7 @@ cells and the star matrix's columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, product
 from math import gcd, lcm
 from operator import or_
@@ -312,10 +312,10 @@ class CheckResult:
 @dataclass(frozen=True)
 class AxiomReport:
     checks: tuple[CheckResult, ...]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self):
+        object.__setattr__(self, "ok", all(c.passed for c in self.checks))
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:

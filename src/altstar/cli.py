@@ -6,8 +6,9 @@ Exit codes: 0 = all checks pass / not refuted, 1 = violation witnessed,
 
 Each report field has one source: a command writes the envelope (the
 algebra or map, e1, n, samples, seed) from its arguments, and the library
-reports hold only results, which one encoder writes field by field in
-declaration order.  Every command, gen included, prints its document.
+reports hold only results, verdicts included, which one encoder writes
+field by field in declaration order.  Every command, gen included, prints
+its document.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 from .algebra import Algebra, AlgebraError, Element, check_axioms
 from .formats import (algebra_to_dict, canonical_json, load_map_file,
                       parse_scalar_list, resolve_algebra, scalar_list)
-from .jordan import audit_catalog, q_star, require_audit_range
+from .jordan import MAX_ARITY, audit_catalog, q_star, require_audit_range
 from .maps import (check_jordan_condition, check_star_ring_isomorphism,
                    require_condition_arity)
 from .peirce import (IJ_PAIRS, PeirceError, PeirceSystem,
@@ -77,14 +78,8 @@ def _encode(x):
     if isinstance(x, Element):
         return scalar_list(x.coords)
     if hasattr(x, "__dataclass_fields__"):
-        doc = {}
-        for name in x.__dataclass_fields__:
-            doc[name] = _encode(getattr(x, name))
-            # the only special case: the verdict property, after the field
-            # it reads
-            if name == "refuted":
-                doc["verdict"] = x.verdict
-        return doc
+        return {name: _encode(getattr(x, name))
+                for name in x.__dataclass_fields__}
     if isinstance(x, (tuple, list)):
         return [_encode(v) for v in x]
     if isinstance(x, dict):
@@ -108,8 +103,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         "algebra": a.name,
         "dim": a.dim,
         "basis_labels": list(a.basis_labels),
-        "checks": _encode(rep.checks),
-        "ok": rep.ok,
+        **_encode(rep),
     }
     return (0 if rep.ok else 1), doc
 
@@ -128,9 +122,7 @@ def _cmd_peirce(args) -> tuple[int, dict]:
         "component_dims": {f"{i}{j}": dims[(i, j)] for i, j in IJ_PAIRS},
         "samples": args.samples,
         "seed": args.seed,
-        "checks": _encode(rep.checks),
-        "offdiag_product_witness": _encode(rep.offdiag_product_witness),
-        "ok": rep.ok,
+        **_encode(rep),
     }
     return (0 if rep.ok else 1), doc
 
@@ -139,6 +131,7 @@ def _cmd_spade(args) -> tuple[int, dict]:
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(args.algebra, a, idem, args.e, what="--e")
     r1, r2 = spade_pair(p)
+    ok = r1.holds and r2.holds
     doc = {
         "command": "spade",
         "algebra": a.name,
@@ -146,13 +139,16 @@ def _cmd_spade(args) -> tuple[int, dict]:
         "e2": _encode(p.e2),
         "spade": {"e1": r1.holds, "e2": r2.holds},
         "witnesses": _encode({"e1": r1.witness, "e2": r2.witness}),
-        "ok": r1.holds and r2.holds,
+        "ok": ok,
     }
-    return (0 if (r1.holds and r2.holds) else 1), doc
+    return (0 if ok else 1), doc
 
 
 def _cmd_qprod(args) -> tuple[int, dict]:
     chunks = [t for t in args.args.split(";") if t.strip()]
+    if len(chunks) > MAX_ARITY:
+        raise CliInputError(
+            f"--args: at most {MAX_ARITY} vectors, got {len(chunks)}")
     a, _ = resolve_algebra(args.algebra)
     elems = [a.element(parse_scalar_list(t.split(","), f"--args[{k}]", a.dim))
              for k, t in enumerate(chunks)]
@@ -179,8 +175,7 @@ def _cmd_lemmas(args) -> tuple[int, dict]:
         "algebra": a.name,
         "n_min": args.n_min, "n_max": args.n_max,
         "samples": args.samples, "seed": args.seed,
-        "entries": _encode(rep.entries),
-        "derived_all_ok": rep.derived_all_ok,
+        **_encode(rep),
     }
     return (0 if rep.derived_all_ok else 1), doc
 

@@ -29,7 +29,7 @@ two forms.  ``audit_catalog`` groups the runs of each entry in one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -508,10 +508,11 @@ class EntryAudit:
 @dataclass(frozen=True)
 class CatalogReport:
     entries: tuple[EntryAudit, ...]  # in CATALOG order
+    derived_all_ok: bool = field(init=False)
 
-    @property
-    def derived_all_ok(self) -> bool:
-        return all(r.derived_ok for e in self.entries for r in e.runs)
+    def __post_init__(self):
+        object.__setattr__(self, "derived_all_ok", all(
+            r.derived_ok for e in self.entries for r in e.runs))
 
 
 def require_audit_range(n_min: int, n_max: int) -> None:

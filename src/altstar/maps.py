@@ -21,7 +21,7 @@ one pass over one stream of pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -244,12 +244,12 @@ class ConditionReport:
     n: Optional[int]
     samples_run: int
     refuted: bool
+    verdict: str = field(init=False)
     witness: Optional[MapWitness]
 
-    @property
-    def verdict(self) -> str:
-        return ("refuted" if self.refuted
-                else f"not refuted ({self.samples_run} samples)")
+    def __post_init__(self):
+        object.__setattr__(self, "verdict", "refuted" if self.refuted
+                           else f"not refuted ({self.samples_run} samples)")
 
 
 def _reports(n: Optional[int], cases: Iterable,
@@ -306,10 +306,11 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
 @dataclass(frozen=True)
 class IsomorphismReport:
     checks: tuple[ConditionReport, ...]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return not any(c.refuted for c in self.checks)
+    def __post_init__(self):
+        object.__setattr__(self, "ok", not any(c.refuted
+                                               for c in self.checks))
 
     def check(self, name: str) -> ConditionReport:
         for c in self.checks:

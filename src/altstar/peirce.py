@@ -17,8 +17,8 @@ builds all four projections of a basis vector b from e1 alone: from e1 b,
 b e1 and e1 (b e1) by subtraction.  It stores each projection once as a
 matrix from the images of the basis, compiled to an IntMatrix, so a
 projection, a decomposition or a membership test costs integer
-matrix-vector products and no algebra product.  The relations are one
-``first_witnesses`` scan whose case is one sample's draws.
+matrix-vector products and no algebra product.  The build proves (v);
+(i)-(iv) are one ``first_witnesses`` scan whose case is one sample's draws.
 
 The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
 implies x = 0; note the parenthesization, the products are x(ae), never
@@ -28,7 +28,7 @@ A_1j and A_2j span A e_j, via the nullspace of the induced linear map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -233,31 +233,33 @@ _RELATIONS = _relation_table()
 class PeirceRelationsReport:
     checks: tuple[CheckResult, ...]
     offdiag_product_witness: Optional[Witness]  # nonzero x12*y12 if seen
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self):
+        object.__setattr__(self, "ok", all(c.passed for c in self.checks))
 
 
 def check_peirce_relations(p: PeirceSystem, samples: int,
                            seed: int) -> PeirceRelationsReport:
-    """Sampled membership checks for relations (i)-(v) above.
+    """Sampled membership checks for relations (i)-(iv) above; (v) passes.
 
     Membership is decided exactly, as in component_of: the residual of x
     in A_ij is x - e_i (x e_j), one product with a projection matrix.  The
-    report also carries the first nonzero A12*A12 product encountered,
-    which witnesses the genuinely alternative (nonassociative) case.
+    (v) checks pass unsampled: (e_i (x e_j))* = e_j (x* e_i) on every built
+    system.  The report also carries the first nonzero A12*A12 product
+    encountered, which witnesses the genuinely alternative (nonassociative)
+    case.
     """
     if samples < 1:
         raise PeirceError(f"samples must be >= 1, got {samples}")
     dims = p.component_dims()
 
     def law(x, y, target, draws: dict) -> Optional[Witness]:
-        args = (draws[x],) if y is None else (draws[x], draws[y])
-        # a value is kept beside the draws it is made of, so the
+        args = (draws[x], draws[y])
+        # a product is kept beside the draws it is made of, so the
         # off-diagonal witness reuses the product of (ii) A12*A12
         if (x, y) not in draws:
-            draws[x, y] = args[0].star() if y is None else args[0] * args[1]
+            draws[x, y] = args[0] * args[1]
         value = draws[x, y]
         if target is not None:
             value = value - p.project(value, target)
@@ -266,7 +268,7 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
     # a relation on a zero-dimensional component holds vacuously
     laws = {name: partial(law, x, y, target)
             for name, x, y, target in _RELATIONS
-            if dims[x[0]] and (y is None or dims[y[0]])}
+            if y is not None and dims[x[0]] and dims[y[0]]}
     if dims[1, 2]:
         # the first nonzero product of (ii) A12*A12
         laws["offdiag"] = partial(law, ((1, 2), 0), ((1, 2), 1), None)

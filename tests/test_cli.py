@@ -13,7 +13,9 @@ import altstar as st
 from altstar import linalg
 from altstar.cli import main as cli_main
 from altstar.formats import canonical_json, map_to_dict
+from altstar.jordan import MAX_ARITY
 from altstar.sampling import derive_rng
+from altstar.scalars import Scalar
 
 
 def run(args):
@@ -145,6 +147,20 @@ def test_qprod_takes_no_arity_option():
 def test_qprod_wrong_vector_length_is_input_error():
     code, out, err = run(["qprod", "matrix:2", "--args", "1,0"])
     assert code == 2 and "expected 4" in err
+
+
+def test_qprod_arity_is_bounded_before_the_algebra_and_the_vectors():
+    code, doc = run_json(["qprod", "matrix:1", "--args",
+                          ";".join(["1"] * MAX_ARITY)])
+    assert code == 0 and doc["n"] == MAX_ARITY
+    # q_m(1, ..., 1) = 2^(m-1)
+    assert doc["result"] == [str(2 ** (MAX_ARITY - 1))]
+    for spec, vector in (("matrix:1", "1"), ("no-such-algebra", "x,y")):
+        code, out, err = run(["qprod", spec, "--args",
+                              ";".join([vector] * (MAX_ARITY + 1))])
+        assert code == 2 and out == ""
+        assert err == (f"error: --args: at most {MAX_ARITY} vectors, "
+                       f"got {MAX_ARITY + 1}\n")
 
 
 # -- lemmas ----------------------------------------------------------------------
@@ -683,6 +699,86 @@ def test_check_verdicts_survive_a_change_of_basis_and_a_file(tmp_path, spec):
     assert moved_code == code
     assert [(c["name"], c["passed"]) for c in moved_doc["checks"]] \
         == [(c["name"], c["passed"]) for c in doc["checks"]]
+
+
+GAUSSIAN_UNITS = hst.sampled_from([Scalar(p, q) for p in (0, 1, -1)
+                                   for q in (0, 1, -1)])
+
+
+@hst.composite
+def unimodular(draw, dim):
+    """Unit-lower times unit-upper over {-1, 0, 1} + {-1, 0, 1} i."""
+    lower = [[st.ONE if r == c else draw(GAUSSIAN_UNITS) if r > c
+              else st.ZERO for c in range(dim)] for r in range(dim)]
+    upper = [[st.ONE if r == c else draw(GAUSSIAN_UNITS) if r < c
+              else st.ZERO for c in range(dim)] for r in range(dim)]
+    return linalg.from_columns([linalg.mat_vec(lower, col)
+                                for col in zip(*upper)])
+
+
+# the residual of each axiom law at its witness's arguments
+AXIOM_LAWS = {
+    "two_sided_unit": lambda a, x, y: x * y - (x + y - a.unit),
+    "left_alternative_linearized":
+        lambda a, x, y, z: a.associator(x, y, z) + a.associator(y, x, z),
+    "right_alternative_linearized":
+        lambda a, x, y, z: a.associator(x, y, z) + a.associator(x, z, y),
+    "flexible_linearized":
+        lambda a, x, y, z: a.associator(x, y, z) + a.associator(z, y, x),
+    "involutive": lambda a, x: x.star().star() - x,
+    "unit_fixed": lambda a, x: x.star() - x,
+    "anti_automorphism":
+        lambda a, x, y: (x * y).star() - y.star() * x.star(),
+}
+
+
+@pytest.mark.parametrize("spec, examples", [
+    ("zorn", 6), ("matrix:2", 10), ("matrix:3", 6), ("cd:-1,-1,-1,-1", 2),
+    ("dsum:matrix:2,matrix:2", 6)])
+def test_exact_verdicts_survive_drawn_changes_of_basis(spec, examples):
+    # check and spade decide exactly, so each verdict is a fact about the
+    # algebra: it survives any basis M, a refuted law's witness moved by
+    # M^-1 still fails the law, and a spade witness moved back by M
+    # annihilates A e_j.  cd16 refutes two alternative laws, and the sum
+    # of two matrix:2 copies fails spade on both sides, so both kinds of
+    # witness are moved
+    a, idem = st.resolve_algebra(spec)
+    e1 = (a.element(idem["e1"]) if "e1" in idem
+          else st.find_symmetric_idempotents(a)[0])
+    axioms = st.check_axioms(a)
+    spade = st.spade_pair(st.PeirceSystem(a, e1))
+    assert axioms.ok == (spec != "cd:-1,-1,-1,-1")
+    assert [r.holds for r in spade] \
+        == [spec != "dsum:matrix:2,matrix:2"] * 2
+
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(m=unimodular(a.dim))
+    def survives(m):
+        minv = linalg.inverse(m)
+        moved = st.change_of_basis(a, m)
+
+        def to_moved(x):
+            return moved.element(linalg.mat_vec(minv, x.coords))
+
+        rep = st.check_axioms(moved)
+        assert [(c.name, c.passed) for c in rep.checks] \
+            == [(c.name, c.passed) for c in axioms.checks]
+        for c in axioms.checks:
+            if c.witness is not None:
+                residual = AXIOM_LAWS[c.name](
+                    moved, *map(to_moved, c.witness.args))
+                assert residual == to_moved(c.witness.residual)
+                assert not residual.is_zero()
+        moved_spade = st.spade_pair(st.PeirceSystem(moved, to_moved(e1)))
+        assert [r.holds for r in moved_spade] == [r.holds for r in spade]
+        for ej, r in zip((e1, a.unit - e1), moved_spade):
+            if r.witness is not None:
+                x = a.element(linalg.mat_vec(m, r.witness.coords))
+                assert not x.is_zero()
+                assert all((x * (b * ej)).is_zero() for b in a.basis())
+
+    survives()
 
 
 # -- the exit-code contract ------------------------------------------------------

@@ -7,7 +7,9 @@ relations, the catalog and the map conditions owned before are kept here as
 the reference: each harness gives the same report as its old loop, on
 zorn, matrix:3, zorn after a change of basis, the seeded patched zorn
 rotation and cd:-1,-1,-1,-1, which is not alternative and whose relations
-fail.
+fail.  The Peirce loop still samples relation (v) with stars, which the
+harness no longer makes; it is also compared on dense bases of matrix:3
+and cd:-1,-1,-1 and on dsum:zorn,matrix:3.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import itertools
 import pytest
 
 import altstar as st
+from altstar import linalg
 from altstar.algebra import Algebra, CheckResult, Witness, first_witnesses
 from altstar.formats import load_map_file
 from altstar.jordan import CATALOG, EntryRun, IdentitySample, _draw, _q_cached
@@ -23,6 +26,7 @@ from altstar.peirce import (IJ_PAIRS, PeirceRelationsReport, _RELATIONS,
                             component_of, peirce_decompose, random_component)
 from altstar.sampling import derive_rng
 from altstar.scalars import ONE
+from test_algebra import _unimodular
 
 # -- the contract ------------------------------------------------------------
 
@@ -244,16 +248,29 @@ def systems(zorn_peirce, m3_peirce, zorn_transported):
     def first(a):
         return st.PeirceSystem(a, st.find_symmetric_idempotents(a)[0])
 
+    def moved(p):
+        # the dense basis _unimodular(dim), with e1 in its coordinates
+        m = _unimodular(p.algebra.dim)
+        a = st.change_of_basis(p.algebra, m)
+        return st.PeirceSystem(a, a.element(
+            linalg.mat_vec(linalg.inverse(m), p.e1.coords)))
+
     # on cd16, which fails both alternative laws, e1 = (1 + i g1)/2
     cd16, _ = st.resolve_algebra("cd:-1,-1,-1,-1")
+    cd8, _ = st.resolve_algebra("cd:-1,-1,-1")
+    dsum, idem = st.resolve_algebra("dsum:zorn,matrix:3")
     return {"zorn": zorn_peirce, "matrix:3": m3_peirce,
-            "zorn~": first(zorn_transported), "cd16": first(cd16)}
+            "zorn~": first(zorn_transported), "cd16": first(cd16),
+            "matrix:3~": moved(m3_peirce), "cd8~": moved(first(cd8)),
+            "dsum": st.PeirceSystem(dsum, dsum.element(idem["e1"]))}
 
 
 SYSTEMS = ["zorn", "matrix:3", "zorn~", "cd16"]
+# dense stars and the direct sum, for relation (v)
+STAR_SYSTEMS = ["matrix:3~", "cd8~", "dsum"]
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS + STAR_SYSTEMS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_peirce_relations_match_the_loop(name, seed, systems):
     p = systems[name]
@@ -278,6 +295,28 @@ def _count_products(monkeypatch):
 
     monkeypatch.setattr(Algebra, "multiply", counted)
     return calls
+
+
+@pytest.mark.parametrize("name", SYSTEMS + STAR_SYSTEMS)
+def test_relation_v_is_proved_by_the_build_and_not_sampled(
+        name, systems, monkeypatch):
+    # (e_i (x e_j))* = e_j (x* e_i): star maps A_ij into A_ji on every
+    # built system, so the harness reports (v) passed without a star
+    p = systems[name]
+    for (i, j), basis in p.component_bases.items():
+        assert all(component_of(p, b.star(), (j, i)) for b in basis)
+    stars = []
+    original = Algebra.star
+
+    def counted(self, x):
+        stars.append(None)
+        return original(self, x)
+
+    monkeypatch.setattr(Algebra, "star", counted)
+    rep = st.check_peirce_relations(p, 12, 0)
+    assert stars == []
+    v = [c for c in rep.checks if c.name.startswith("(v)")]
+    assert [(c.passed, c.witness) for c in v] == [(True, None)] * 4
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

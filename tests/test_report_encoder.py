@@ -1,12 +1,14 @@
 """The report encoder against the serializers it replaced.
 
-A report used to be written by six hand-made serializers, each copying the
-fields of one report dataclass key by key.  They are kept here as the
-reference: the encoder gives the same JSON on report objects built directly,
-covering every witness and None combination, and on real failing runs; and
-each report emits exactly its dataclass fields, in declaration order.  The
-lemmas envelope (algebra, n range, samples, seed) comes from the command's
-arguments, so the catalog reference is compared with a lemmas report.
+A report used to be written by hand-made serializers, each copying the
+fields of one report dataclass key by key, and the verdicts (ok,
+derived_all_ok, verdict) were worked out again where they were written.
+They are kept here as the reference: the encoder gives the same JSON on
+report objects built directly, covering every witness and None combination,
+and on real failing runs; and each report emits exactly its dataclass
+fields, verdicts included, in declaration order.  The lemmas envelope
+(algebra, n range, samples, seed) comes from the command's arguments, so
+the catalog reference is compared with a lemmas report.
 """
 
 import dataclasses
@@ -15,12 +17,13 @@ import itertools
 import pytest
 
 import altstar as st
-from altstar.algebra import CheckResult, Witness, check_axioms
+from altstar.algebra import AxiomReport, CheckResult, Witness, check_axioms
 from altstar.cli import _encode, build_peirce, run_cli
 from altstar.formats import canonical_json, load_map_file, scalar_list
-from altstar.jordan import EntryAudit, EntryRun, IdentitySample
-from altstar.maps import (ConditionReport, MapWitness, check_jordan_condition,
-                          check_star_ring_isomorphism)
+from altstar.jordan import CatalogReport, EntryAudit, EntryRun, IdentitySample
+from altstar.maps import (ConditionReport, IsomorphismReport, MapWitness,
+                          check_jordan_condition, check_star_ring_isomorphism)
+from altstar.peirce import PeirceRelationsReport
 from altstar.scalars import I, TWO
 from test_algebra import _bad_star, _bad_unit
 
@@ -41,6 +44,18 @@ def _witness_dict(w):
 def _check_dict(c):
     return {"name": c.name, "passed": c.passed,
             "witness": _witness_dict(c.witness)}
+
+
+def _axiom_report_dict(rep):
+    return {"checks": [_check_dict(c) for c in rep.checks],
+            "ok": all(c.passed for c in rep.checks)}
+
+
+def _peirce_report_dict(rep):
+    return {"checks": [_check_dict(c) for c in rep.checks],
+            "offdiag_product_witness":
+                _witness_dict(rep.offdiag_product_witness),
+            "ok": all(c.passed for c in rep.checks)}
 
 
 def _sample_dict(s):
@@ -68,13 +83,18 @@ def _entry_audit_dict(e):
             "runs": [_entry_run_dict(r) for r in e.runs]}
 
 
+def _catalog_dict(rep):
+    return {"entries": [_entry_audit_dict(e) for e in rep.entries],
+            "derived_all_ok": all(r.derived_ok for e in rep.entries
+                                  for r in e.runs)}
+
+
 def _catalog_report_dict(rep, algebra, n_min, n_max, samples, seed):
     return {
         "algebra": algebra,
         "n_min": n_min, "n_max": n_max,
         "samples": samples, "seed": seed,
-        "entries": [_entry_audit_dict(e) for e in rep.entries],
-        "derived_all_ok": rep.derived_all_ok,
+        **_catalog_dict(rep),
     }
 
 
@@ -92,14 +112,24 @@ def _condition_report_dict(c):
             "n": c.n,
             "samples_run": c.samples_run,
             "refuted": c.refuted,
-            "verdict": c.verdict,
+            "verdict": ("refuted" if c.refuted
+                        else f"not refuted ({c.samples_run} samples)"),
             "witness": _map_witness_dict(c.witness)}
 
 
+def _isomorphism_report_dict(rep):
+    return {"checks": [_condition_report_dict(c) for c in rep.checks],
+            "ok": not any(c.refuted for c in rep.checks)}
+
+
 REFERENCE = {Witness: _witness_dict, CheckResult: _check_dict,
+             AxiomReport: _axiom_report_dict,
+             PeirceRelationsReport: _peirce_report_dict,
              IdentitySample: _sample_dict, EntryRun: _entry_run_dict,
-             EntryAudit: _entry_audit_dict, MapWitness: _map_witness_dict,
-             ConditionReport: _condition_report_dict}
+             EntryAudit: _entry_audit_dict, CatalogReport: _catalog_dict,
+             MapWitness: _map_witness_dict,
+             ConditionReport: _condition_report_dict,
+             IsomorphismReport: _isomorphism_report_dict}
 
 
 def _assert_same_json(reports):
@@ -128,6 +158,22 @@ def _check_results(zorn):
             + [CheckResult("involutive", False, w) for w in _witnesses(zorn)])
 
 
+def _prefixes(items):
+    """The empty, one-item and whole prefixes of items, as tuples."""
+    items = tuple(items)
+    return [items[:0], items[:1], items]
+
+
+def _axiom_reports(zorn):
+    return [AxiomReport(cs) for cs in _prefixes(_check_results(zorn))]
+
+
+def _peirce_reports(zorn):
+    return [PeirceRelationsReport(cs, w)
+            for cs in _prefixes(_check_results(zorn))
+            for w in [None] + _witnesses(zorn)[1:2]]
+
+
 def _samples(zorn):
     x, y, z = _elements(zorn)
     # frees in draw order, which is not sorted by name
@@ -150,6 +196,10 @@ def _entry_audits(zorn):
             for entry_id, k in (("ID-X", 0), ("ID-Y", 1), ("ID-Z", 9))]
 
 
+def _catalog_reports(zorn):
+    return [CatalogReport(es) for es in _prefixes(_entry_audits(zorn))]
+
+
 def _map_witnesses(zorn):
     x, y, z = _elements(zorn)
     return [MapWitness("multiplicativity", inputs, x, y)
@@ -163,10 +213,17 @@ def _condition_reports(zorn):
                                + [(True, w) for w in _map_witnesses(zorn)])]
 
 
+def _isomorphism_reports(zorn):
+    return [IsomorphismReport(cs)
+            for cs in _prefixes(_condition_reports(zorn))]
+
+
 BUILT = {Witness: _witnesses, CheckResult: _check_results,
+         AxiomReport: _axiom_reports, PeirceRelationsReport: _peirce_reports,
          IdentitySample: _samples, EntryRun: _entry_runs,
-         EntryAudit: _entry_audits, MapWitness: _map_witnesses,
-         ConditionReport: _condition_reports}
+         EntryAudit: _entry_audits, CatalogReport: _catalog_reports,
+         MapWitness: _map_witnesses, ConditionReport: _condition_reports,
+         IsomorphismReport: _isomorphism_reports}
 
 
 @pytest.mark.parametrize("cls", list(BUILT), ids=lambda c: c.__name__)
@@ -177,8 +234,6 @@ def test_encoder_matches_the_reference_on_built_reports(cls, zorn):
 @pytest.mark.parametrize("cls", list(BUILT), ids=lambda c: c.__name__)
 def test_report_keys_are_its_dataclass_fields(cls, zorn):
     names = [f.name for f in dataclasses.fields(cls)]
-    if cls is ConditionReport:
-        names.insert(names.index("refuted") + 1, "verdict")
     for r in BUILT[cls](zorn):
         assert list(_encode(r)) == names
 
