@@ -37,13 +37,22 @@ TRACES = (0, 1)
 PAIRS = 10  # at least ten alternating pairs back a claimed gain
 
 
-def git(*args: str) -> bytes:
+def _git(*args: str) -> bytes:
     return subprocess.run(("git", "-C", str(ROOT)) + args, check=True,
                           stdout=subprocess.PIPE).stdout
 
 
+def commit(ap: argparse.ArgumentParser, rev: str) -> str:
+    """The commit that rev names; a usage error (exit 2) if none."""
+    try:
+        return _git("rev-parse", "--verify", "--quiet",
+                    f"{rev}^{{commit}}").decode().strip()
+    except subprocess.CalledProcessError:
+        ap.error(f"{rev!r} names no commit")
+
+
 def export(rev: str, into: str) -> None:
-    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
         tar.extractall(into)
 
 
@@ -91,7 +100,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
     seconds = bench["run_seconds"]
-    revs = {side: git("rev-parse", rev).decode().strip()
+    revs = {side: commit(ap, rev)
             for side, rev in (("base", args.base), ("head", "HEAD"))}
     record = {"revs": revs, "python": platform.python_version(),
               "nproc": len(os.sched_getaffinity(0)),

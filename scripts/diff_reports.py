@@ -27,7 +27,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_record import export, git
+from bench_record import commit, export
 from replay_golden import PERFBENCH, ROOT, golden_runs, load_perfbench
 
 # each revision runs its jobs in a child: argv is SRC JOBS OUT
@@ -87,11 +87,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
-    try:
-        rev = git("rev-parse", "--verify", "--quiet",
-                  f"{args.rev}^{{commit}}").decode().strip()
-    except subprocess.CalledProcessError:
-        ap.error(f"{args.rev!r} names no commit")
+    rev = commit(ap, args.rev)
     workloads = load_perfbench("workloads", "workloads.py")
     golden = json.loads((PERFBENCH / "golden.json").read_text("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:

@@ -701,7 +701,9 @@ def test_check_verdicts_survive_a_change_of_basis_and_a_file(tmp_path, spec):
         == [(c["name"], c["passed"]) for c in doc["checks"]]
 
 
-GAUSSIAN_UNITS = hst.sampled_from([Scalar(p, q) for p in (0, 1, -1)
+# 1 first: hypothesis starts from the first value, so its first basis is
+# the dense all-ones product and not the identity
+GAUSSIAN_UNITS = hst.sampled_from([Scalar(p, q) for p in (1, 0, -1)
                                    for q in (0, 1, -1)])
 
 
