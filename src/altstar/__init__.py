@@ -29,7 +29,7 @@ from .maps import (AlgebraMap, ConditionReport, IsomorphismReport, MapError,
                    matrix_swap_conjugation, patched_map, sample_pool,
                    scale_map, star_as_map, zorn_rotation_map)
 from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
-                     PeirceRelationsReport, PeirceSystem,
+                     PeirceRelationsReport, PeirceSystem, StarAlgebraLawError,
                      SpadeResult, check_peirce_relations, check_spade,
                      classify_idempotent, component_of,
                      find_symmetric_idempotents, peirce_decompose,

@@ -33,6 +33,7 @@ cells and the star matrix's columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm
 from operator import or_
@@ -287,6 +288,13 @@ class Algebra:
 
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         return (x * y) * z - x * (y * z)
+
+    @cached_property
+    def _failed_load_law(self) -> Optional[CheckResult]:
+        # the first law that check_unit, then check_involution, fails; an
+        # Algebra does not change after construction, so it is decided once
+        return next((c for check in (check_unit, check_involution)
+                     for c in check(self).checks if not c.passed), None)
 
     def __repr__(self) -> str:
         return f"Algebra({self.name!r}, dim={self.dim})"

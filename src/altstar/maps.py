@@ -5,7 +5,7 @@ applied to the entrywise-conjugated coordinates) plus a finite pointwise
 patch table consulted before the core.  Patches deliberately break
 linearity, which is how the negative test subjects are built.
 
-Two checkers:
+Two checkers; each first gates its codomain (require_star_algebra_laws):
 
 * check_jordan_condition: phi(q_n(xi, ..., xi, a, b)) =
   q_n(phi(xi), ..., phi(xi), phi(a), phi(b)) for xi in {1, e1, e2} over a
@@ -30,7 +30,8 @@ from .algebra import (Algebra, AlgebraError, Element, IntMatrix,
                       first_witnesses)
 from .jordan import MAX_ARITY, _q_cached
 from .peirce import (IJ_PAIRS, PeirceSystem, classify_idempotent,
-                     component_of, peirce_decompose, random_component)
+                     component_of, peirce_decompose, random_component,
+                     require_star_algebra_laws)
 from .sampling import derive_rng, random_element
 from .scalars import I, ONE, Scalar, ZERO, half_power
 
@@ -282,6 +283,7 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
     Both sides fold through one step memo; the pool, not samples, bounds
     its size."""
     require_condition_arity(n)
+    require_star_algebra_laws(phi.codomain)
     if not check_unital(phi):
         raise MapError("jordan condition requires a unital map")
     cases = _mapped_pairs(phi, peirce, samples, seed)
@@ -323,6 +325,7 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                 samples: int, seed: int) -> IsomorphismReport:
     """Additivity, multiplicativity, star preservation, exact bijectivity,
     idempotent images and Peirce-block preservation."""
+    require_star_algebra_laws(phi.codomain)
     laws = {
         "additivity": lambda a, b, fa, fb: ((a, b), phi(a + b), fa + fb),
         "multiplicativity": lambda a, b, fa, fb: ((a, b), phi(a * b),

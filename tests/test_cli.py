@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import altstar as st
-from altstar import linalg
+from altstar import algebra, linalg
 from altstar.cli import main as cli_main
 from altstar.formats import canonical_json, map_to_dict
 from altstar.jordan import MAX_ARITY
@@ -234,6 +234,27 @@ def test_a_map_that_fixes_e1_builds_one_peirce_system(tmp_path, zorn, m2,
         assert code == 0
         counts.append(len(built))
     assert counts == [1, 2]
+
+
+def test_mapcheck_decides_the_load_time_laws_once(tmp_path, m2,
+                                                 monkeypatch):
+    # the swap sends E11 to E22, so its image system is a second build on
+    # matrix:2, and both map checkers gate matrix:2 as their codomain; the
+    # laws are decided at the first build alone
+    decided = []
+    for name in ("check_unit", "check_involution"):
+        def counted(a, check=getattr(algebra, name), name=name):
+            decided.append((name, a.name))
+            return check(a)
+        monkeypatch.setattr(algebra, name, counted)
+    swap = tmp_path / "swap.map"
+    swap.write_text(canonical_json(map_to_dict(
+        st.matrix_swap_conjugation(m2), "matrix:2", "matrix:2")),
+        encoding="utf-8")
+    code, _ = run_json(["mapcheck", str(swap), "--samples", "20"])
+    assert code == 0
+    assert decided == [("check_unit", "matrix:2"),
+                       ("check_involution", "matrix:2")]
 
 
 def test_mapcheck_negative_and_deterministic(tmp_path, zorn):
@@ -748,7 +769,8 @@ def test_exact_verdicts_survive_drawn_changes_of_basis(spec, examples):
     e1 = (a.element(idem["e1"]) if "e1" in idem
           else st.find_symmetric_idempotents(a)[0])
     axioms = st.check_axioms(a)
-    spade = st.spade_pair(st.PeirceSystem(a, e1))
+    p = st.PeirceSystem(a, e1)
+    spade = st.spade_pair(p)
     assert axioms.ok == (spec != "cd:-1,-1,-1,-1")
     assert [r.holds for r in spade] \
         == [spec != "dsum:matrix:2,matrix:2"] * 2
@@ -772,7 +794,15 @@ def test_exact_verdicts_survive_drawn_changes_of_basis(spec, examples):
                     moved, *map(to_moved, c.witness.args))
                 assert residual == to_moved(c.witness.residual)
                 assert not residual.is_zero()
-        moved_spade = st.spade_pair(st.PeirceSystem(moved, to_moved(e1)))
+        # the Peirce build decides exactly as well: the moved e1 builds, its
+        # components keep their dimensions, and each component basis
+        # vector, moved, lies in the moved component
+        moved_p = st.PeirceSystem(moved, to_moved(e1))
+        assert moved_p.component_dims() == p.component_dims()
+        for ij, basis in p.component_bases.items():
+            assert all(st.component_of(moved_p, to_moved(x), ij)
+                       for x in basis)
+        moved_spade = st.spade_pair(moved_p)
         assert [r.holds for r in moved_spade] == [r.holds for r in spade]
         for ej, r in zip((e1, a.unit - e1), moved_spade):
             if r.witness is not None:

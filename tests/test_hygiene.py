@@ -2,9 +2,10 @@
 imports in the package or the tests, no private module-level name in the
 package that the package never reads, no typing generic built at run time
 in the package, no package code but ``cli.main`` writing to stdout, no
-package code writing a file, the package exports exactly what its __init__
-imports from its submodules, the README's library quick start runs as
-written, and the package version has one source."""
+package code writing a file, the CLI naming no load-time law check, the
+package exports exactly what its __init__ imports from its submodules, the
+README's library quick start runs as written, and the package version has
+one source."""
 
 import ast
 import pathlib
@@ -323,6 +324,48 @@ def test_file_write_detector():
         "    pathlib.Path(path).read_text()\n"
         "    sys.stderr.write(text)\n")
     assert _file_writes(allowed) == []
+
+
+# the unit and involution laws are gated in the library, by PeirceSystem and
+# both map checkers, so a library caller meets the same StarAlgebraLawError
+# on which mapcheck exits 2; a CLI copy of the gate would hide its absence
+LOAD_LAW_NAMES = ("check_unit", "check_involution",
+                  "require_star_algebra_laws")
+
+
+def _names_of(tree: ast.Module, names) -> list[tuple[str, int]]:
+    """(name, line) for each name, attribute, import or string literal in
+    tree that is one of names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append((node.value, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(alias.name.split(".")[-1], node.lineno)
+                      for alias in node.names]
+    return sorted(f for f in found if f[0] in names)
+
+
+def test_cli_names_no_load_time_law_check():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _names_of(tree, LOAD_LAW_NAMES) == []
+
+
+def test_load_time_law_name_detector():
+    tree = ast.parse(
+        "from .peirce import require_star_algebra_laws as gate\n"
+        "from . import algebra\n"
+        "def f(a, check_unital):\n"
+        "    algebra.check_unit(a)\n"
+        "    getattr(algebra, 'check_involution')(a)\n"
+        "    return check_involution(a) and check_unital\n")
+    assert _names_of(tree, LOAD_LAW_NAMES) == [
+        ("check_involution", 5), ("check_involution", 6), ("check_unit", 4),
+        ("require_star_algebra_laws", 1)]
 
 
 def test_all_lists_exactly_the_names_imported_from_submodules():

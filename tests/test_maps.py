@@ -283,6 +283,34 @@ def test_isomorphism_check_rejects_a_peirce_system_on_another_algebra(
                                        seed=1)
 
 
+def _zorn_with_star_entry_two(zorn):
+    """zorn with star matrix entry (0, 0) set to 2: e1* = 2 e1, so the
+    algebra fails involutive at e1, while its unit laws hold."""
+    star = [list(row) for row in zorn.star_matrix()]
+    star[0][0] = TWO
+    return st.Algebra("zorn-star-2", zorn.dim, zorn.basis_labels,
+                      {(i, j, k): c
+                       for i, j, k, c in zorn.structure_entries()},
+                      zorn.unit.coords, star)
+
+
+@pytest.mark.parametrize("check", [
+    lambda phi, p: st.check_jordan_condition(phi, p, 3, 20, seed=0),
+    lambda phi, p: st.check_star_ring_isomorphism(phi, p, 20, seed=0)],
+    ids=["jordan_condition", "star_ring_isomorphism"])
+def test_map_checkers_refuse_a_codomain_that_fails_its_laws(
+        zorn, zorn_peirce, check):
+    # the identity matrix into a codomain whose star is not involutive:
+    # without the gate the jordan condition was refuted at xi=1, and
+    # star_preservation, idempotent_image_f1 and peirce_blocks were
+    # refuted, each blaming the map for the codomain's defect
+    phi = AlgebraMap(zorn, _zorn_with_star_entry_two(zorn),
+                     st.identity_map(zorn).linear_part)
+    with pytest.raises(st.StarAlgebraLawError,
+                       match=r"fails involutive at \(1\*e1\)"):
+        check(phi, zorn_peirce)
+
+
 def test_each_pool_element_is_mapped_once(zorn, zorn_peirce,
                                           zorn_patched_double, monkeypatch):
     # 500 pairs over a pool of 64: phi runs once per pool element drawn

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import altstar as st
+from altstar import algebra
 from altstar.algebra import Algebra
 from altstar.linalg import rref
 from altstar.sampling import derive_rng, random_element
@@ -178,6 +179,40 @@ def test_system_build_makes_six_products_per_basis_vector(
     assert all(x in (a.unit, e1) or y in (a.unit, e1) for x, y in calls)
     basis = list(a.basis())
     assert stars == basis + [star(a, b) for b in basis] + [a.unit, e1]
+
+
+@pytest.mark.parametrize("spec,products", [("zorn", 33), ("matrix:3", 37)])
+def test_a_later_build_on_one_algebra_decides_no_law_again(
+        spec, products, monkeypatch):
+    # the unit and involution laws are decided once per Algebra object, so
+    # a second system, here on e2, calls neither law check and makes only
+    # e e and the four products per basis vector, 4 dim + 1, and e*
+    a, idem = st.resolve_algebra(spec)
+    e1 = a.element(idem["e1"]) if idem else a.basis_element(0)
+    st.PeirceSystem(a, e1)
+    e2 = a.unit - e1
+    calls, stars = [], []
+    multiply, star = Algebra.multiply, Algebra.star
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return multiply(self, x, y)
+
+    def counted_star(self, x):
+        stars.append(x)
+        return star(self, x)
+
+    def no_law_check(a):
+        raise AssertionError("a load-time law was decided again")
+
+    monkeypatch.setattr(Algebra, "multiply", counted)
+    monkeypatch.setattr(Algebra, "star", counted_star)
+    for name in ("check_unit", "check_involution"):
+        monkeypatch.setattr(algebra, name, no_law_check)
+    st.PeirceSystem(a, e2)
+    assert len(calls) == products == 4 * a.dim + 1
+    assert all(e2 in (x, y) for x, y in calls)
+    assert stars == [e2]
 
 
 def test_system_rejects_incompatible_idempotent(incompatible):
