@@ -11,7 +11,11 @@ canonical (den > 0 and gcd(den, *re, *im) = 1), so equal values have equal
 fields and equal hashes.  The structure tensor and every linear map on
 elements (star, Peirce projections, map cores) are compiled once to sparse
 integer entries over one common denominator, so products, stars, sums and
-projections run on plain ints and normalise each result with one gcd.
+projections run on plain ints and normalise each result with one gcd.  One
+accumulation loop (``Algebra._add_products``) sums products and one column
+loop (``IntMatrix._numerators``) applies matrices; the *-Jordan pair
+{x, y} = x y + y x* (``Algebra.jordan_pair``) runs both on unnormalised
+numerators and normalises once.
 Scalars appear only at the edges: construction from coordinates, the
 ``coords`` view, and the structure accessors.
 
@@ -175,17 +179,24 @@ class IntMatrix:
               conjugate: bool = False) -> Element:
         """This matrix times the coordinates of x (entrywise conjugated
         first if *conjugate*), as an element of *out*."""
+        ore, oim = self._numerators(x.re, x.im, conjugate)
+        return _element(out, ore, oim, x.den * self._den)
+
+    def _numerators(self, xre: tuple, xim: tuple, conjugate: bool
+                    ) -> tuple[list[int], list[int]]:
+        """The numerators of this matrix times (xre + i xim) (conjugated
+        first if *conjugate*), over den times their denominator; not
+        normalised."""
         ore = [0] * self.nrows
         oim = [0] * self.nrows
         cols = self._cols
-        xre, xim = x.re, x.im
         for t in compress(range(self.ncols), map(or_, xre, xim)):
             a = xre[t]
             b = -xim[t] if conjugate else xim[t]
             for k, c, d in cols[t]:
                 ore[k] += a * c - b * d
                 oim[k] += a * d + b * c
-        return _element(out, ore, oim, x.den * self._den)
+        return ore, oim
 
     def scalar_rows(self) -> tuple[tuple[Scalar, ...], ...]:
         rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
@@ -261,8 +272,40 @@ class Algebra:
         n = self.dim
         ore = [0] * n
         oim = [0] * n
+        self._add_products(ore, oim, x.re, x.im, y.re, y.im)
+        return _element(self, ore, oim, x.den * y.den * self._den)
+
+    def jordan_pair(self, x: Element, y: Element) -> Element:
+        """{x, y} = x y + y x* in one integer pass with one normalisation.
+
+        x* is the star matrix on x's conjugated numerators, over
+        x.den sden and not normalised; x y, over x.den y.den den, is scaled
+        by sden, and y x* is added into the same lists, so the sum is over
+        x.den y.den den sden and is reduced by one gcd.
+        """
+        if x.algebra is not self or y.algebra is not self:
+            raise AlgebraError("algebra mismatch in multiply")
+        star = self._star
+        sre, sim = star._numerators(x.re, x.im, True)
+        n = self.dim
+        ore = [0] * n
+        oim = [0] * n
+        self._add_products(ore, oim, x.re, x.im, y.re, y.im)
+        s = star._den
+        if s != 1:
+            ore = [s * v for v in ore]
+            oim = [s * v for v in oim]
+        self._add_products(ore, oim, y.re, y.im, sre, sim)
+        return _element(self, ore, oim, x.den * y.den * self._den * s)
+
+    def _add_products(self, ore: list, oim: list, xre: Sequence[int],
+                      xim: Sequence[int], yre: Sequence[int],
+                      yim: Sequence[int]) -> None:
+        """Add the numerators of x y into ore, oim: over the product of x's
+        and y's denominators and den, for numerators xre + i xim and
+        yre + i yim."""
+        n = self.dim
         rows = self._rows
-        xre, xim, yre, yim = x.re, x.im, y.re, y.im
         # the nonzero coordinates: a | b == 0 iff a == b == 0
         ys = [(j, yre[j], yim[j])
               for j in compress(range(n), map(or_, yre, yim))]
@@ -276,7 +319,6 @@ class Algebra:
                 for k, p, q in row[j]:
                     ore[k] += fr * p - fi * q
                     oim[k] += fr * q + fi * p
-        return _element(self, ore, oim, x.den * y.den * self._den)
 
     def star(self, x: Element) -> Element:
         if x.algebra is not self:
@@ -502,14 +544,7 @@ def _anti_automorphic(a: Algebra) -> bool:
         for j in range(i, n):
             tre, tim = left_star(i, j)
             ure, uim = left_star(j, i) if j != i else (tre, tim)
-            # star(T_ij): the star matrix on the conjugated numerators
-            sre = [0] * n
-            sim = [0] * n
-            for m in compress(range(n), map(or_, tre, tim)):
-                p, q = tre[m], -tim[m]
-                for k, c, d in cols[m]:
-                    sre[k] += p * c - q * d
-                    sim[k] += p * d + q * c
+            sre, sim = a._star._numerators(tre, tim, True)  # star(T_ij)
             if sden != 1:
                 ure = [sden * u for u in ure]
                 uim = [sden * u for u in uim]

@@ -14,6 +14,8 @@ where several of the catalogued displayed forms lose a power of two.
 The one fold, ``_q_cached``, memoizes steps: {val, x} under the key
 (val, x).  The product is deterministic and ``Element`` equality includes
 the algebra, so one memo may serve many folds, on both sides of a map.
+Each step is one integer pass with one normalisation
+(``Algebra.jordan_pair``): no intermediate x y, x* or y x* is built.
 
 Each catalog entry carries two closed forms for the same argument pattern:
 ``derived`` (independently computed from the recursion, the expected truth)
@@ -46,8 +48,8 @@ MAX_ARITY = 64
 
 
 def jordan_star(x: Element, y: Element) -> Element:
-    """{x, y} = x y + y x*."""
-    return x * y + y * x.star()
+    """{x, y} = x y + y x*, in one integer pass (``Algebra.jordan_pair``)."""
+    return x.algebra.jordan_pair(x, y)
 
 
 def q_star(args: Sequence[Element]) -> Element:

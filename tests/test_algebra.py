@@ -666,3 +666,72 @@ def test_involution_kernel_matches_the_element_path(monkeypatch):
     assert seen >= {(True, True), (True, False), (False, False),
                     ("star den", True), ("star den", False),
                     "the tensor passes a star that is not involutive"}
+
+
+# -- the *-Jordan pair kernel ---------------------------------------------------
+
+
+def _halved_basis(dim, k):
+    """_unimodular(dim) with column k doubled: moved to it, an algebra's
+    products and stars can have halves as new coordinates."""
+    return [[c * TWO if j == k else c for j, c in enumerate(row)]
+            for row in _unimodular(dim)]
+
+
+def _halved(spec, k):
+    a = st.resolve_algebra(spec)[0]
+    return st.change_of_basis(a, _halved_basis(a.dim, k), name=f"{spec}~/2")
+
+
+PAIR_SPECS = ("zorn", "matrix:2", "matrix:3", "cd:-1,-1,-1,-1",
+              "dsum:matrix:2,matrix:1")
+PAIR_ALGEBRAS = PAIR_SPECS + ("zorn~", "zorn~/2")
+
+
+@pytest.fixture(scope="module")
+def pair_algebras():
+    return {**{spec: st.resolve_algebra(spec)[0] for spec in PAIR_SPECS},
+            "zorn~": _dense("zorn"), "zorn~/2": _halved("zorn", 1)}
+
+
+def test_the_halved_basis_has_fractional_tensor_and_star(pair_algebras):
+    a = pair_algebras["zorn~/2"]
+    assert a._den > 1 and a._star._den > 1
+
+
+def _pair_oracle(x, y):
+    return x * y + y * x.star()
+
+
+@pytest.mark.parametrize("name", PAIR_ALGEBRAS)
+def test_jordan_pair_on_zero_unit_and_basis_vectors(pair_algebras, name):
+    a = pair_algebras[name]
+    special = (a.zero(), a.unit) + a.basis()[:2] + a.basis()[-1:]
+    for x, y in itertools.product(special, repeat=2):
+        assert st.jordan_star(x, y) == _pair_oracle(x, y), (x, y)
+
+
+_PAIR_COEFFS = hst.builds(Scalar, hst.integers(-3, 3), hst.integers(-3, 3),
+                          hst.integers(1, 3))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=hst.data())
+@pytest.mark.parametrize("name", PAIR_ALGEBRAS)
+def test_jordan_pair_matches_the_element_path(pair_algebras, name, data):
+    # the kernel sums x y and y x* on unnormalised numerators; its canonical
+    # result must equal the two products, the star and the sum, each
+    # normalised on its own
+    a = pair_algebras[name]
+    arg = (hst.sampled_from((a.zero(), a.unit) + a.basis())
+           | hst.lists(_PAIR_COEFFS, min_size=a.dim,
+                       max_size=a.dim).map(a.element))
+    x, y = data.draw(arg), data.draw(arg)
+    assert st.jordan_star(x, y) == _pair_oracle(x, y)
+
+
+def test_jordan_pair_rejects_mixed_algebras(pair_algebras):
+    m2, zorn = pair_algebras["matrix:2"], pair_algebras["zorn"]
+    for x, y in ((m2.unit, zorn.unit), (zorn.unit, m2.unit)):
+        with pytest.raises(st.AlgebraError, match="mismatch in multiply"):
+            st.jordan_star(x, y)

