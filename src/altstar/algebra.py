@@ -182,8 +182,8 @@ class IntMatrix:
         ore, oim = self._numerators(x.re, x.im, conjugate)
         return _element(out, ore, oim, x.den * self._den)
 
-    def _numerators(self, xre: tuple, xim: tuple, conjugate: bool
-                    ) -> tuple[list[int], list[int]]:
+    def _numerators(self, xre: Sequence[int], xim: Sequence[int],
+                    conjugate: bool) -> tuple[list[int], list[int]]:
         """The numerators of this matrix times (xre + i xim) (conjugated
         first if *conjugate*), over den times their denominator; not
         normalised."""

@@ -852,6 +852,14 @@ def _leaves(x, path=()):
         yield from _leaves(value, path + (key,))
 
 
+def _set_near_leaf(data, field):
+    """Replace one scalar or index inside field by a near value."""
+    *path, last = data.draw(hst.sampled_from(list(_leaves(field))))
+    for step in path:
+        field = field[step]
+    field[last] = data.draw(NEAR_VALUES)
+
+
 def _perturb(data, doc):
     """A copy of doc with one value replaced: a top-level field or one item
     in it by a random JSON value, or one scalar or index inside a field (a
@@ -865,10 +873,7 @@ def _perturb(data, doc):
                                      else sorted(doc)))
     field = doc[key]
     if how == "leaf":
-        *path, last = data.draw(hst.sampled_from(list(_leaves(field))))
-        for step in path:
-            field = field[step]
-        field[last] = data.draw(NEAR_VALUES)
+        _set_near_leaf(data, field)
     elif how == "item":
         inner = data.draw(hst.sampled_from(
             range(len(field)) if isinstance(field, list) else sorted(field)))
@@ -910,11 +915,7 @@ def _perturb_star_or_unit(data, doc):
     """A copy of the algebra document with one star-matrix or unit scalar
     replaced by a near value."""
     doc = json.loads(json.dumps(doc))
-    field = doc[data.draw(hst.sampled_from(["star", "unit"]))]
-    *path, last = data.draw(hst.sampled_from(list(_leaves(field))))
-    for step in path:
-        field = field[step]
-    field[last] = data.draw(NEAR_VALUES)
+    _set_near_leaf(data, doc[data.draw(hst.sampled_from(["star", "unit"]))])
     return doc
 
 
