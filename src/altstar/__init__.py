@@ -22,16 +22,16 @@ from .jordan import (CATALOG, CatalogReport, EntryAudit, EntryRun,
                      IdentityEntry, IdentitySample, audit_catalog,
                      catalog_entry, collapse_prefix, jordan_star, q_star,
                      verify_identity)
-from .maps import (AlgebraMap, ConditionReport, IsomorphismReport, MapError,
-                   MapWitness, bijective_claim,
+from .maps import (AlgebraMap, ConditionReport, IsomorphismReport,
+                   MapCheckReport, MapError, MapWitness, bijective_claim,
                    check_jordan_condition, check_star_ring_isomorphism,
                    check_unital, conjugation_map, identity_map,
                    matrix_swap_conjugation, patched_map, sample_pool,
                    scale_map, star_as_map, zorn_rotation_map)
 from .peirce import (IJ_PAIRS, IdempotentInfo, PeirceError,
-                     PeirceRelationsReport, PeirceSystem, StarAlgebraLawError,
-                     SpadeResult, check_peirce_relations, check_spade,
-                     classify_idempotent, component_of,
+                     PeirceRelationsReport, PeirceSystem, SpadeReport,
+                     SpadeResult, StarAlgebraLawError, check_peirce_relations,
+                     check_spade, classify_idempotent, component_of,
                      find_symmetric_idempotents, peirce_decompose,
                      random_component, require_star_algebra_laws,
                      spade_pair)

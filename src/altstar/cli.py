@@ -7,8 +7,10 @@ Exit codes: 0 = all checks pass / not refuted, 1 = violation witnessed,
 Each report field has one source: a command writes the envelope (the
 algebra or map, e1, n, samples, seed) from its arguments, and the library
 reports hold only results, verdicts included, which one encoder writes
-field by field in declaration order.  Every command, gen included, prints
-its document.
+field by field in declaration order.  A report command splices its report
+after the envelope and reads its exit code from the report's one verdict
+field, so no verdict is worked out here.  Every command, gen included,
+prints its document.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .algebra import Algebra, AlgebraError, Element, check_axioms
 from .formats import (algebra_to_dict, canonical_json, load_map_file,
                       parse_scalar_list, resolve_algebra, scalar_list)
 from .jordan import MAX_ARITY, audit_catalog, q_star, require_audit_range
-from .maps import (check_jordan_condition, check_star_ring_isomorphism,
-                   require_condition_arity)
+from .maps import (MapCheckReport, check_jordan_condition,
+                   check_star_ring_isomorphism, require_condition_arity)
 from .peirce import (IJ_PAIRS, PeirceError, PeirceSystem,
                      StarAlgebraLawError, check_peirce_relations, spade_pair)
 from .scalars import Scalar, ScalarError
@@ -129,18 +131,15 @@ def _cmd_peirce(args) -> tuple[int, dict]:
 def _cmd_spade(args) -> tuple[int, dict]:
     a, idem = resolve_algebra(args.algebra)
     p = build_peirce(args.algebra, a, idem, args.e, what="--e")
-    r1, r2 = spade_pair(p)
-    ok = r1.holds and r2.holds
+    rep = spade_pair(p)
     doc = {
         "command": "spade",
         "algebra": a.name,
         "e1": _encode(p.e1),
         "e2": _encode(p.e2),
-        "spade": {"e1": r1.holds, "e2": r2.holds},
-        "witnesses": _encode({"e1": r1.witness, "e2": r2.witness}),
-        "ok": ok,
+        **_encode(rep),
     }
-    return (0 if ok else 1), doc
+    return (0 if rep.ok else 1), doc
 
 
 def _cmd_qprod(args) -> tuple[int, dict]:
@@ -186,13 +185,13 @@ def _cmd_mapcheck(args) -> tuple[int, dict]:
     p = build_peirce(f"{args.mapfile}: domain", phi.domain, dom_idem,
                      args.e1)
     try:
-        jordan = check_jordan_condition(phi, p, args.n, args.samples,
-                                        args.seed)
-        iso = check_star_ring_isomorphism(phi, p, args.samples, args.seed)
+        rep = MapCheckReport(
+            check_jordan_condition(phi, p, args.n, args.samples, args.seed),
+            check_star_ring_isomorphism(phi, p, args.samples,
+                                        args.seed).checks)
     except PeirceError as exc:
         # only the codomain, or the image system built on it, raises it here
         raise CliInputError(f"{args.mapfile}: codomain: {exc}") from exc
-    refuted = jordan.refuted or not iso.ok
     doc = {
         "command": "mapcheck",
         "map": phi.name,
@@ -203,11 +202,9 @@ def _cmd_mapcheck(args) -> tuple[int, dict]:
         "samples": args.samples,
         "seed": args.seed,
         "unital": True,
-        "jordan_condition": _encode(jordan),
-        "isomorphism_checks": _encode(iso.checks),
-        "refuted": refuted,
+        **_encode(rep),
     }
-    return (1 if refuted else 0), doc
+    return (1 if rep.refuted else 0), doc
 
 
 # -- entry points ------------------------------------------------------------

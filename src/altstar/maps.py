@@ -16,7 +16,8 @@ Two checkers; each first gates its codomain (require_star_algebra_laws):
   Peirce-block preservation, each with a reproducible witness on failure.
 
 Every sampled law is a ``first_witnesses`` scan; the three equations share
-one pass over one stream of pairs.
+one pass over one stream of pairs.  A MapCheckReport holds both results and
+is refuted when some check is.
 """
 
 from __future__ import annotations
@@ -388,3 +389,15 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                 lambda: ((), f1, f1)))
 
     return IsomorphismReport(tuple(reports))
+
+
+@dataclass(frozen=True)
+class MapCheckReport:
+    jordan_condition: ConditionReport
+    isomorphism_checks: tuple[ConditionReport, ...]
+    refuted: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "refuted", any(
+            c.refuted for c in (self.jordan_condition,
+                                *self.isomorphism_checks)))

@@ -24,6 +24,8 @@ The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
 implies x = 0; note the parenthesization, the products are x(ae), never
 (xa)e.  It is decided exactly on a PeirceSystem, whose component bases of
 A_1j and A_2j span A e_j, via the nullspace of the induced linear map.
+spade_pair decides both sides into a SpadeReport, whose ok holds when
+every side does.
 """
 
 from __future__ import annotations
@@ -314,6 +316,18 @@ def check_spade(p: PeirceSystem, j: int) -> SpadeResult:
     return SpadeResult(False, x)
 
 
-def spade_pair(p: PeirceSystem) -> tuple[SpadeResult, SpadeResult]:
+@dataclass(frozen=True)
+class SpadeReport:
+    spade: dict[str, bool]  # keyed "e1" and "e2"
+    witnesses: dict[str, Optional[Element]]
+    ok: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ok", all(self.spade.values()))
+
+
+def spade_pair(p: PeirceSystem) -> SpadeReport:
     """The annihilator condition for e1 and for e2."""
-    return check_spade(p, 1), check_spade(p, 2)
+    sides = {f"e{j}": check_spade(p, j) for j in (1, 2)}
+    return SpadeReport({e: r.holds for e, r in sides.items()},
+                       {e: r.witness for e, r in sides.items()})

@@ -96,8 +96,8 @@ def test_criterion_3_annihilator_suite(m2_peirce, m3_peirce, zorn_peirce,
                                        dsum_m2_m2):
     ok = True
     for p in (m2_peirce, m3_peirce, zorn_peirce):
-        r1, r2 = st.spade_pair(p)
-        ok = ok and r1.holds and r2.holds
+        rep = st.spade_pair(p)
+        ok = ok and rep.spade == {"e1": True, "e2": True} and rep.ok
 
     ds = dsum_m2_m2
     e = ds.element([ONE, ZERO, ZERO, ONE] + [ZERO] * 4)

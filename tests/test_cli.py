@@ -770,7 +770,7 @@ def test_exact_verdicts_survive_drawn_changes_of_basis(spec, examples):
           else st.find_symmetric_idempotents(a)[0])
     axioms = st.check_axioms(a)
     p = st.PeirceSystem(a, e1)
-    spade = st.spade_pair(p)
+    spade = [st.check_spade(p, j) for j in (1, 2)]
     assert axioms.ok == (spec != "cd:-1,-1,-1,-1")
     assert [r.holds for r in spade] \
         == [spec != "dsum:matrix:2,matrix:2"] * 2
@@ -802,7 +802,7 @@ def test_exact_verdicts_survive_drawn_changes_of_basis(spec, examples):
         for ij, basis in p.component_bases.items():
             assert all(st.component_of(moved_p, to_moved(x), ij)
                        for x in basis)
-        moved_spade = st.spade_pair(moved_p)
+        moved_spade = [st.check_spade(moved_p, j) for j in (1, 2)]
         assert [r.holds for r in moved_spade] == [r.holds for r in spade]
         for ej, r in zip((e1, a.unit - e1), moved_spade):
             if r.witness is not None:

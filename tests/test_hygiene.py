@@ -2,10 +2,10 @@
 imports in the package or the tests, no private module-level name in the
 package that the package never reads, no typing generic built at run time
 in the package, no package code but ``cli.main`` writing to stdout, no
-package code writing a file, the CLI naming no load-time law check, the
-package exports exactly what its __init__ imports from its submodules, the
-README's library quick start runs as written, and the package version has
-one source."""
+package code writing a file, the CLI naming no load-time law check and
+working out no verdict, the package exports exactly what its __init__
+imports from its submodules, the README's library quick start runs as
+written, and the package version has one source."""
 
 import ast
 import pathlib
@@ -366,6 +366,43 @@ def test_load_time_law_name_detector():
     assert _names_of(tree, LOAD_LAW_NAMES) == [
         ("check_involution", 5), ("check_involution", 6), ("check_unit", 4),
         ("require_star_algebra_laws", 1)]
+
+
+# every verdict (ok, refuted, derived_all_ok) is a field its report sets
+# itself, so a command only picks its exit code from one; an and, or or
+# not in a command would be a verdict rule the library never sees
+def _verdict_logic(tree: ast.Module) -> list[tuple[str, int]]:
+    """(command, line) for each and, or and not in a module-level
+    function whose name starts with _cmd_."""
+    return sorted((top.name, node.lineno) for top in tree.body
+                  if isinstance(top, ast.FunctionDef)
+                  and top.name.startswith("_cmd_")
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.BoolOp)
+                  or (isinstance(node, ast.UnaryOp)
+                      and isinstance(node.op, ast.Not)))
+
+
+def test_cli_commands_work_out_no_verdict():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _verdict_logic(tree) == []
+
+
+def test_verdict_logic_detector():
+    tree = ast.parse(
+        "def _cmd_spade(args):\n"
+        "    ok = args.r1 and args.r2\n"
+        "    return (0 if ok else 1), {}\n"
+        "def _cmd_mapcheck(args):\n"
+        "    refuted = args.jordan or not args.iso\n"
+        "    return (1 if refuted else 0), {}\n"
+        "def _cmd_check(args):\n"
+        "    rep = args.rep\n"
+        "    return (0 if rep.ok else 1), {'ok': rep.ok}\n"
+        "def pick(x, y):\n"
+        "    return x and not y\n")
+    assert _verdict_logic(tree) == [("_cmd_mapcheck", 5),
+                                    ("_cmd_mapcheck", 5), ("_cmd_spade", 2)]
 
 
 def test_all_lists_exactly_the_names_imported_from_submodules():

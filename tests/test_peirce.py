@@ -402,22 +402,29 @@ def test_star_inclusion(zorn_peirce):
 # -- the annihilator condition ------------------------------------------------
 
 
+def _assert_spade_report(rep, r1, r2):
+    """rep reports the side r1 on e1 and the side r2 on e2."""
+    assert rep.spade == {"e1": r1.holds, "e2": r2.holds}
+    assert rep.witnesses == {"e1": r1.witness, "e2": r2.witness}
+    assert rep.ok == (r1.holds and r2.holds)
+
+
 def test_spade_holds_on_division_like_examples(m2_peirce, m3_peirce,
                                                zorn_peirce):
     for p in (m2_peirce, m3_peirce, zorn_peirce):
-        r1, r2 = st.spade_pair(p)
+        r1, r2 = st.check_spade(p, 1), st.check_spade(p, 2)
         assert r1.holds and r1.witness is None
         assert r2.holds and r2.witness is None
-        assert (st.check_spade(p, 1), st.check_spade(p, 2)) == (r1, r2)
+        _assert_spade_report(st.spade_pair(p), r1, r2)
 
 
 def test_spade_fails_on_direct_sum_with_verified_witness(dsum_m2_m2):
     ds = dsum_m2_m2
     e1 = ds.element([ONE, ZERO, ZERO, ONE] + [ZERO] * 4)
     p = st.PeirceSystem(ds, e1)
-    r1, r2 = st.spade_pair(p)
+    r1, r2 = st.check_spade(p, 1), st.check_spade(p, 2)
     assert not r1.holds and not r2.holds
-    assert (st.check_spade(p, 1), st.check_spade(p, 2)) == (r1, r2)
+    _assert_spade_report(st.spade_pair(p), r1, r2)
     for r, e in ((r1, p.e1), (r2, p.e2)):
         x = r.witness
         assert x is not None and not x.is_zero()
@@ -435,13 +442,15 @@ def test_spade_witness_is_verified_by_its_products(monkeypatch):
     a, idem = st.resolve_algebra("dsum:zorn,matrix:3")
     p = st.PeirceSystem(a, a.element(idem["e1"]))
     monkeypatch.setattr(linalg, "mat_vec", no_mat_vec)
-    failing = [(e, r) for e, r in zip((p.e1, p.e2), st.spade_pair(p))
-               if not r.holds]
+    rep = st.spade_pair(p)
+    failing = [(e, rep.witnesses[side])
+               for e, side in zip((p.e1, p.e2), ("e1", "e2"))
+               if not rep.spade[side]]
     assert failing
-    for e, r in failing:
-        assert not r.witness.is_zero()
+    for e, w in failing:
+        assert not w.is_zero()
         for b in a.basis():
-            assert (r.witness * (b * e)).is_zero()
+            assert (w * (b * e)).is_zero()
 
 
 def test_spade_rejects_a_witness_that_does_not_annihilate(m2_peirce,
@@ -481,8 +490,8 @@ def test_spade_on_component_bases_matches_every_product(spec,
         e1 = a.element(idem["e1"]) if idem \
             else st.find_symmetric_idempotents(a)[0]
     p = st.PeirceSystem(a, e1)
-    assert st.spade_pair(p) == (_spade_on_every_product(a, p.e1),
-                                _spade_on_every_product(a, p.e2))
+    _assert_spade_report(st.spade_pair(p), _spade_on_every_product(a, p.e1),
+                         _spade_on_every_product(a, p.e2))
 
 
 @pytest.mark.parametrize("spec,products", [("zorn", 64), ("matrix:3", 81)])
@@ -500,8 +509,8 @@ def test_spade_pair_makes_dim_squared_products(spec, products, monkeypatch):
         return multiply(self, x, y)
 
     monkeypatch.setattr(Algebra, "multiply", counted)
-    r1, r2 = st.spade_pair(p)
-    assert r1.holds and r2.holds
+    rep = st.spade_pair(p)
+    assert rep.spade == {"e1": True, "e2": True} and rep.ok
     assert len(calls) == products == a.dim ** 2
 
 
@@ -519,7 +528,6 @@ def test_peirce_data_invariant_under_change_of_basis(m2):
     p_old = st.PeirceSystem(m2, m2.basis_element(0))
     assert p_new.component_dims() == p_old.component_dims()
     r_new, r_old = st.spade_pair(p_new), st.spade_pair(p_old)
-    assert (r_new[0].holds, r_new[1].holds) \
-        == (r_old[0].holds, r_old[1].holds)
+    assert r_new.spade == r_old.spade
     rep = st.check_peirce_relations(p_new, 60, seed=6)
     assert rep.ok

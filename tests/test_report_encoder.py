@@ -2,7 +2,9 @@
 
 A report used to be written by hand-made serializers, each copying the
 fields of one report dataclass key by key, and the verdicts (ok,
-derived_all_ok, verdict) were worked out again where they were written.
+derived_all_ok, verdict, refuted) were worked out again where they were
+written; the spade and mapcheck layouts were written by the commands
+themselves.
 They are kept here as the reference: the encoder gives the same JSON on
 report objects built directly, covering every witness and None combination,
 and on real failing runs; and each report emits exactly its dataclass
@@ -21,9 +23,10 @@ from altstar.algebra import AxiomReport, CheckResult, Witness, check_axioms
 from altstar.cli import _encode, build_peirce, run_cli
 from altstar.formats import canonical_json, load_map_file, scalar_list
 from altstar.jordan import CatalogReport, EntryAudit, EntryRun, IdentitySample
-from altstar.maps import (ConditionReport, IsomorphismReport, MapWitness,
-                          check_jordan_condition, check_star_ring_isomorphism)
-from altstar.peirce import PeirceRelationsReport
+from altstar.maps import (ConditionReport, IsomorphismReport, MapCheckReport,
+                          MapWitness, check_jordan_condition,
+                          check_star_ring_isomorphism)
+from altstar.peirce import PeirceRelationsReport, SpadeReport
 from altstar.scalars import I, TWO
 from test_algebra import _bad_star, _bad_unit
 
@@ -122,6 +125,23 @@ def _isomorphism_report_dict(rep):
             "ok": not any(c.refuted for c in rep.checks)}
 
 
+def _spade_report_dict(rep):
+    r1, r2 = rep.spade["e1"], rep.spade["e2"]
+    w1, w2 = rep.witnesses["e1"], rep.witnesses["e2"]
+    return {"spade": {"e1": r1, "e2": r2},
+            "witnesses": {"e1": None if w1 is None else _coords(w1),
+                          "e2": None if w2 is None else _coords(w2)},
+            "ok": r1 and r2}
+
+
+def _map_check_report_dict(rep):
+    jordan, checks = rep.jordan_condition, rep.isomorphism_checks
+    return {"jordan_condition": _condition_report_dict(jordan),
+            "isomorphism_checks": [_condition_report_dict(c)
+                                   for c in checks],
+            "refuted": jordan.refuted or any(c.refuted for c in checks)}
+
+
 REFERENCE = {Witness: _witness_dict, CheckResult: _check_dict,
              AxiomReport: _axiom_report_dict,
              PeirceRelationsReport: _peirce_report_dict,
@@ -129,7 +149,9 @@ REFERENCE = {Witness: _witness_dict, CheckResult: _check_dict,
              EntryAudit: _entry_audit_dict, CatalogReport: _catalog_dict,
              MapWitness: _map_witness_dict,
              ConditionReport: _condition_report_dict,
-             IsomorphismReport: _isomorphism_report_dict}
+             IsomorphismReport: _isomorphism_report_dict,
+             SpadeReport: _spade_report_dict,
+             MapCheckReport: _map_check_report_dict}
 
 
 def _assert_same_json(reports):
@@ -218,12 +240,32 @@ def _isomorphism_reports(zorn):
             for cs in _prefixes(_condition_reports(zorn))]
 
 
+def _spade_reports(zorn):
+    x, y, _ = _elements(zorn)
+    # each side holds with no witness or fails with one; the last report
+    # is keyed in reverse order, which the encoder sorts
+    sides = [(True, None), (False, x), (False, y)]
+    reports = [SpadeReport({"e1": h1, "e2": h2}, {"e1": w1, "e2": w2})
+               for (h1, w1), (h2, w2) in itertools.product(sides, repeat=2)]
+    return reports + [SpadeReport({"e2": False, "e1": True},
+                                  {"e2": y, "e1": None})]
+
+
+def _map_check_reports(zorn):
+    # a jordan condition that holds, then one refuted, beside isomorphism
+    # checks that hold or that some refuted check breaks
+    conditions = _condition_reports(zorn)
+    return [MapCheckReport(jordan, checks) for jordan in conditions[:2]
+            for checks in _prefixes(conditions)]
+
+
 BUILT = {Witness: _witnesses, CheckResult: _check_results,
          AxiomReport: _axiom_reports, PeirceRelationsReport: _peirce_reports,
          IdentitySample: _samples, EntryRun: _entry_runs,
          EntryAudit: _entry_audits, CatalogReport: _catalog_reports,
          MapWitness: _map_witnesses, ConditionReport: _condition_reports,
-         IsomorphismReport: _isomorphism_reports}
+         IsomorphismReport: _isomorphism_reports,
+         SpadeReport: _spade_reports, MapCheckReport: _map_check_reports}
 
 
 @pytest.mark.parametrize("cls", list(BUILT), ids=lambda c: c.__name__)
@@ -271,6 +313,14 @@ def test_encoder_matches_the_reference_on_a_failing_catalog(zorn_peirce):
         == canonical_json(_catalog_report_dict(rep, "zorn", 2, 4, 3, 1))
 
 
+def test_encoder_matches_the_reference_on_a_failing_spade():
+    spec = "dsum:matrix:2,matrix:2"
+    a, idem = st.resolve_algebra(spec)
+    rep = st.spade_pair(build_peirce(spec, a, idem, "e1"))
+    assert not rep.spade["e1"] and not rep.spade["e2"]
+    _assert_same_json([rep])
+
+
 @pytest.mark.parametrize("seed", [1, 7919])
 def test_encoder_matches_the_reference_on_golden_maps(seed, tmp_path,
                                                       load_perfbench):
@@ -298,7 +348,13 @@ def test_encoder_matches_the_reference_on_refuted_map_checks(m2, m2_peirce):
     e11 = m2.basis_element(0)
     swapped = st.patched_map(st.identity_map(m2),
                              {e11: m2.zero(), m2.zero(): e11})
+    # scaling by i is not unital, so both wrap the swapped map's jordan
+    # condition
+    jordan = check_jordan_condition(swapped, m2_peirce, 3, 20, seed=5)
     for phi in (st.scale_map(m2, I, name="scale-by-i"), swapped):
         rep = st.check_star_ring_isomorphism(phi, m2_peirce, 20, seed=5)
         assert not rep.ok
         _assert_same_json(rep.checks)
+        checked = MapCheckReport(jordan, rep.checks)
+        assert checked.refuted
+        _assert_same_json([checked])
