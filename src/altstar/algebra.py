@@ -11,13 +11,33 @@ canonical (den > 0 and gcd(den, *re, *im) = 1), so equal values have equal
 fields and equal hashes.  The structure tensor and every linear map on
 elements (star, Peirce projections, map cores) are compiled once to sparse
 integer entries over one common denominator, so products, stars, sums and
-projections run on plain ints and normalise each result with one gcd.  One
-accumulation loop (``Algebra._add_products``) sums products and one column
-loop (``IntMatrix._numerators``) applies matrices; the *-Jordan pair
+projections run on plain ints and normalise each result with one gcd.
+``Algebra._add_products`` sums products and one column loop
+(``IntMatrix._numerators``) applies matrices; the *-Jordan pair
 {x, y} = x y + y x* (``Algebra.jordan_pair``) runs both on unnormalised
 numerators and normalises once.
 Scalars appear only at the edges: construction from coordinates, the
 ``coords`` view, and the structure accessors.
+
+Packed cells.  At a slot width w, a power of two and at least 64, the
+cell b_i b_j = sum_k c_ijk b_k packs (Kronecker substitution) to two
+ints, sum_k re(c_ijk) 2^(w k) and the same of im(c_ijk); an algebra packs
+once per width.  Sums of packed cells times ints are exact, and while
+every slot s_k has |s_k| < 2^(w - 1) the sum is 0 iff every slot is and
+``_unpack`` reads the slots back.  With C the largest numerator of the
+tensor and bits() the bit length, w is the least width such that:
+  * for a product x y on a dense tensor (at least two entries per
+    nonempty cell on average, decided from the tensor), which sums
+    x^i y^j cell(i, j) over the nx ny nonzero pairs and unpacks once,
+    w >= bits(X) + bits(Y) + bits(C) + bits(nx ny) + 3: with X, Y the
+    largest numerators of x, y, a term's slots are at most 2 X Y 2 C.
+    Other tensors, such as the builtins and their direct sums with one
+    entry per nonempty cell, loop over the cells' entries instead.
+  * for the alternative laws, on every algebra, w >= bits(dim)
+    + 2 bits(C) + 4: a residual is two to four passes of at most dim
+    terms c cell, |c| <= C for a cell and 2 C for a symmetric cell, and
+    |c| <= 4 C over a law's passes, so its slots are at most 8 dim C^2.
+    It is tested for 0 packed; only a witness is unpacked.
 
 The axiom checkers verify the *linearized* alternative laws on basis
 triples; over a field of characteristic zero that is equivalent to the
@@ -40,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm
-from operator import or_
+from operator import add, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
@@ -57,7 +77,7 @@ class Element:
     in the module docstring.
     """
 
-    __slots__ = ("algebra", "re", "im", "den")
+    __slots__ = ("algebra", "re", "im", "den", "_hash")
 
     def __init__(self, algebra: "Algebra", coords: Sequence[Scalar]):
         if len(coords) != algebra.dim:
@@ -70,6 +90,7 @@ class Element:
         self.re = tuple(c.a * (den // c.d) for c in coords)
         self.im = tuple(c.b * (den // c.d) for c in coords)
         self.den = den
+        self._hash = None
 
     @property
     def coords(self) -> tuple[Scalar, ...]:
@@ -111,7 +132,12 @@ class Element:
                 and self.im == o.im)
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.den, self.re, self.im))
+        # an Element is immutable, so its hash is computed on first use
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((id(self.algebra), self.den, self.re,
+                                   self.im))
+        return h
 
     def __repr__(self) -> str:
         terms = [f"{c}*{self.algebra.basis_labels[k]}"
@@ -126,6 +152,7 @@ def _raw(algebra: "Algebra", re: tuple, im: tuple, den: int) -> Element:
     x.re = re
     x.im = im
     x.den = den
+    x._hash = None
     return x
 
 
@@ -138,6 +165,39 @@ def _element(algebra: "Algebra", re: list, im: list, den: int) -> Element:
             im = [b // g for b in im]
             den //= g
     return _raw(algebra, tuple(re), tuple(im), den)
+
+
+def _width(bits: int) -> int:
+    """The slot width for values of magnitude below 2**(bits - 1): the
+    least power of two that is at least bits and at least 64."""
+    return max(64, 1 << (bits - 1).bit_length())
+
+
+def _absmax(*vectors: Sequence[int]) -> int:
+    """The largest magnitude of the ints in *vectors*, all nonempty."""
+    return max(max(max(v), -min(v)) for v in vectors)
+
+
+def _dot(coeffs: Iterable[tuple[int, int, int]],
+         cells: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """sum_m c^m cells[m], for packed cells and the nonzero coefficients
+    c^m = re + i im given as (m, re, im)."""
+    re = im = 0
+    for m, p, q in coeffs:
+        c, d = cells[m]
+        re += p * c - q * d
+        im += p * d + q * c
+    return re, im
+
+
+def _unpack(v: int, w: int, bias: int, n: int) -> list[int]:
+    """The n signed w-bit slots of v = sum_k s_k 2**(w k), where every
+    |s_k| < 2**(w - 1); bias has 2**(w - 1) in each slot, so v + bias has
+    the digits s_k + 2**(w - 1) in base 2**w."""
+    v += bias
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    return [((v >> s) & mask) - half for s in range(0, w * n, w)]
 
 
 def _sum(x: Element, y: Element, sign: int) -> Element:
@@ -235,6 +295,14 @@ class Algebra:
         self._rows = tuple(tuple(tuple(sorted(cell)) for cell in row)
                            for row in rows)
         self._den = den
+        # the bits of the largest coefficient numerator, and whether the
+        # tensor is dense: at least two entries per nonempty cell on average
+        entries = [e for row in rows for cell in row for e in cell]
+        self._cbits = max((max(abs(p), abs(q)).bit_length()
+                           for _, p, q in entries), default=0)
+        nonempty = sum(1 for row in rows for cell in row if cell)
+        self._dense = len(entries) >= 2 * nonempty > 0
+        self._packings: dict[int, tuple[tuple, int]] = {}
         if len(star_matrix) != dim or any(len(r) != dim for r in star_matrix):
             raise AlgebraError("star matrix must be dim x dim")
         self._star = IntMatrix(star_matrix)
@@ -303,22 +371,54 @@ class Algebra:
                       yim: Sequence[int]) -> None:
         """Add the numerators of x y into ore, oim: over the product of x's
         and y's denominators and den, for numerators xre + i xim and
-        yre + i yim."""
+        yre + i yim.  A dense tensor is summed on packed cells."""
         n = self.dim
-        rows = self._rows
         # the nonzero coordinates: a | b == 0 iff a == b == 0
         ys = [(j, yre[j], yim[j])
               for j in compress(range(n), map(or_, yre, yim))]
-        for i in compress(range(n), map(or_, xre, xim)):
+        xs = compress(range(n), map(or_, xre, xim))
+        if not self._dense:
+            rows = self._rows
+            for i in xs:
+                a = xre[i]
+                b = xim[i]
+                row = rows[i]
+                for j, c, d in ys:
+                    fr = a * c - b * d
+                    fi = a * d + b * c
+                    for k, p, q in row[j]:
+                        ore[k] += fr * p - fi * q
+                        oim[k] += fr * q + fi * p
+            return
+        xs = list(xs)
+        if not (xs and ys):
+            return
+        w = _width(_absmax(xre, xim).bit_length()
+                   + _absmax(yre, yim).bit_length() + self._cbits
+                   + (len(xs) * len(ys)).bit_length() + 3)
+        cells, bias = self._packing(w)
+        re = im = 0
+        for i in xs:
+            # x^i (sum_j y^j cell(i, j))
             a = xre[i]
             b = xim[i]
-            row = rows[i]
-            for j, c, d in ys:
-                fr = a * c - b * d
-                fi = a * d + b * c
-                for k, p, q in row[j]:
-                    ore[k] += fr * p - fi * q
-                    oim[k] += fr * q + fi * p
+            r, s = _dot(ys, cells[i])
+            re += a * r - b * s
+            im += a * s + b * r
+        ore[:] = map(add, ore, _unpack(re, w, bias, n))
+        oim[:] = map(add, oim, _unpack(im, w, bias, n))
+
+    def _packing(self, w: int) -> tuple[tuple, int]:
+        """The cells packed at slot width w, over den, and the bias
+        that ``_unpack`` takes; made once per width."""
+        packed = self._packings.get(w)
+        if packed is None:
+            cells = tuple(tuple((sum(p << w * k for k, p, _ in cell),
+                                 sum(q << w * k for k, _, q in cell))
+                                for cell in row) for row in self._rows)
+            bias = sum(1 << (w * k + w - 1) for k in range(self.dim))
+            packed = self._packings[w] = (cells, bias)
+        return packed
 
     def star(self, x: Element) -> Element:
         if x.algebra is not self:
@@ -442,53 +542,56 @@ def check_alternative(a: Algebra) -> AxiomReport:
         right(i, j, k) = (b_i b_j) b_k + (b_i b_k) b_j - b_i (S_jk)
 
     and flexible, (b_i b_j) b_k + (b_k b_j) b_i - b_i (b_j b_k)
-    - b_k (b_j b_i), is four.  No Element is made except for a witness.
-    On a dense tensor the merged pass makes a check about 15 % faster
-    than the four passes of assoc(t) + assoc(swap(t)).
+    - b_k (b_j b_i), is four, on packed cells (module docstring).  No
+    Element is made except for a witness.
 
     The flexible law is scanned only when the left or the right law fails:
     the swaps (0 1) and (1 2) generate S3, so an associator that changes
     sign under both changes sign under (0 2) as well (Schafer, ch. III).
     """
     n, rows, basis = a.dim, a._rows, a.basis()
-    cols = [[rows[m][k] for m in range(n)] for k in range(n)]
+    w = _width(4 + n.bit_length() + 2 * a._cbits)
+    packed, bias = a._packing(w)
+    cols = [[packed[m][k] for m in range(n)] for k in range(n)]
     sym = [[_cell_sum(rows[i][j], rows[j][i]) for j in range(n)]
            for i in range(n)]
+    # the cells and the symmetric cells with every coefficient negated
+    neg, negsym = ([[tuple((m, -p, -q) for m, p, q in cell) for cell in row]
+                    for row in t] for t in (rows, sym))
     den = a._den * a._den
 
-    def residual(*passes: tuple[tuple, Sequence[tuple], int]
-                 ) -> tuple[list[int], list[int]]:
-        # pass (c, cells, sign) adds sign * sum_m c^m cells[m]
-        re = [0] * n
-        im = [0] * n
-        for coeffs, cells, sign in passes:
+    def residual(*passes: tuple[tuple, Sequence[tuple]]
+                 ) -> tuple[int, int]:
+        # pass (c, cells) adds sum_m c^m cells[m], as _dot does; inlined,
+        # since a call per pass makes the scan about 10 % slower
+        re = im = 0
+        for coeffs, cells in passes:
             for m, p, q in coeffs:
-                if sign < 0:
-                    p, q = -p, -q
-                for k, c, d in cells[m]:
-                    re[k] += p * c - q * d
-                    im[k] += p * d + q * c
+                c, d = cells[m]
+                re += p * c - q * d
+                im += p * d + q * c
         return re, im
 
     def left(i: int, j: int, k: int):
-        return residual((sym[i][j], cols[k], 1), (rows[j][k], rows[i], -1),
-                        (rows[i][k], rows[j], -1))
+        return residual((sym[i][j], cols[k]), (neg[j][k], packed[i]),
+                        (neg[i][k], packed[j]))
 
     def right(i: int, j: int, k: int):
-        return residual((rows[i][j], cols[k], 1), (rows[i][k], cols[j], 1),
-                        (sym[j][k], rows[i], -1))
+        return residual((rows[i][j], cols[k]), (rows[i][k], cols[j]),
+                        (negsym[j][k], packed[i]))
 
     def flexible(i: int, j: int, k: int):
-        return residual((rows[i][j], cols[k], 1), (rows[k][j], cols[i], 1),
-                        (rows[j][k], rows[i], -1), (rows[j][i], rows[k], -1))
+        return residual((rows[i][j], cols[k]), (rows[k][j], cols[i]),
+                        (neg[j][k], packed[i]), (neg[j][i], packed[k]))
 
     def scan(name: str, sums: Callable, lo: int, hi: int) -> dict:
         # the law swaps slots lo < hi, so t <= swap(t) iff t[lo] <= t[hi]
         def law(t: tuple[int, int, int]) -> Optional[Witness]:
             re, im = sums(*t)
-            if any(re) or any(im):
+            if re or im:
                 return Witness(tuple(basis[k] for k in t),
-                               _element(a, re, im, den))
+                               _element(a, _unpack(re, w, bias, n),
+                                        _unpack(im, w, bias, n), den))
             return None
 
         return first_witnesses((t for t in product(range(n), repeat=3)
@@ -503,15 +606,34 @@ def check_alternative(a: Algebra) -> AxiomReport:
 
 
 def check_unit(a: Algebra) -> AxiomReport:
-    """u b = b, then b u = b, for each basis vector b in order."""
-    u = a.unit
+    """u b = b, then b u = b, for each basis vector b in order.
 
-    def law(xy: tuple[Element, Element]) -> Optional[Witness]:
-        # one factor is u, so x + y - u is the other one
-        x, y = xy
-        return _witness(xy, x * y - (x + y - u))
+    On packed cells (module docstring), over u.den den: u b_k is
+    sum_i u^i cell(i, k), b_k u is sum_j u^j cell(k, j), and b_k is
+    u.den den at slot k.  With U the largest numerator of u, their slots
+    are at most 2 dim U C and u.den den, so the width has
+    w >= bits(dim) + bits(U) + bits(C) + 2 and w > bits(u.den den).  No
+    Element is made except for a witness.
+    """
+    n, u, basis = a.dim, a.unit, a.basis()
+    one = u.den * a._den
+    w = _width(max(n.bit_length() + _absmax(u.re, u.im).bit_length()
+                   + a._cbits + 2, one.bit_length() + 1))
+    cells, bias = a._packing(w)
+    us = [(i, u.re[i], u.im[i])
+          for i in compress(range(n), map(or_, u.re, u.im))]
 
-    cases = (xy for b in a.basis() for xy in ((u, b), (b, u)))
+    def law(case: tuple[int, bool]) -> Optional[Witness]:
+        k, left = case
+        re, im = _dot(us, [row[k] for row in cells] if left else cells[k])
+        if re == one << (w * k) and not im:
+            return None
+        ore = _unpack(re, w, bias, n)
+        ore[k] -= one
+        return Witness((u, basis[k]) if left else (basis[k], u),
+                       _element(a, ore, _unpack(im, w, bias, n), one))
+
+    cases = ((k, left) for k in range(n) for left in (True, False))
     return _report(first_witnesses(cases, {"two_sided_unit": law}))
 
 

@@ -362,13 +362,48 @@ def _dense(spec):
     return st.change_of_basis(a, _unimodular(a.dim), name=f"{spec}~")
 
 
+def _widened(spec, f):
+    """_dense(spec) with its last basis vector scaled by the integer f:
+    the tensor's numerators then carry up to about three times the bits
+    of f."""
+    a = st.resolve_algebra(spec)[0]
+    m = [[c * Scalar(f) if j == a.dim - 1 else c for j, c in enumerate(row)]
+         for row in _unimodular(a.dim)]
+    return st.change_of_basis(a, m, name=f"{spec}~x{f}")
+
+
+def _widths(monkeypatch):
+    """The slot widths that the packed kernels ask for, in order."""
+    seen = []
+    packing = Algebra._packing
+
+    def recording(self, w):
+        seen.append(w)
+        return packing(self, w)
+
+    monkeypatch.setattr(Algebra, "_packing", recording)
+    return seen
+
+
+# the slot width of the alternative scan, which grows with the tensor's
+# numerators; the moved sedenions fail left and right, so their witnesses
+# are unpacked from slots of both signs
+_SCAN_WIDTHS = {"matrix:3~": 64, "zorn~x6561": 128, "zorn~x3486784401": 256,
+                "cd:-1,-1,-1,-1~": 128}
+
+
 @pytest.mark.parametrize("spec", [
     "zorn", "matrix:1", "matrix:2", "matrix:3", "matrix:4", "cd:",
     "cd:-1", "cd:-1,2", "cd:-1,-1,-1", "cd:-1,-1,-1,-1", "cd:1,2,3,-1",
-    "dsum:zorn,matrix:2", "zorn~", "matrix:3~", "cd:-1,-1,-1~"])
-def test_table_scans_match_the_element_path(spec, zorn_transported):
+    "dsum:zorn,matrix:2", "zorn~", "matrix:3~", "cd:-1,-1,-1~",
+    "zorn~x6561", "zorn~x3486784401", "cd:-1,-1,-1,-1~"])
+def test_table_scans_match_the_element_path(spec, zorn_transported,
+                                            monkeypatch):
     if spec == "zorn~":
         a = zorn_transported
+    elif "~x" in spec:
+        base, f = spec.split("~x")
+        a = _widened(base, int(f))
     elif spec.endswith("~"):
         a = _dense(spec[:-1])
     elif spec.startswith("cd:"):
@@ -376,7 +411,10 @@ def test_table_scans_match_the_element_path(spec, zorn_transported):
                                if g])
     else:
         a = st.resolve_algebra(spec)[0]
+    widths = _widths(monkeypatch)
     alt, _ = _assert_scans_match_references(a)
+    if spec in _SCAN_WIDTHS:
+        assert widths[0] == _SCAN_WIDTHS[spec]
     # 16-dim Cayley-Dickson algebras are flexible but neither left nor
     # right alternative
     if spec.startswith("cd:") and a.dim == 16:

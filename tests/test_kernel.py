@@ -21,6 +21,7 @@ import altstar as st
 from altstar import linalg
 from altstar.algebra import Algebra
 from altstar.scalars import ZERO, Scalar
+from test_algebra import _unimodular, _widths
 
 
 def _recorded(build):
@@ -78,13 +79,23 @@ def ref_star(star, x):
 # -- subjects ------------------------------------------------------------
 
 
+def _scaled_last_column(m, f):
+    return [row[:-1] + [row[-1] * Scalar(f)] for row in m]
+
+
 def _case(name, zorn_moved_basis):
-    if name == "zorn_transported":
-        # built as the conftest fixture is, with its inputs recorded
+    # zorn_transported is built as the conftest fixture is; zorn~ moves
+    # zorn to a dense basis, so its products take the packed kernel, and
+    # zorn~wide scales one new basis vector by 3^20, so the tensor's
+    # numerators reach 110 bits and the slots 128 and 256 bits
+    moves = {"zorn_transported": zorn_moved_basis, "zorn~": _unimodular(8),
+             "zorn~wide": _scaled_last_column(_unimodular(8), 3 ** 20)}
+    if name in moves:
+        m = moves[name]
         zorn, _, _ = _recorded(st.zorn_algebra)
         a, structure, star = _recorded(
-            lambda: st.change_of_basis(zorn, zorn_moved_basis, name="zorn~"))
-        minv = linalg.inverse(zorn_moved_basis)
+            lambda: st.change_of_basis(zorn, m, name=name))
+        minv = linalg.inverse(m)
         e1 = a.element(linalg.mat_vec(minv, zorn.basis_element(0).coords))
         return a, structure, star, e1
     a, structure, star = _recorded(lambda: st.resolve_algebra(name)[0])
@@ -94,7 +105,7 @@ def _case(name, zorn_moved_basis):
 
 @pytest.fixture(scope="module",
                 params=("zorn", "matrix:3", "cd:1/2,-3,2/3",
-                        "zorn_transported"))
+                        "zorn_transported", "zorn~", "zorn~wide"))
 def case(request, zorn_moved_basis):
     a, structure, star, e1 = _case(request.param, zorn_moved_basis)
     return a, structure, star, st.PeirceSystem(a, e1)
@@ -215,6 +226,33 @@ def test_hot_path_builds_no_scalar(monkeypatch, case):
     st.peirce_decompose(p, y)
     x == y, hash(x), x.is_zero()
     assert made == []
+
+
+@pytest.mark.parametrize("name,widths", [
+    ("zorn", []), ("matrix:3", []), ("cd:1/2,-3,2/3", []),
+    ("dsum:zorn,matrix:2", []), ("zorn_transported", []),
+    ("zorn~", [64, 128, 256])])
+def test_dense_tensors_take_the_packed_product(name, widths,
+                                               zorn_moved_basis,
+                                               monkeypatch):
+    # the builtins and direct sums have one entry per nonempty cell and
+    # keep the per-entry loop, as does a sparse change of basis; a dense
+    # one packs its cells, at the least width of 64, 128, 256, ... that
+    # holds 4 X Y C nx ny for the numerators X, Y of x, y and C of the
+    # tensor, and each product matches the reference
+    if name.startswith("dsum"):
+        a, structure, _ = _recorded(lambda: st.resolve_algebra(name)[0])
+    else:
+        a, structure, _, _ = _case(name, zorn_moved_basis)
+    seen = _widths(monkeypatch)
+    n = a.dim
+    u = [Scalar(k - 3, 1) for k in range(n)]
+    for e in (0, 60, 150):
+        v = [Scalar(2 ** e + k, k - 3) for k in range(n)]
+        got = a.element(u) * a.element(v)
+        assert got.coords == tuple(ref_multiply(structure, n, u, v))
+        assert_canonical(got)
+    assert seen == widths
 
 
 # -- random combinations --------------------------------------------------
