@@ -362,14 +362,17 @@ def _dense(spec):
     return st.change_of_basis(a, _unimodular(a.dim), name=f"{spec}~")
 
 
+def _widened_basis(dim, f):
+    """_unimodular(dim) with its last column scaled by the integer f:
+    moved to it, an algebra's tensor numerators carry up to about three
+    times the bits of f."""
+    return [row[:-1] + [row[-1] * Scalar(f)] for row in _unimodular(dim)]
+
+
 def _widened(spec, f):
-    """_dense(spec) with its last basis vector scaled by the integer f:
-    the tensor's numerators then carry up to about three times the bits
-    of f."""
     a = st.resolve_algebra(spec)[0]
-    m = [[c * Scalar(f) if j == a.dim - 1 else c for j, c in enumerate(row)]
-         for row in _unimodular(a.dim)]
-    return st.change_of_basis(a, m, name=f"{spec}~x{f}")
+    return st.change_of_basis(a, _widened_basis(a.dim, f),
+                              name=f"{spec}~x{f}")
 
 
 def _widths(monkeypatch):

@@ -21,7 +21,7 @@ import altstar as st
 from altstar import linalg
 from altstar.algebra import Algebra
 from altstar.scalars import ZERO, Scalar
-from test_algebra import _unimodular, _widths
+from test_algebra import _unimodular, _widened_basis, _widths
 
 
 def _recorded(build):
@@ -79,17 +79,13 @@ def ref_star(star, x):
 # -- subjects ------------------------------------------------------------
 
 
-def _scaled_last_column(m, f):
-    return [row[:-1] + [row[-1] * Scalar(f)] for row in m]
-
-
 def _case(name, zorn_moved_basis):
     # zorn_transported is built as the conftest fixture is; zorn~ moves
     # zorn to a dense basis, so its products take the packed kernel, and
     # zorn~wide scales one new basis vector by 3^20, so the tensor's
     # numerators reach 110 bits and the slots 128 and 256 bits
     moves = {"zorn_transported": zorn_moved_basis, "zorn~": _unimodular(8),
-             "zorn~wide": _scaled_last_column(_unimodular(8), 3 ** 20)}
+             "zorn~wide": _widened_basis(8, 3 ** 20)}
     if name in moves:
         m = moves[name]
         zorn, _, _ = _recorded(st.zorn_algebra)
