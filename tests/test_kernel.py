@@ -83,7 +83,7 @@ def _case(name, zorn_moved_basis):
     # zorn_transported is built as the conftest fixture is; zorn~ moves
     # zorn to a dense basis, so its products take the packed kernel, and
     # zorn~wide scales one new basis vector by 3^20, so the tensor's
-    # numerators reach 110 bits and the slots 128 and 256 bits
+    # numerators reach 110 bits and products need slots of 128 bits or more
     moves = {"zorn_transported": zorn_moved_basis, "zorn~": _unimodular(8),
              "zorn~wide": _widened_basis(8, 3 ** 20)}
     if name in moves:
