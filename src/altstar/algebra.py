@@ -63,7 +63,7 @@ from math import gcd, lcm
 from operator import add, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, numerators, scalars_over
 
 
 class AlgebraError(ValueError):
@@ -85,20 +85,16 @@ class Element:
                 f"coordinate length {len(coords)} != dim {algebra.dim}")
         # each Scalar is in lowest terms, so over the lcm of the
         # denominators no prime divides every numerator and den
-        den = lcm(*(c.d for c in coords))
+        re, im, self.den = numerators(coords)
         self.algebra = algebra
-        self.re = tuple(c.a * (den // c.d) for c in coords)
-        self.im = tuple(c.b * (den // c.d) for c in coords)
-        self.den = den
+        self.re = tuple(re)
+        self.im = tuple(im)
         self._hash = None
 
     @property
     def coords(self) -> tuple[Scalar, ...]:
         """The coordinates as Scalars, built on demand for the edges."""
-        d = self.den
-        # zeros share one Scalar: sparse vectors fill linalg's matrices
-        return tuple(Scalar(a, b, d) if a or b else ZERO
-                     for a, b in zip(self.re, self.im))
+        return tuple(scalars_over(self.re, self.im, self.den))
 
     def is_zero(self) -> bool:
         return not (any(self.re) or any(self.im))
@@ -212,27 +208,38 @@ def _sum(x: Element, y: Element, sign: int) -> Element:
 
 
 class IntMatrix:
-    """A Scalar matrix compiled once to sparse Gaussian-integer columns.
+    """A matrix of Scalar rows, or of integer columns (``of_columns``),
+    compiled once to sparse Gaussian-integer columns.
 
     Entry (k, t) is (re + i im) / den with one common den; column t keeps
     only its nonzero entries as (k, re, im).  ``apply`` is the one kernel
-    for linear maps on elements: star, Peirce projections and map cores.
+    for linear maps on elements: star, Peirce projections and map cores;
+    ``rows`` hands the dense numerators to ``linalg``'s kernel.
     """
 
     __slots__ = ("nrows", "ncols", "_cols", "_den")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        den = lcm(*(c.d for row in rows for c in row))
-        cols: list[list[tuple[int, int, int]]] = [
-            [] for _ in range(self.ncols)]
-        for k, row in enumerate(rows):
-            for t, c in enumerate(row):
-                if not c.is_zero():
-                    f = den // c.d
-                    cols[t].append((k, c.a * f, c.b * f))
-        self._cols = tuple(tuple(col) for col in cols)
+        self._compile(len(rows), [numerators(col) for col in zip(*rows)])
+
+    @classmethod
+    def of_columns(cls, nrows: int, cols: Sequence[
+            tuple[Sequence[int], Sequence[int], int]]) -> "IntMatrix":
+        """The matrix whose column t is (re + i im) / d, for
+        cols[t] = (re, im, d)."""
+        m = object.__new__(cls)
+        m._compile(nrows, cols)
+        return m
+
+    def _compile(self, nrows: int, cols: Sequence[
+            tuple[Sequence[int], Sequence[int], int]]) -> None:
+        den = lcm(*(d for _, _, d in cols))
+        self.nrows = nrows
+        self.ncols = len(cols)
+        self._cols = tuple(
+            tuple((k, a * f, b * f) for k, a, b in zip(range(nrows), re, im)
+                  if a or b)
+            for re, im, f in ((re, im, den // d) for re, im, d in cols))
         self._den = den
 
     def apply(self, x: Element, out: "Algebra",
@@ -258,12 +265,19 @@ class IntMatrix:
                 oim[k] += a * d + b * c
         return ore, oim
 
-    def scalar_rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
+    def rows(self) -> list[tuple[list[int], list[int]]]:
+        """The rows as dense numerators (re, im), over den."""
+        re = [[0] * self.ncols for _ in range(self.nrows)]
+        im = [[0] * self.ncols for _ in range(self.nrows)]
         for t, col in enumerate(self._cols):
             for k, c, d in col:
-                rows[k][t] = Scalar(c, d, self._den)
-        return tuple(tuple(row) for row in rows)
+                re[k][t] = c
+                im[k][t] = d
+        return list(zip(re, im))
+
+    def scalar_rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        return tuple(tuple(scalars_over(re, im, self._den))
+                     for re, im in self.rows())
 
 
 class Algebra:
@@ -285,13 +299,12 @@ class Algebra:
                 raise AlgebraError(f"structure index ({i},{j},{k}) out of range")
         # c[i][j][k] = (re + i im) / den with one common den; products
         # iterate only the nonzero support (k, re, im) of each basis pair
-        den = lcm(*(c.d for c in structure.values()))
+        res, ims, den = numerators(list(structure.values()))
         rows: list[list[list[tuple[int, int, int]]]] = [
             [[] for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in structure.items():
-            if not c.is_zero():
-                f = den // c.d
-                rows[i][j].append((k, c.a * f, c.b * f))
+        for (i, j, k), a, b in zip(structure, res, ims):
+            if a or b:
+                rows[i][j].append((k, a, b))
         self._rows = tuple(tuple(tuple(sorted(cell)) for cell in row)
                            for row in rows)
         self._den = den

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, IntMatrix
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, numerators
 
 
 class ConstructionError(AlgebraError):
@@ -170,13 +170,17 @@ def change_of_basis(a: Algebra, m: Sequence[Sequence[Scalar]],
                     name: str | None = None) -> Algebra:
     """Transport a to the basis whose old-coordinate vectors are m's columns.
 
-    One elimination inverts m; a singular m raises ConstructionError.  The
-    inverse is compiled to an IntMatrix, so the products, the unit and the
-    stars of the new basis reach their new coordinates through the integer
-    kernel.
+    The integer elimination kernel inverts m over a common denominator
+    straight into an IntMatrix; a singular m raises ConstructionError.  So
+    the products, the unit and the stars of the new basis reach their new
+    coordinates through integer kernels.
     """
+    cols = [numerators(col) for col in zip(*m)]
     try:
-        minv = IntMatrix(linalg.inverse(list(map(list, m))))
+        if any(len(row) != len(cols) for row in m):
+            raise linalg.SingularMatrixError("matrix is not square")
+        # the inverse of m's transpose has the columns of m^-1 as its rows
+        minv = IntMatrix.of_columns(len(m), linalg.int_inverse(cols))
     except linalg.SingularMatrixError:
         raise ConstructionError("change of basis matrix is singular") \
             from None

@@ -83,6 +83,14 @@ def _req(d: dict, key: str, kind, what: str):
     return v
 
 
+def _structure_entry(entry, t: int, what: str) -> tuple[int, int, int, str]:
+    if not isinstance(entry, dict):
+        raise FormatError(f"{what}: structure[{t}] must be an object")
+    ew = f"structure[{t}]"
+    return (_req(entry, "i", int, ew), _req(entry, "j", int, ew),
+            _req(entry, "k", int, ew), _req(entry, "c", str, ew))
+
+
 def algebra_from_dict(d: dict) -> tuple[Algebra, dict[str, list[Scalar]]]:
     if not isinstance(d, dict):
         raise FormatError("algebra file: top level must be an object")
@@ -104,13 +112,16 @@ def algebra_from_dict(d: dict) -> tuple[Algebra, dict[str, list[Scalar]]]:
             for i, r in enumerate(star_rows)]
     structure: dict[tuple[int, int, int], Scalar] = {}
     for t, entry in enumerate(_req(d, "structure", list, what)):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{what}: structure[{t}] must be an object")
-        ew = f"structure[{t}]"
-        i = _req(entry, "i", int, ew)
-        j = _req(entry, "j", int, ew)
-        k = _req(entry, "k", int, ew)
-        c = parse_scalar(_req(entry, "c", str, ew), f"{ew}.c")
+        # a well-formed entry is read without making its error texts; any
+        # other is read again by _structure_entry, which names the fault
+        try:
+            i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
+            plain = type(i) is type(j) is type(k) is int and type(c) is str
+        except (KeyError, TypeError):
+            plain = False
+        if not plain:
+            i, j, k, c = _structure_entry(entry, t, what)
+        c = parse_scalar(c, f"structure[{t}].c")
         if (i, j, k) in structure:
             raise FormatError(f"{what}: duplicate structure entry "
                               f"({i},{j},{k})")

@@ -82,9 +82,10 @@ class AlgebraMap:
 
 def bijective_claim(phi: AlgebraMap) -> bool:
     """Invertible linear part and a patch table that permutes its inputs."""
-    # invertible: square, with no kernel vector
-    if (phi.codomain.dim != phi.domain.dim
-            or linalg.nullspace(phi.linear_part)):
+    # invertible: square, of full rank
+    n = phi.domain.dim
+    if (phi.codomain.dim != n
+            or len(linalg.echelon(phi._matrix.rows(), n)) < n):
         return False
     # a map built through the API may send one algebra to a copy of it,
     # another Algebra object, so compare the numeric fields, not the

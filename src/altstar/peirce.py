@@ -36,7 +36,8 @@ from typing import Optional
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, CheckResult, Element,
-                      IntMatrix, Witness, _witness, first_witnesses)
+                      IntMatrix, Witness, _element, _witness,
+                      first_witnesses)
 from .sampling import derive_rng, random_combination
 from .scalars import I, half_power
 
@@ -146,12 +147,14 @@ class PeirceSystem:
                            b - left - right + p11))
         projected = dict(zip(IJ_PAIRS, zip(*images)))
 
-        columns = {ij: linalg.from_columns([x.coords for x in cols])
-                   for ij, cols in projected.items()}
-        self._matrices = {ij: IntMatrix(m) for ij, m in columns.items()}
+        n = algebra.dim
+        self._matrices = {
+            ij: IntMatrix.of_columns(n, [(x.re, x.im, x.den) for x in cols])
+            for ij, cols in projected.items()}
         # each component basis is the pivot columns of its matrix
-        bases = {ij: [projected[ij][t] for t in linalg.rref(m)[1]]
-                 for ij, m in columns.items()}
+        bases = {ij: [projected[ij][c] for c in sorted(
+                     c for c, _, _ in linalg.echelon(m.rows(), n))]
+                 for ij, m in self._matrices.items()}
         self.component_bases = bases
         # the four projections of b sum to b, so the components span the
         # algebra; they form a direct sum exactly when their dimensions
@@ -304,13 +307,13 @@ def check_spade(p: PeirceSystem, j: int) -> SpadeResult:
     a = p.algebra
     gens = p.component_bases[(1, j)] + p.component_bases[(2, j)]
     # one row block per generator g: the matrix of x -> x g
-    rows = [row for g in gens
-            for row in linalg.from_columns([(b * g).coords
-                                            for b in a.basis()])]
-    null = linalg.nullspace(rows)
+    rows = [row for g in gens for row in IntMatrix.of_columns(
+        a.dim, [(y.re, y.im, y.den) for y in (b * g for b in a.basis())]
+    ).rows()]
+    null = linalg.int_nullspace(rows, a.dim)
     if not null:
         return SpadeResult(True, None)
-    x = a.element(null[0])
+    x = _element(a, *null[0])
     if not all((x * g).is_zero() for g in gens):
         raise PeirceError("internal error: spade witness fails to verify")
     return SpadeResult(False, x)

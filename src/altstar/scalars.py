@@ -5,10 +5,12 @@ A scalar is (a + b*i)/d with integer a, b and d > 0, kept in lowest terms
 canonical form.  Literal syntax: ``[-]p[/q][(+|-)r[/s]i]``, e.g. ``3``,
 ``-1/2``, ``0+1i``, ``2/3-5i``.
 
-Scalar is the edge representation: parsing, formatting, ``linalg``, the
-structure accessors and the ``coords`` a user reads.  Elements keep
-integer numerators over one shared denominator instead, and the hot path
-(products, stars, sums, projections) builds no Scalar.
+Scalar is the edge representation: formatting, the structure accessors,
+the Scalar edges of ``linalg`` and the ``coords`` a user reads.  A literal
+is read in one pass to integer numerators (``parse_numerators``), and
+``parse_scalar`` makes one Scalar of them.  Elements keep integer
+numerators over one shared denominator instead, and the hot path
+(products, stars, sums, projections, eliminations) builds no Scalar.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import re as _re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 
 class ScalarError(ValueError):
@@ -69,15 +72,6 @@ class Scalar:
         return Scalar(self.a * o.a - self.b * o.b,
                       self.a * o.b + self.b * o.a, self.d * o.d)
 
-    def inverse(self) -> "Scalar":
-        n = self.a * self.a + self.b * self.b
-        if n == 0:
-            raise ScalarError("division by zero")
-        return Scalar(self.a * self.d, -self.b * self.d, n)
-
-    def __truediv__(self, o: "Scalar") -> "Scalar":
-        return self * o.inverse()
-
     def __eq__(self, o: object) -> bool:
         return (isinstance(o, Scalar) and self.a == o.a
                 and self.b == o.b and self.d == o.d)
@@ -104,40 +98,72 @@ def half_power(k: int) -> Scalar:
     return Scalar(1, 0, 2 ** k) if k >= 0 else Scalar(2 ** (-k))
 
 
-_PART = r"[0-9]+(?:/[0-9]+)?"
-_LITERAL = _re.compile(
-    rf"^\s*(?P<rsign>[+-])?\s*(?P<re>{_PART})"
-    rf"(?:\s*(?P<isign>[+-])\s*(?P<im>{_PART})\s*i)?\s*$"
-)
+def numerators(coords: Sequence[Scalar]) -> tuple[list[int], list[int],
+                                                int]:
+    """(re, im, den): coords[k] = (re[k] + i im[k]) / den, over the least
+    common denominator of the coords."""
+    den = lcm(*(c.d for c in coords))
+    fs = [den // c.d for c in coords]
+    return ([c.a * f for c, f in zip(coords, fs)],
+            [c.b * f for c, f in zip(coords, fs)], den)
 
 
-def _part_to_pair(text: str, what: str) -> tuple[int, int]:
-    p, _, q = text.partition("/")
+def scalars_over(re: Sequence[int], im: Sequence[int],
+                 den: int) -> list[Scalar]:
+    """The Scalars (re[k] + i im[k]) / den; the zeros share ZERO."""
+    return [Scalar(a, b, den) if a or b else ZERO for a, b in zip(re, im)]
+
+
+_LITERAL = _re.compile(r"\s*([+-]?)\s*([0-9]+)(?:/([0-9]+))?"
+                       r"(?:\s*([+-])\s*([0-9]+)(?:/([0-9]+))?\s*i)?\s*")
+
+
+def _too_long(what: str) -> ScalarError:
+    # Python's int() refuses more digits than this with a bare ValueError
+    return ScalarError(f"{what}: a number has more than "
+                       f"{sys.get_int_max_str_digits()} digits")
+
+
+def _part(what: str, p: str, q: Optional[str]) -> tuple[int, int]:
+    """The digits p over the digits q, or over 1 if q is None."""
     try:
-        p, q = int(p), int(q or 1)
-    except ValueError:  # past the digit limit of Python's int()
-        raise ScalarError(f"{what}: a number has more than "
-                          f"{sys.get_int_max_str_digits()} digits") from None
-    if q == 0:
-        raise ScalarError(f"{what}: denominator is zero in {text!r}")
-    return p, q
+        num, den = int(p), int(q or 1)
+    except ValueError:
+        raise _too_long(what) from None
+    if den == 0:
+        raise ScalarError(f"{what}: denominator is zero in {p + '/' + q!r}")
+    return num, den
+
+
+def parse_numerators(text: str, what: str = "scalar") -> tuple[int, int,
+                                                               int]:
+    """A scalar literal, parsed in one pass, as (re, im, den) with den > 0,
+    not reduced; *what* names the field in error messages."""
+    m = _LITERAL.fullmatch(text)
+    if m is None:
+        raise ScalarError(f"{what}: malformed scalar literal {text!r}")
+    rsign, p, q, isign, r, s = m.groups()
+    if q is None and s is None:
+        # integer parts over 1, the common case in files
+        try:
+            return int(rsign + p), int(isign + r) if r else 0, 1
+        except ValueError:
+            raise _too_long(what) from None
+    p, q = _part(what, p, q)
+    if rsign == "-":
+        p = -p
+    if r is None:
+        return p, 0, q
+    r, s = _part(what, r, s)
+    if isign == "-":
+        r = -r
+    # common denominator q*s
+    return p * s, r * q, q * s
 
 
 def parse_scalar(text: str, what: str = "scalar") -> Scalar:
     """Parse a scalar literal; *what* names the field in error messages."""
-    m = _LITERAL.match(text)
-    if m is None:
-        raise ScalarError(f"{what}: malformed scalar literal {text!r}")
-    p, q = _part_to_pair(m.group("re"), what)
-    if m.group("rsign") == "-":
-        p = -p
-    if m.group("im") is None:
-        return Scalar(p, 0, q)
-    r, s = _part_to_pair(m.group("im"), what)
-    if m.group("isign") == "-":
-        r = -r
-    # common denominator q*s, then Scalar() normalizes
-    return Scalar(p * s, r * q, q * s)
+    return Scalar(*parse_numerators(text, what))
 
 
 def _format_rational(num: int, den: int) -> str:

@@ -200,14 +200,8 @@ def test_zero_is_canonical(m2):
         assert r == z and hash(r) == hash(z) and r.den == 1
 
 
-def test_hot_path_builds_no_scalar(monkeypatch, case):
-    """Products, stars, sums, scaling, projections and map cores on
-    existing elements construct no Scalar."""
-    a, _, _, p = case
-    rng = st.derive_rng(0, "kernel")
-    x, y = st.random_element(a, rng), st.random_element(a, rng)
-    phi = st.star_as_map(a)
-    s = Scalar(3, -2, 5)
+def _scalars_made(monkeypatch) -> list:
+    """From now on, the arguments of every Scalar construction."""
     made = []
     init = Scalar.__init__
 
@@ -216,11 +210,40 @@ def test_hot_path_builds_no_scalar(monkeypatch, case):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Scalar, "__init__", counting)
+    return made
+
+
+def test_hot_path_builds_no_scalar(monkeypatch, case):
+    """Products, stars, sums, scaling, projections and map cores on
+    existing elements construct no Scalar."""
+    a, _, _, p = case
+    rng = st.derive_rng(0, "kernel")
+    x, y = st.random_element(a, rng), st.random_element(a, rng)
+    phi = st.star_as_map(a)
+    s = Scalar(3, -2, 5)
+    made = _scalars_made(monkeypatch)
     x * y, x.star(), x + y, x - y, -x, x.scale(s), phi(x)
     for ij in st.IJ_PAIRS:
         p.project(x, ij)
     st.peirce_decompose(p, y)
     x == y, hash(x), x.is_zero()
+    assert made == []
+
+
+def test_eliminations_build_no_scalar(monkeypatch, case):
+    """A Peirce build, a spade side that holds and the bijectivity claim
+    hand the elimination kernel integers and construct no Scalar."""
+    a, _, _, p = case
+    # the fixture's build decided the algebra's load-time laws
+    assert a._failed_load_law is None
+    phi = st.star_as_map(a)
+    holds = [j for j in (1, 2) if st.check_spade(p, j).holds]
+    assert holds
+    made = _scalars_made(monkeypatch)
+    again = st.PeirceSystem(a, p.e1)
+    for j in holds:
+        assert st.check_spade(again, j).holds
+    assert st.bijective_claim(phi)
     assert made == []
 
 

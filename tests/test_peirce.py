@@ -456,9 +456,10 @@ def test_spade_witness_is_verified_by_its_products(monkeypatch):
 def test_spade_rejects_a_witness_that_does_not_annihilate(m2_peirce,
                                                           monkeypatch):
     from altstar import linalg
-    # E11 (b E11) is nonzero for b = E11, so this vector is no witness
-    monkeypatch.setattr(linalg, "nullspace",
-                        lambda rows: [[ONE, ZERO, ZERO, ZERO]])
+    # E11 (b E11) is nonzero for b = E11, so this vector is no witness;
+    # check_spade reads its nullspace as numerators (re, im, den)
+    monkeypatch.setattr(linalg, "int_nullspace",
+                        lambda rows, ncols: [([1, 0, 0, 0], [0] * 4, 1)])
     with pytest.raises(st.PeirceError, match="fails to verify"):
         st.check_spade(m2_peirce, 1)
 
