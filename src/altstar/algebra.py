@@ -13,9 +13,12 @@ elements (star, Peirce projections, map cores) are compiled once to sparse
 integer entries over one common denominator, so products, stars, sums and
 projections run on plain ints and normalise each result with one gcd.
 ``Algebra._add_products`` sums products and one column loop
-(``IntMatrix._numerators``) applies matrices; the *-Jordan pair
-{x, y} = x y + y x* (``Algebra.jordan_pair``) runs both on unnormalised
-numerators and normalises once.
+(``IntMatrix._numerators``) applies matrices.  On a sparse tensor a product
+loops over the nonzero x_i and the flat entry list of row i, the entries
+(j, k, c) of the cells b_i b_j made once (``Algebra._flat``).  The
+*-Jordan pair {x, y} = x y + y x* (``Algebra.jordan_pair``) runs on
+unnormalised numerators and normalises once; on a sparse tensor it sums
+both products in one pass over the flat entry list.
 Scalars appear only at the edges: construction from coordinates, the
 ``coords`` view, and the structure accessors.
 
@@ -32,7 +35,7 @@ tensor and bits() the bit length, w is the least width such that:
     w >= bits(X) + bits(Y) + bits(C) + bits(nx ny) + 3: with X, Y the
     largest numerators of x, y, a term's slots are at most 2 X Y 2 C.
     Other tensors, such as the builtins and their direct sums with one
-    entry per nonempty cell, loop over the cells' entries instead.
+    entry per nonempty cell, loop over the flat entry list instead.
   * for the alternative laws, on every algebra, w >= bits(dim)
     + 2 bits(C) + 4: a residual is two to four passes of at most dim
     terms c cell, |c| <= C for a cell and 2 C for a symmetric cell, and
@@ -307,6 +310,9 @@ class Algebra:
                 rows[i][j].append((k, a, b))
         self._rows = tuple(tuple(tuple(sorted(cell)) for cell in row)
                            for row in rows)
+        # row i's entries (j, k, re, im) in one list, for sparse products
+        self._flat = tuple(tuple((j, *e) for j, cell in enumerate(row)
+                                 for e in cell) for row in self._rows)
         self._den = den
         # the bits of the largest coefficient numerator, and whether the
         # tensor is dense: at least two entries per nonempty cell on average
@@ -360,23 +366,44 @@ class Algebra:
         """{x, y} = x y + y x* in one integer pass with one normalisation.
 
         x* is the star matrix on x's conjugated numerators, over
-        x.den sden and not normalised; x y, over x.den y.den den, is scaled
-        by sden, and y x* is added into the same lists, so the sum is over
-        x.den y.den den sden and is reduced by one gcd.
+        x.den sden and not normalised, so the sum is over
+        x.den y.den den sden and is reduced by one gcd.  On a sparse
+        tensor both products run in one pass over the flat entry list:
+        entry (i, j, k, c) adds (sden x_i y_j + y_i x*_j) c to slot k.  A
+        dense tensor sums x y on packed cells, scales it by sden and adds
+        y x* into the same lists.
         """
         if x.algebra is not self or y.algebra is not self:
             raise AlgebraError("algebra mismatch in multiply")
         star = self._star
+        s = star._den
         sre, sim = star._numerators(x.re, x.im, True)
         n = self.dim
         ore = [0] * n
         oim = [0] * n
-        self._add_products(ore, oim, x.re, x.im, y.re, y.im)
-        s = star._den
-        if s != 1:
-            ore = [s * v for v in ore]
-            oim = [s * v for v in oim]
-        self._add_products(ore, oim, y.re, y.im, sre, sim)
+        xre, xim, yre, yim = x.re, x.im, y.re, y.im
+        if self._dense:
+            self._add_products(ore, oim, xre, xim, yre, yim)
+            if s != 1:
+                ore = [s * v for v in ore]
+                oim = [s * v for v in oim]
+            self._add_products(ore, oim, yre, yim, sre, sim)
+        else:
+            if s != 1:
+                xre = [s * v for v in xre]
+                xim = [s * v for v in xim]
+            for a, b, e, f, row in zip(xre, xim, yre, yim, self._flat):
+                if not (a or b or e or f):
+                    continue
+                for j, k, p, q in row:
+                    c = yre[j]
+                    d = yim[j]
+                    g = sre[j]
+                    h = sim[j]
+                    fr = a * c - b * d + e * g - f * h
+                    fi = a * d + b * c + e * h + f * g
+                    ore[k] += fr * p - fi * q
+                    oim[k] += fr * q + fi * p
         return _element(self, ore, oim, x.den * y.den * self._den * s)
 
     def _add_products(self, ore: list, oim: list, xre: Sequence[int],
@@ -384,26 +411,26 @@ class Algebra:
                       yim: Sequence[int]) -> None:
         """Add the numerators of x y into ore, oim: over the product of x's
         and y's denominators and den, for numerators xre + i xim and
-        yre + i yim.  A dense tensor is summed on packed cells."""
+        yre + i yim.  A sparse tensor loops over the nonzero x_i and the
+        flat entries (j, k, c) of row i, adding x_i y_j c to slot k; a
+        dense one is summed on packed cells."""
+        if not self._dense:
+            for a, b, row in zip(xre, xim, self._flat):
+                if not (a or b):
+                    continue
+                for j, k, p, q in row:
+                    c = yre[j]
+                    d = yim[j]
+                    fr = a * c - b * d
+                    fi = a * d + b * c
+                    ore[k] += fr * p - fi * q
+                    oim[k] += fr * q + fi * p
+            return
         n = self.dim
         # the nonzero coordinates: a | b == 0 iff a == b == 0
         ys = [(j, yre[j], yim[j])
               for j in compress(range(n), map(or_, yre, yim))]
-        xs = compress(range(n), map(or_, xre, xim))
-        if not self._dense:
-            rows = self._rows
-            for i in xs:
-                a = xre[i]
-                b = xim[i]
-                row = rows[i]
-                for j, c, d in ys:
-                    fr = a * c - b * d
-                    fi = a * d + b * c
-                    for k, p, q in row[j]:
-                        ore[k] += fr * p - fi * q
-                        oim[k] += fr * q + fi * p
-            return
-        xs = list(xs)
+        xs = list(compress(range(n), map(or_, xre, xim)))
         if not (xs and ys):
             return
         w = _width(_absmax(xre, xim).bit_length()

@@ -210,68 +210,73 @@ def _cmd_mapcheck(args) -> tuple[int, dict]:
 # -- entry points ------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_ALGEBRA = (("algebra",), {"help": "algebra file or builtin spec"})
+_E1 = (("--e1",), {"default": "e1", "help": "idempotent NAME or COORDS"})
+
+
+def _int(flag: str, default: int, **kwargs) -> tuple[tuple, dict]:
+    return (flag,), {"type": int, "default": default, **kwargs}
+
+
+# name: (help, handler, arguments as (flags, keywords)), in listing order
+SUBCOMMANDS = {
+    "gen": ("emit a builtin algebra as JSON", _cmd_gen, [
+        (("spec",), {"help": "zorn | matrix:K | cd:G1,G2,... | dsum:A,B"})]),
+    "check": ("run the axiom suite on an algebra", _cmd_check, [_ALGEBRA]),
+    "peirce": ("Peirce decomposition relation checks", _cmd_peirce, [
+        _ALGEBRA, _E1, _int("--samples", 200), _int("--seed", 0)]),
+    "spade": ("annihilator condition x(Ae)=0 => x=0 for e and 1-e",
+              _cmd_spade, [
+                  _ALGEBRA, (("--e",), {"default": "e1",
+                                        "help": "idempotent NAME or COORDS"})]),
+    "qprod": ("evaluate one left-nested *-Jordan product", _cmd_qprod, [
+        _ALGEBRA, (("--args",), {"required": True,
+                                 "help": "semicolon-separated coordinate "
+                                         "vectors"})]),
+    "lemmas": ("audit the identity catalog", _cmd_lemmas, [
+        _ALGEBRA, _E1, _int("--n-min", 2), _int("--n-max", 5),
+        _int("--samples", 100), _int("--seed", 0)]),
+    "mapcheck": ("falsification checks for a map file", _cmd_mapcheck, [
+        (("mapfile",), {}),
+        _int("--n", 3, help="arity for the nested-product condition"),
+        _int("--samples", 500), _int("--seed", 0),
+        (("--e1",), {"default": "e1",
+                     "help": "domain idempotent NAME or COORDS"})]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of *command* alone.
+
+    Alone, the subcommand argument keeps the full choice list as its
+    metavar, so the top-level usage in an error reads as it does with every
+    subcommand built.
+    """
     parser = argparse.ArgumentParser(
         prog="altstar",
         description="Exact checks for alternative *-algebras: axioms, "
                     "Peirce decompositions, *-Jordan products, and map "
                     "falsification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a builtin algebra as JSON")
-    p.add_argument("spec", help="zorn | matrix:K | cd:G1,G2,... | dsum:A,B")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("check", help="run the axiom suite on an algebra")
-    p.add_argument("algebra", help="algebra file or builtin spec")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("peirce", help="Peirce decomposition relation checks")
-    p.add_argument("algebra", help="algebra file or builtin spec")
-    p.add_argument("--e1", default="e1", help="idempotent NAME or COORDS")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_peirce)
-
-    p = sub.add_parser("spade",
-                       help="annihilator condition x(Ae)=0 => x=0 for "
-                            "e and 1-e")
-    p.add_argument("algebra", help="algebra file or builtin spec")
-    p.add_argument("--e", default="e1", help="idempotent NAME or COORDS")
-    p.set_defaults(func=_cmd_spade)
-
-    p = sub.add_parser("qprod", help="evaluate one left-nested *-Jordan "
-                                     "product")
-    p.add_argument("algebra", help="algebra file or builtin spec")
-    p.add_argument("--args", required=True,
-                   help="semicolon-separated coordinate vectors")
-    p.set_defaults(func=_cmd_qprod)
-
-    p = sub.add_parser("lemmas", help="audit the identity catalog")
-    p.add_argument("algebra", help="algebra file or builtin spec")
-    p.add_argument("--e1", default="e1", help="idempotent NAME or COORDS")
-    p.add_argument("--n-min", type=int, default=2, dest="n_min")
-    p.add_argument("--n-max", type=int, default=5, dest="n_max")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_lemmas)
-
-    p = sub.add_parser("mapcheck", help="falsification checks for a map file")
-    p.add_argument("mapfile")
-    p.add_argument("--n", type=int, default=3,
-                   help="arity for the nested-product condition")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--e1", default="e1",
-                   help="domain idempotent NAME or COORDS")
-    p.set_defaults(func=_cmd_mapcheck)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(SUBCOMMANDS) + "}")
+    for name in (command,) if command else SUBCOMMANDS:
+        help_, func, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def run_cli(argv: Sequence[str]) -> tuple[int, dict]:
-    """Exit code plus the report document."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
+    """Exit code plus the report document.  Only the parser of the
+    subcommand that argv names is built; -h, an unknown name or no
+    arguments build them all."""
+    argv = list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS
+                          else None)
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -66,6 +66,9 @@ class AlgebraMap:
         if len(set(outs)) != len(outs):
             raise MapError("patch outputs must be pairwise distinct")
         self.patches = patches
+        # (Peirce system, pool size, seed): the sample pool and the images
+        # made of it so far, shared by both checkers of one mapcheck
+        self._pools: dict[tuple, tuple[list[Element], dict]] = {}
 
     @property
     def linear_part(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -217,10 +220,15 @@ def _mapped_pairs(phi: AlgebraMap, p: PeirceSystem, samples: int,
     """The sampled pairs of the pool as cases (a, b, phi(a), phi(b)).
 
     The pool is built at once, so a Peirce system on another algebra is
-    rejected before any case is taken; phi maps each pool element once.
+    rejected before any case is taken.  The pool and its images are kept
+    on phi per (p, pool size, seed), so the two checkers of one mapcheck
+    build one pool and phi maps each pool element once.
     """
-    pool = sample_pool(phi, p, max(16, min(samples, 64)), seed)
-    images: dict[Element, Element] = {}
+    key = (p, max(16, min(samples, 64)), seed)
+    kept = phi._pools.get(key)
+    if kept is None:
+        kept = phi._pools[key] = (sample_pool(phi, p, key[1], seed), {})
+    pool, images = kept
 
     def image(x: Element) -> Element:
         if x not in images:

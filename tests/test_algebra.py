@@ -724,20 +724,40 @@ def _halved(spec, k):
     return st.change_of_basis(a, _halved_basis(a.dim, k), name=f"{spec}~/2")
 
 
+def _diagonal_basis():
+    """diag(2, 1, 1+i, 1, ..., 1) on zorn: moved to it, the tensor stays
+    sparse but has a non-real entry, and both it and the star have
+    denominator 2."""
+    d = [TWO, ONE, Scalar(1, 1), *[ONE] * 5]
+    return [[d[r] if c == r else ZERO for c in range(8)] for r in range(8)]
+
+
 PAIR_SPECS = ("zorn", "matrix:2", "matrix:3", "cd:-1,-1,-1,-1",
               "dsum:matrix:2,matrix:1")
-PAIR_ALGEBRAS = PAIR_SPECS + ("zorn~", "zorn~/2")
+PAIR_ALGEBRAS = PAIR_SPECS + ("zorn~", "zorn~/2", "zorn~diag")
 
 
 @pytest.fixture(scope="module")
 def pair_algebras():
+    zorn = st.resolve_algebra("zorn")[0]
     return {**{spec: st.resolve_algebra(spec)[0] for spec in PAIR_SPECS},
-            "zorn~": _dense("zorn"), "zorn~/2": _halved("zorn", 1)}
+            "zorn~": _dense("zorn"), "zorn~/2": _halved("zorn", 1),
+            "zorn~diag": st.change_of_basis(zorn, _diagonal_basis(),
+                                            name="zorn~diag")}
 
 
 def test_the_halved_basis_has_fractional_tensor_and_star(pair_algebras):
     a = pair_algebras["zorn~/2"]
     assert a._den > 1 and a._star._den > 1
+
+
+def test_the_diagonal_basis_keeps_a_sparse_complex_tensor(pair_algebras):
+    # the fused sparse pair scales x by the star denominator and meets
+    # non-real tensor entries only on this subject
+    a = pair_algebras["zorn~diag"]
+    assert not a._dense
+    assert any(q for row in a._flat for _, _, _, q in row)
+    assert a._den == 2 and a._star._den == 2
 
 
 def _pair_oracle(x, y):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import altstar as st
-from altstar import algebra, linalg
+from altstar import algebra, cli, linalg, maps
 from altstar.cli import main as cli_main
 from altstar.formats import canonical_json, map_to_dict
 from altstar.jordan import MAX_ARITY
@@ -257,6 +257,22 @@ def test_mapcheck_decides_the_load_time_laws_once(tmp_path, m2,
                        ("check_involution", "matrix:2")]
 
 
+def test_mapcheck_builds_one_sample_pool(tmp_path, zorn, monkeypatch):
+    # both map checkers scan pairs of one pool, kept on the map
+    pools = []
+    build = maps.sample_pool
+
+    def counted(*args):
+        pools.append(args[2:])
+        return build(*args)
+
+    monkeypatch.setattr(maps, "sample_pool", counted)
+    path = _write_map(tmp_path, st.zorn_rotation_map(zorn), "rot.map")
+    code, _ = run_json(["mapcheck", path, "--samples", "40", "--seed", "2"])
+    assert code == 0
+    assert pools == [(40, 2)]
+
+
 def test_mapcheck_negative_and_deterministic(tmp_path, zorn):
     u1 = zorn.basis_element(2)
     bad = st.patched_map(st.identity_map(zorn), {u1: u1.scale(st.TWO)},
@@ -290,6 +306,25 @@ def test_unknown_subcommand_exits_2():
 def test_unknown_flag_exits_2():
     code, out, err = run(["check", "zorn", "--bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], *([name, "-h"] for name in cli.SUBCOMMANDS), ["frobnicate"], [],
+    ["lemmas", "zorn", "--samples", "x"], ["gen", "zorn", "extra"],
+    ["qprod", "zorn"]])
+def test_one_subcommand_parser_reads_as_the_full_parser(argv, monkeypatch):
+    # a call that names a subcommand builds only its parser; its stdout,
+    # stderr and exit code must be those of the parser of every subcommand
+    got = run(argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run(argv) == got
+
+
+def test_a_named_subcommand_builds_only_its_parser():
+    with pytest.raises(SystemExit):
+        cli.build_parser("gen").parse_args(["check", "zorn"])
+    assert cli.build_parser("gen").parse_args(["gen", "zorn"]).spec == "zorn"
 
 
 def test_missing_file_exits_2():

@@ -21,7 +21,8 @@ import altstar as st
 from altstar import linalg
 from altstar.algebra import Algebra
 from altstar.scalars import ZERO, Scalar
-from test_algebra import _unimodular, _widened_basis, _widths
+from test_algebra import (_diagonal_basis, _unimodular, _widened_basis,
+                          _widths)
 
 
 def _recorded(build):
@@ -83,9 +84,12 @@ def _case(name, zorn_moved_basis):
     # zorn_transported is built as the conftest fixture is; zorn~ moves
     # zorn to a dense basis, so its products take the packed kernel, and
     # zorn~wide scales one new basis vector by 3^20, so the tensor's
-    # numerators reach 110 bits and products need slots of 128 bits or more
+    # numerators reach 110 bits and products need slots of 128 bits or more;
+    # zorn~diag keeps a sparse tensor with a non-real entry, over 2 as its
+    # star is
     moves = {"zorn_transported": zorn_moved_basis, "zorn~": _unimodular(8),
-             "zorn~wide": _widened_basis(8, 3 ** 20)}
+             "zorn~wide": _widened_basis(8, 3 ** 20),
+             "zorn~diag": _diagonal_basis()}
     if name in moves:
         m = moves[name]
         zorn, _, _ = _recorded(st.zorn_algebra)
@@ -101,7 +105,8 @@ def _case(name, zorn_moved_basis):
 
 @pytest.fixture(scope="module",
                 params=("zorn", "matrix:3", "cd:1/2,-3,2/3",
-                        "zorn_transported", "zorn~", "zorn~wide"))
+                        "zorn_transported", "zorn~", "zorn~wide",
+                        "zorn~diag"))
 def case(request, zorn_moved_basis):
     a, structure, star, e1 = _case(request.param, zorn_moved_basis)
     return a, structure, star, st.PeirceSystem(a, e1)

@@ -88,3 +88,40 @@ def test_random_combination_is_the_scalar_path(systems, name):
 def test_random_combination_needs_a_basis():
     with pytest.raises(ValueError, match="empty basis"):
         random_combination([], derive_rng(1, "empty"))
+
+
+def _redraws(tag, draw):
+    """The redrawn values of each seed's stream under tag: a 3-bit 7 or a
+    2-bit value above 1, as (bits, value)."""
+    seen = set()
+    for seed in SEEDS:
+        rng = derive_rng(seed, tag)
+        bits = rng.getrandbits
+
+        def recording(k, bits=bits):
+            v = bits(k)
+            if (k, v) in ((3, 7), (2, 2), (2, 3)):
+                seen.add((k, v))
+            return v
+
+        rng.getrandbits = recording
+        draw(rng)
+    return seen
+
+
+def test_the_seeds_reach_both_redraw_loops(systems):
+    # the draws read getrandbits and redraw out-of-range values; the state
+    # comparisons above pin both redraw loops to randint only if the seeds
+    # reach them
+    zorn = systems["zorn"]
+    bases = [zorn.component_bases[ij] for ij in sorted(zorn.component_bases)]
+    streams = {
+        "scalar": lambda rng: [random_scalar(rng) for _ in range(4)],
+        "element": lambda rng: [random_element(zorn.algebra, rng)
+                                for _ in range(2)],
+        "combo": lambda rng: [random_combination(b, rng) for b in bases],
+    }
+    for tag, draw in streams.items():
+        seen = _redraws(tag, draw)
+        assert (3, 7) in seen, tag
+        assert seen & {(2, 2), (2, 3)}, tag
