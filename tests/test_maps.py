@@ -313,8 +313,9 @@ def test_map_checkers_refuse_a_codomain_that_fails_its_laws(
 
 def test_each_pool_element_is_mapped_once(zorn, zorn_peirce,
                                           zorn_patched_double, monkeypatch):
-    # 500 pairs over a pool of 64: phi runs once per pool element drawn
-    phi = zorn_patched_double
+    # 500 pairs over a pool of 64: phi runs once per pool element drawn;
+    # a fresh copy of the map, since a map keeps the pools it has made
+    phi = st.patched_map(zorn_patched_double, {})
     pool = sample_pool(phi, zorn_peirce, 64, 3)
     pairs = list(_pairs(pool, 500, 3))
     calls = []
@@ -328,6 +329,11 @@ def test_each_pool_element_is_mapped_once(zorn, zorn_peirce,
     cases = list(_mapped_pairs(phi, zorn_peirce, 500, 3))
     assert len(calls) == len(set(calls)) == len({x for ab in pairs
                                                  for x in ab}) <= 64
+    # a second scan of the same pool, as the second checker makes, maps
+    # nothing again
+    calls.clear()
+    assert list(_mapped_pairs(phi, zorn_peirce, 500, 3)) == cases
+    assert calls == []
     monkeypatch.undo()
     assert cases == [(a, b, phi(a), phi(b)) for a, b in pairs]
 
