@@ -47,10 +47,11 @@ triples; over a field of characteristic zero that is equivalent to the
 alternative laws themselves (substitute y = x to recover them, and the
 linearization of a quadratic identity is sum-of-substitutions).  Every law
 is one scan of ``first_witnesses``, the engine that also serves the Peirce
-relations, the identity catalog and the map checks.  A linearized law,
-whose residual is symmetric under its swap of two slots, scans only the
-triples t <= swap(t).  Its residual on a basis triple is summed straight
-from the tensor cells b_i b_j, with the symmetric cells
+relations, the identity catalog and the map checks; ``scan_unproved``
+leaves out of a scan the laws decided to hold on basis cases.  A
+linearized law, whose residual is symmetric under its swap of two slots,
+scans only the triples t <= swap(t).  Its residual on a basis triple is
+summed straight from the tensor cells b_i b_j, with the symmetric cells
 b_i b_j + b_j b_i made once per check, and an Element is built only for
 a witness; the basis stars are made once per check.  The law
 (x y)* = y* x* is decided the same way, on the pairs (b_i, b_j*) from the
@@ -536,6 +537,39 @@ def first_witnesses(cases: Iterable, laws: Mapping[str, Callable]
             if not pending:
                 break
     return {name: found.get(name, (run, None)) for name in laws}
+
+
+def proved_laws(laws: Mapping[str, Callable],
+                proofs: Mapping[str, tuple[int, Iterable]],
+                budget: int) -> frozenset[str]:
+    """The laws that hold on every one of their proof cases.
+
+    proofs maps a law to (count, cases): count cases on which the law
+    holds only if it holds on every case a scan could draw, such as the
+    basis cases of a law that is linear or antilinear in each argument.
+    None runs when they number more than budget in all.
+    """
+    if sum(count for count, _ in proofs.values()) > budget:
+        return frozenset()
+    return frozenset(name for name, (_, cases) in proofs.items()
+                     if all(laws[name](c) is None for c in cases))
+
+
+def scan_unproved(cases: Iterable, length: int, laws: Mapping[str, Callable],
+                  proofs: Mapping[str, tuple[int, Iterable]]
+                  ) -> dict[str, tuple[int, object]]:
+    """first_witnesses of the laws over cases, a stream of length cases,
+    with the laws that proved_laws proves left out of the scan.
+
+    The proofs run only when they make no more law calls than the scan
+    would, length per law.  A scan only finds witnesses, so a proved law
+    has none, and it is reported as a scan without one reports it:
+    (length, None).  Every other law gets the scan's own result.
+    """
+    held = proved_laws(laws, proofs, length * len(laws))
+    found = first_witnesses(cases, {name: law for name, law in laws.items()
+                                    if name not in held})
+    return {name: found.get(name, (length, None)) for name in laws}
 
 
 def _witness(args: tuple, residual: Element) -> Optional[Witness]:

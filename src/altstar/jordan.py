@@ -114,6 +114,8 @@ class IdentityEntry:
     # None: the entry displays its derived form
     display_form: Optional[str] = None
     display: Optional[Callable[[PeirceSystem, str, int, dict], Element]] = None
+    # args takes the run's fold memo as ``memo``: an argument is a fold
+    inner_fold: bool = False
 
     def live_variants(self, p: PeirceSystem) -> list[str]:
         """The variants whose required components are all nonzero."""
@@ -248,9 +250,10 @@ def _entry_e() -> IdentityEntry:
         n_min=3,
         variants=_NO_INDEX,
         frees=_T_OFFDIAG,
-        args=lambda p, v, n, f: collapse_prefix(p.e2, n - 2)
-        + [q_star(_args_d(p, n, f)), p.e2],
+        args=lambda p, v, n, f, memo=None: collapse_prefix(p.e2, n - 2)
+        + [_q_cached(_args_d(p, n, f), {} if memo is None else memo), p.e2],
         derived=rhs,
+        inner_fold=True,
     )
 
 
@@ -477,13 +480,14 @@ def verify_identity(entry: IdentityEntry, p: PeirceSystem, n: int,
         return EntryRun(n, 0, "required Peirce component is zero-dimensional",
                         True, True, None, None)
     cache: dict = {}
+    args = partial(entry.args, memo=cache) if entry.inner_fold else entry.args
 
     def cases():
         # a case is (variant, frees, lhs), folded through the one memo
         for s, v in product(range(samples), variants):
             frees = _draw(p, entry, v,
                           derive_rng(seed, entry.entry_id, n, v, s))
-            yield v, frees, _q_cached(entry.args(p, v, n, frees), cache)
+            yield v, frees, _q_cached(args(p, v, n, frees), cache)
 
     def law(form: Callable, case: tuple) -> Optional[IdentitySample]:
         v, frees, lhs = case

@@ -16,19 +16,27 @@ Two checkers; each first gates its codomain (require_star_algebra_laws):
   Peirce-block preservation, each with a reproducible witness on failure.
 
 Every sampled law is a ``first_witnesses`` scan; the three equations share
-one pass over one stream of pairs.  A MapCheckReport holds both results and
-is refuted when some check is.
+one pass over one stream of pairs.  An unpatched map is C-linear, or
+C-antilinear if it conjugates scalars, so additivity holds by construction,
+star preservation and multiplicativity hold everywhere when they hold on
+basis vectors and basis pairs, and Peirce-block preservation when each
+component's basis lands in its block.  These are decided there first
+(``scan_unproved``), when the basis cases are no more law calls than the
+scan; a law that holds is left out of the scan and reported as a scan
+without a witness reports it, so a report reads as the scan alone made
+it.  The jordan condition is always sampled.  A MapCheckReport holds both
+results and is refuted when some check is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, Element, IntMatrix,
-                      first_witnesses)
+                      first_witnesses, scan_unproved)
 from .jordan import MAX_ARITY, _q_cached
 from .peirce import (IJ_PAIRS, PeirceSystem, classify_idempotent,
                      component_of, peirce_decompose, random_component,
@@ -197,8 +205,6 @@ def sample_pool(phi: AlgebraMap, p: PeirceSystem, count: int,
 
 def _pairs(pool: Sequence[Element], samples: int, seed: int):
     """First the structured head crossed with itself, then seeded picks."""
-    if samples < 1:
-        raise MapError(f"samples must be >= 1, got {samples}")
     head = pool[: min(len(pool), 12)]
     count = 0
     for x in head:
@@ -219,15 +225,18 @@ def _mapped_pairs(phi: AlgebraMap, p: PeirceSystem, samples: int,
                   seed: int) -> Iterator[tuple[Element, ...]]:
     """The sampled pairs of the pool as cases (a, b, phi(a), phi(b)).
 
-    The pool is built at once, so a Peirce system on another algebra is
-    rejected before any case is taken.  The pool and its images are kept
-    on phi per (p, pool size, seed), so the two checkers of one mapcheck
-    build one pool and phi maps each pool element once.
+    The pool is built at once, so a Peirce system on another algebra and
+    then a run without samples are rejected before any case is taken.  The
+    pool and its images are kept on phi per (p, pool size, seed), so the
+    two checkers of one mapcheck build one pool and phi maps each pool
+    element once.
     """
     key = (p, max(16, min(samples, 64)), seed)
     kept = phi._pools.get(key)
     if kept is None:
         kept = phi._pools[key] = (sample_pool(phi, p, key[1], seed), {})
+    if samples < 1:
+        raise MapError(f"samples must be >= 1, got {samples}")
     pool, images = kept
 
     def image(x: Element) -> Element:
@@ -236,6 +245,16 @@ def _mapped_pairs(phi: AlgebraMap, p: PeirceSystem, samples: int,
         return images[x]
 
     return ((a, b, image(a), image(b)) for a, b in _pairs(pool, samples, seed))
+
+
+def _basis_pairs(phi: AlgebraMap) -> Iterator[tuple[Element, ...]]:
+    """The pairs of basis vectors as cases (a, b, phi(a), phi(b)); phi maps
+    each basis vector once, when the first case is taken."""
+    basis = phi.domain.basis()
+    images = [phi(b) for b in basis]
+    for a, fa in zip(basis, images):
+        for b, fb in zip(basis, images):
+            yield a, b, fa, fb
 
 
 # -- condition reports -----------------------------------------------------
@@ -263,12 +282,11 @@ class ConditionReport:
                            else f"not refuted ({self.samples_run} samples)")
 
 
-def _reports(n: Optional[int], cases: Iterable,
-             laws: dict) -> list[ConditionReport]:
-    """One first-witness scan of the laws over the cases; a witness refutes
-    its law, and samples_run counts the cases run up to it."""
+def _reports(n: Optional[int], found: dict) -> list[ConditionReport]:
+    """The reports of a first-witness scan; a witness refutes its law, and
+    samples_run counts the cases run up to it."""
     return [ConditionReport(check, n, run, w is not None, w)
-            for check, (run, w) in first_witnesses(cases, laws).items()]
+            for check, (run, w) in found.items()]
 
 
 def _equation(kind: str, sides: Callable[..., tuple],
@@ -312,7 +330,7 @@ def check_jordan_condition(phi: AlgebraMap, peirce: PeirceSystem, n: int,
                 return MapWitness(f"xi={tag}", (a, b), lhs, rval)
         return None
 
-    return _reports(n, cases, {"jordan_condition": law})[0]
+    return _reports(n, first_witnesses(cases, {"jordan_condition": law}))[0]
 
 
 @dataclass(frozen=True)
@@ -334,8 +352,13 @@ class IsomorphismReport:
 def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                                 samples: int, seed: int) -> IsomorphismReport:
     """Additivity, multiplicativity, star preservation, exact bijectivity,
-    idempotent images and Peirce-block preservation."""
+    idempotent images and Peirce-block preservation.
+
+    For an unpatched phi, the three equations and the block law are first
+    decided on basis cases; a law that holds there reports the scan's
+    length as samples_run, and one that fails keeps its sampled scan."""
     require_star_algebra_laws(phi.codomain)
+    pairs = _mapped_pairs(phi, peirce, samples, seed)
     laws = {
         "additivity": lambda a, b, fa, fb: ((a, b), phi(a + b), fa + fb),
         "multiplicativity": lambda a, b, fa, fb: ((a, b), phi(a * b),
@@ -343,9 +366,21 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
         "star_preservation": lambda a, b, fa, fb: ((a,), phi(a.star()),
                                                    fa.star()),
     }
-    reports = _reports(None, _mapped_pairs(phi, peirce, samples, seed),
-                       {check: partial(_equation, check, sides)
-                        for check, sides in laws.items()})
+    proofs = {}
+    if not phi.patches:
+        # an unpatched phi is C-linear or C-antilinear, so it is additive,
+        # and both sides of each other law are linear or antilinear alike
+        # in each argument: they agree everywhere if on basis vectors
+        basis = phi.domain.basis()
+        proofs = {
+            "additivity": (0, ()),
+            "multiplicativity": (len(basis) ** 2, _basis_pairs(phi)),
+            "star_preservation": (len(basis), (
+                (b, b, fb, fb) for b, fb in zip(basis, map(phi, basis)))),
+        }
+    reports = _reports(None, scan_unproved(
+        pairs, samples, {check: partial(_equation, check, sides)
+                         for check, sides in laws.items()}, proofs))
 
     def one_shot(check: str, ok: bool,
                  witness: Callable[[], tuple]) -> ConditionReport:
@@ -388,11 +423,18 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
                               img - bad)
 
         # a case is (x, ij), x drawn from a nonzero component A_ij
+        live = [ij for ij in IJ_PAIRS if peirce.component_bases[ij]]
         cases = ((random_component(peirce, ij, rng), ij)
                  for rng in (derive_rng(seed, "blocks", s)
                              for s in range(samples))
-                 for ij in IJ_PAIRS if peirce.component_bases[ij])
-        reports += _reports(None, cases, {"peirce_blocks": block})
+                 for ij in live)
+        # A'_ij is a subspace, so an unpatched phi maps A_ij into it when
+        # it maps the basis of A_ij into it
+        proofs = {} if phi.patches else {"peirce_blocks": (
+            phi.domain.dim, ((b, ij) for ij in live
+                             for b in peirce.component_bases[ij]))}
+        reports += _reports(None, scan_unproved(
+            cases, samples * len(live), {"peirce_blocks": block}, proofs))
     else:
         reports.append(one_shot("peirce_blocks", False,
                                 lambda: ((), f1, f1)))

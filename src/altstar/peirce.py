@@ -17,8 +17,17 @@ builds all four projections of a basis vector b from e1 alone: from e1 b,
 b e1 and e1 (b e1) by subtraction.  It stores each projection once as a
 matrix from the images of the basis, compiled to an IntMatrix, so a
 projection, a decomposition or a membership test costs integer
-matrix-vector products and no algebra product.  The build proves (v);
-(i)-(iv) are one ``first_witnesses`` scan whose case is one sample's draws.
+matrix-vector products and no algebra product.  The build proves (v).
+
+Relations (i)-(iii) and the A12*A12 product are C-bilinear in two
+independent draws, and (iv) is a quadratic form in one, so each holds on
+all draws exactly when it holds on basis cases: pairs of component basis
+vectors, and for (iv) each basis vector and each sum of two.  They are
+decided there first (``scan_unproved``), and only those that fail go on to
+one sampled ``first_witnesses`` scan whose case is one sample's draws.  A
+scan only finds witnesses, so a relation decided to hold is reported as a
+scan that found none, and every report reads as the scan alone made it.
+The basis cases run only when they are no more law calls than the scan.
 
 The annihilator condition ("spade") for e_j: x * (a e_j) = 0 for all a
 implies x = 0; note the parenthesization, the products are x(ae), never
@@ -32,13 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterable, Optional
 
 from . import linalg
 from .algebra import (Algebra, AlgebraError, CheckResult, Element,
                       IntMatrix, Witness, _element, _witness,
-                      first_witnesses)
-from .sampling import derive_rng, random_combination
+                      scan_unproved)
+from .sampling import Basis, derive_rng, random_combination
 from .scalars import I, half_power
 
 IJ_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -151,9 +161,10 @@ class PeirceSystem:
         self._matrices = {
             ij: IntMatrix.of_columns(n, [(x.re, x.im, x.den) for x in cols])
             for ij, cols in projected.items()}
-        # each component basis is the pivot columns of its matrix
-        bases = {ij: [projected[ij][c] for c in sorted(
-                     c for c, _, _ in linalg.echelon(m.rows(), n))]
+        # each component basis is the pivot columns of its matrix, made
+        # once for random_combination
+        bases = {ij: Basis([projected[ij][c] for c in sorted(
+                     c for c, _, _ in linalg.echelon(m.rows(), n))])
                  for ij, m in self._matrices.items()}
         self.component_bases = bases
         # the four projections of b sum to b, so the components span the
@@ -245,13 +256,16 @@ class PeirceRelationsReport:
 
 def check_peirce_relations(p: PeirceSystem, samples: int,
                            seed: int) -> PeirceRelationsReport:
-    """Sampled membership checks for relations (i)-(iv) above; (v) passes.
+    """Membership checks for relations (i)-(iv) above; (v) passes.
 
     Membership is decided exactly, as in component_of: the residual of x
-    in A_ij is x - e_i (x e_j), one product with a projection matrix.  The
-    (v) checks pass unsampled: (e_i (x e_j))* = e_j (x* e_i) on every built
-    system.  The report also carries the first nonzero A12*A12 product
-    encountered, which witnesses the genuinely alternative (nonassociative)
+    in A_ij is x - e_i (x e_j), one product with a projection matrix.
+    Each relation is decided on basis cases first, when they number no
+    more than samples per relation, and only one that fails there is
+    sampled; it gets the witness the sampled scan finds.  The (v) checks
+    pass unsampled: (e_i (x e_j))* = e_j (x* e_i) on every built system.
+    The report also carries the first nonzero A12*A12 product the scan
+    meets, which witnesses the genuinely alternative (nonassociative)
     case.
     """
     if samples < 1:
@@ -269,19 +283,32 @@ def check_peirce_relations(p: PeirceSystem, samples: int,
             value = value - p.project(value, target)
         return _witness(args, value)
 
+    def proof(x, y) -> tuple[int, Iterable[dict]]:
+        """The basis cases that decide a law, as draws, and their count."""
+        bx, by = p.component_bases[x[0]], p.component_bases[y[0]]
+        if x != y:  # bilinear in two draws: every pair of basis vectors
+            return len(bx) * len(by), ({x: b, y: c} for b in bx for c in by)
+        # x x, polarised: it vanishes on A_ij when it does at each b and
+        # each b + c, since (b + c)(b + c) = b b + c c + (b c + c b)
+        return (len(bx) * (len(bx) + 1) // 2,
+                ({x: v} for v in chain(bx, (b + c for b, c
+                                            in combinations(bx, 2)))))
+
     # a relation on a zero-dimensional component holds vacuously
-    laws = {name: partial(law, x, y, target)
-            for name, x, y, target in _RELATIONS
-            if y is not None and dims[x[0]] and dims[y[0]]}
+    relations = {name: (x, y, target) for name, x, y, target in _RELATIONS
+                 if y is not None and dims[x[0]] and dims[y[0]]}
     if dims[1, 2]:
         # the first nonzero product of (ii) A12*A12
-        laws["offdiag"] = partial(law, ((1, 2), 0), ((1, 2), 1), None)
+        relations["offdiag"] = (((1, 2), 0), ((1, 2), 1), None)
     # a sample draws twice from each nonzero component
     samples_drawn = ({(ij, k): random_component(p, ij, rng)
                       for ij in IJ_PAIRS if dims[ij] for k in (0, 1)}
                      for rng in (derive_rng(seed, "peirce", s)
                                  for s in range(samples)))
-    found = first_witnesses(samples_drawn, laws)
+    found = scan_unproved(
+        samples_drawn, samples,
+        {name: partial(law, *r) for name, r in relations.items()},
+        {name: proof(x, y) for name, (x, y, _) in relations.items()})
     witness = {name: w for name, (_, w) in found.items()}
     checks = tuple(CheckResult(name, witness.get(name) is None,
                                witness.get(name)) for name, *_ in _RELATIONS)

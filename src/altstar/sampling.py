@@ -60,25 +60,38 @@ def random_element(a: Algebra, rng: random.Random) -> Element:
     return _element(a, re, im, 2)
 
 
+class Basis(list):
+    """Basis vectors with what random_combination needs of them made once:
+    their common denominator, and the nonzero coordinates (k, re, im) of
+    each vector over it."""
+
+    def __init__(self, vectors: Sequence[Element]):
+        super().__init__(vectors)
+        self.den = lcm(*(b.den for b in self))
+        self.terms = []
+        for b in self:
+            f = self.den // b.den
+            bre, bim = b.re, b.im
+            self.terms.append([(k, bre[k] * f, bim[k] * f) for k in compress(
+                range(len(bre)), map(or_, bre, bim))])
+
+
 def random_combination(basis: Sequence[Element],
                        rng: random.Random) -> Element:
     """sum_t s_t b_t with one random scalar s_t per basis vector, in order,
-    summed on integer numerators over one common denominator."""
+    summed on integer numerators over one common denominator; a Basis is
+    read as it was made, any other sequence is made into one."""
     if not basis:
         raise ValueError("empty basis")
-    den = lcm(*(b.den for b in basis))
+    if not isinstance(basis, Basis):
+        basis = Basis(basis)
     n = basis[0].algebra.dim
     re = [0] * n
     im = [0] * n
-    for b, (p, q) in zip(basis, _draws(rng, len(basis))):
+    for terms, (p, q) in zip(basis.terms, _draws(rng, len(basis))):
         if not (p or q):
             continue
-        f = den // b.den
-        p, q = p * f, q * f
-        bre, bim = b.re, b.im
-        for k in compress(range(n), map(or_, bre, bim)):
-            x = bre[k]
-            y = bim[k]
+        for k, x, y in terms:
             re[k] += p * x - q * y
             im[k] += p * y + q * x
-    return _element(basis[0].algebra, re, im, 2 * den)
+    return _element(basis[0].algebra, re, im, 2 * basis.den)

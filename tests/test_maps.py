@@ -3,7 +3,7 @@
 import pytest
 
 import altstar as st
-from altstar import linalg, maps
+from altstar import algebra, linalg, maps
 from altstar.jordan import MAX_ARITY
 from altstar.maps import AlgebraMap, _mapped_pairs, _pairs, sample_pool
 from altstar.sampling import derive_rng, random_element
@@ -403,6 +403,100 @@ def test_peirce_blocks_are_refuted_without_an_image_system(m2, m2_peirce):
     assert blocks.witness == st.MapWitness("peirce_blocks", (), m2.zero(),
                                            m2.zero())
 
+
+
+# -- laws decided on basis cases before the sampled scan ----------------------
+
+
+def _prove_nothing(laws, proofs, budget):
+    return frozenset()
+
+
+def _record_proofs(monkeypatch):
+    """The laws each call of proved_laws proves, in call order."""
+    held = []
+    real = algebra.proved_laws
+
+    def spy(laws, proofs, budget):
+        held.append(real(laws, proofs, budget))
+        return held[-1]
+
+    monkeypatch.setattr(algebra, "proved_laws", spy)
+    return held
+
+
+def _iso_subject(name, zorn, m2):
+    """A fresh map each call, since a map keeps the pools it has made."""
+    return {
+        "zorn-identity": lambda: st.identity_map(zorn),
+        "zorn-rotation": lambda: st.zorn_rotation_map(zorn),
+        "patched-double": lambda: st.patched_map(
+            st.identity_map(zorn),
+            {zorn.basis_element(2): zorn.basis_element(2).scale(TWO)}),
+        "m2-swap": lambda: st.matrix_swap_conjugation(m2),
+        "m2-conjugation": lambda: st.conjugation_map(m2),
+        "m2-star": lambda: st.star_as_map(m2),
+        "m2-scale-2": lambda: st.scale_map(m2, Scalar(2)),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["zorn-identity", "zorn-rotation",
+                                  "patched-double", "m2-swap",
+                                  "m2-conjugation", "m2-star", "m2-scale-2"])
+def test_isomorphism_laws_proved_on_the_basis_report_as_the_scan(
+        name, zorn, zorn_peirce, m2, m2_peirce, monkeypatch):
+    # with nothing proved every law runs the sampled scan, as it always did
+    p = zorn_peirce if name.startswith(("zorn", "patched")) else m2_peirce
+    runs = [(samples, seed) for samples in (2, 40, 100)
+            for seed in (0, 1, 7919)]
+
+    def reports():
+        return [st.check_star_ring_isomorphism(_iso_subject(name, zorn, m2),
+                                               p, *run) for run in runs]
+
+    got = reports()
+    monkeypatch.setattr(algebra, "proved_laws", _prove_nothing)
+    assert got == reports()
+
+
+def test_isomorphism_proofs_run_only_when_they_are_cheaper(
+        zorn, zorn_peirce, monkeypatch):
+    # dim^2 + dim = 72 basis cases against 3 laws x samples; 8 block cases
+    # against one law x samples x 4 components
+    held = _record_proofs(monkeypatch)
+    st.check_star_ring_isomorphism(st.zorn_rotation_map(zorn), zorn_peirce,
+                                   2, seed=1)
+    assert held == [frozenset(), {"peirce_blocks"}]
+    held.clear()
+    rep = st.check_star_ring_isomorphism(st.zorn_rotation_map(zorn),
+                                         zorn_peirce, 40, seed=1)
+    assert held == [{"additivity", "multiplicativity", "star_preservation"},
+                    {"peirce_blocks"}]
+    assert rep.ok
+    assert [c.samples_run for c in rep.checks] == [40, 40, 40, 0, 0, 0, 160]
+
+
+def test_laws_refuted_on_the_basis_keep_their_sampled_witnesses(
+        m2, m2_peirce, monkeypatch):
+    # the conjugate transpose reverses products and sends A12 into A21
+    held = _record_proofs(monkeypatch)
+    rep = st.check_star_ring_isomorphism(st.star_as_map(m2), m2_peirce, 40,
+                                         seed=1)
+    assert held == [{"additivity", "star_preservation"}, frozenset()]
+    refuted = {c.check for c in rep.checks if c.refuted}
+    assert refuted == {"multiplicativity", "peirce_blocks"}
+    monkeypatch.setattr(algebra, "proved_laws", _prove_nothing)
+    assert st.check_star_ring_isomorphism(st.star_as_map(m2), m2_peirce, 40,
+                                          seed=1) == rep
+
+
+def test_a_patched_map_gets_no_basis_proof(zorn, zorn_peirce,
+                                           zorn_patched_double, monkeypatch):
+    held = _record_proofs(monkeypatch)
+    phi = st.patched_map(zorn_patched_double, {})
+    rep = st.check_star_ring_isomorphism(phi, zorn_peirce, 100, seed=1)
+    assert held == [frozenset(), frozenset()]
+    assert rep.check("additivity").refuted
 
 # -- the one fold -------------------------------------------------------------
 

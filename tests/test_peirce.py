@@ -361,6 +361,118 @@ def test_relations_refuse_a_run_without_samples(m2_peirce, samples):
         st.check_peirce_relations(m2_peirce, samples, seed=5)
 
 
+
+# -- relations decided on basis cases before the sampled scan ----------------
+
+
+def _prove_nothing(laws, proofs, budget):
+    return frozenset()
+
+
+def _record_proofs(monkeypatch):
+    """The laws each call of proved_laws proves, in call order."""
+    held = []
+    real = algebra.proved_laws
+
+    def spy(laws, proofs, budget):
+        held.append(real(laws, proofs, budget))
+        return held[-1]
+
+    monkeypatch.setattr(algebra, "proved_laws", spy)
+    return held
+
+
+def _relation_system(spec):
+    """The builtin's Peirce system; zorn~diag is zorn moved to the basis
+    diag(2, 1, 1+i, 1, ..., 1), a sparse tensor with a non-real entry."""
+    if spec != "zorn~diag":
+        a, idem = st.resolve_algebra(spec)
+        return st.PeirceSystem(a, a.element(idem["e1"]))
+    from altstar import linalg
+    zorn = st.zorn_algebra()
+    d = [Scalar(2), ONE, Scalar(1, 1)] + [ONE] * 5
+    m = [[d[r] if c == r else ZERO for c in range(8)] for r in range(8)]
+    moved = st.change_of_basis(zorn, m, name="zorn~diag")
+    return st.PeirceSystem(moved, moved.element(
+        linalg.mat_vec(linalg.inverse(m), zorn.basis_element(0).coords)))
+
+
+@pytest.mark.parametrize("spec", ["zorn", "matrix:2", "matrix:3",
+                                  "zorn~diag", "dsum:matrix:2,matrix:2"])
+def test_relations_proved_on_the_basis_report_as_the_scan(spec, monkeypatch):
+    # with nothing proved every law runs the sampled scan, as it always did
+    p = _relation_system(spec)
+    runs = [(samples, seed) for samples in (2, 40) for seed in (0, 1, 7919)]
+    got = [st.check_peirce_relations(p, *run) for run in runs]
+    monkeypatch.setattr(algebra, "proved_laws", _prove_nothing)
+    assert got == [st.check_peirce_relations(p, *run) for run in runs]
+
+
+def test_relations_proof_runs_only_when_it_is_cheaper(zorn_peirce,
+                                                      monkeypatch):
+    # 19 laws on zorn: 85 basis cases against 2 x 19 or 40 x 19 law calls
+    held = _record_proofs(monkeypatch)
+    st.check_peirce_relations(zorn_peirce, 2, seed=1)
+    st.check_peirce_relations(zorn_peirce, 40, seed=1)
+    assert held[0] == frozenset()
+    # every relation holds on the basis; A12 A12 is nonzero on zorn
+    assert held[1] == {name for name, _, y, _ in st.peirce._RELATIONS
+                       if y is not None}
+
+
+def test_offdiag_product_refuted_on_the_basis_keeps_its_sampled_witness(
+        zorn_peirce, monkeypatch):
+    rep = st.check_peirce_relations(zorn_peirce, 40, seed=3)
+    assert rep.ok and rep.offdiag_product_witness is not None
+    monkeypatch.setattr(algebra, "proved_laws", _prove_nothing)
+    assert st.check_peirce_relations(zorn_peirce, 40, seed=3) == rep
+
+
+def test_relations_proved_on_the_basis_draw_no_sample(m3_peirce,
+                                                      monkeypatch):
+    # matrix:3 is associative, so A12 A12 = 0 and all 19 laws are proved
+    def no_draw(p, ij, rng):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(st.peirce, "random_component", no_draw)
+    rep = st.check_peirce_relations(m3_peirce, 40, seed=1)
+    assert rep.ok and rep.offdiag_product_witness is None
+
+
+@pytest.fixture(scope="module")
+def crossed_squares():
+    """Basis e1, e2, b, c, b', c': orthogonal idempotents with unit e1 + e2,
+    b, c in A12 and b' = b*, c' = c* in A21.  b b = c c = 0 but
+    b c = c b = e1 (and c' b' = b' c' = e1), so squares in A12 vanish on
+    each basis vector and not on b + c.  Not alternative, but it meets
+    the unit and involution laws that a Peirce system needs."""
+    structure = {(0, 0, 0): ONE, (1, 1, 1): ONE,
+                 (2, 3, 0): ONE, (3, 2, 0): ONE,
+                 (5, 4, 0): ONE, (4, 5, 0): ONE}
+    for x, y in ((2, 4), (3, 5)):
+        # e1 x = x e2 = x on A12, e2 x' = x' e1 = x' on A21
+        structure[0, x, x] = structure[x, 1, x] = ONE
+        structure[1, y, y] = structure[y, 0, y] = ONE
+    swap = {0: 0, 1: 1, 2: 4, 3: 5, 4: 2, 5: 3}
+    star = [[ONE if r == swap[c] else ZERO for c in range(6)]
+            for r in range(6)]
+    return Algebra("crossed-squares", 6, ["e1", "e2", "b", "c", "b'", "c'"],
+                   structure, [ONE, ONE, ZERO, ZERO, ZERO, ZERO], star)
+
+
+def test_squares_are_decided_on_sums_of_basis_vectors(crossed_squares,
+                                                      monkeypatch):
+    p = st.PeirceSystem(crossed_squares, crossed_squares.basis_element(0))
+    assert p.component_dims() == {(1, 1): 1, (1, 2): 2, (2, 1): 2,
+                                  (2, 2): 1}
+    held = _record_proofs(monkeypatch)
+    rep = st.check_peirce_relations(p, 40, seed=1)
+    assert held[0] and "(iv) squares in A12 vanish" not in held[0]
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert "(iv) squares in A12 vanish" in failed
+    monkeypatch.setattr(algebra, "proved_laws", _prove_nothing)
+    assert st.check_peirce_relations(p, 40, seed=1) == rep
+
 def test_m2_offdiagonal_products_vanish(m2_peirce):
     rep = st.check_peirce_relations(m2_peirce, 100, seed=5)
     assert rep.ok

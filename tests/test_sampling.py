@@ -10,8 +10,8 @@ import pytest
 
 import altstar as st
 from altstar import linalg
-from altstar.sampling import (derive_rng, random_combination, random_element,
-                              random_scalar)
+from altstar.sampling import (Basis, derive_rng, random_combination,
+                              random_element, random_scalar)
 from altstar.scalars import Scalar
 
 from test_algebra import _halved_basis
@@ -83,6 +83,15 @@ def test_random_combination_is_the_scalar_path(systems, name):
                     p.algebra.zero())
             assert _fields(x) == _fields(y)
         assert rng.getstate() == ref.getstate()
+
+
+def test_random_combination_makes_a_list_into_a_basis(systems):
+    p = systems["zorn~/2"]
+    for ij, basis in p.component_bases.items():
+        assert isinstance(basis, Basis)
+        rng, ref = derive_rng(1, "list", ij), derive_rng(1, "list", ij)
+        assert random_combination(list(basis), rng) \
+            == random_combination(basis, ref)
 
 
 def test_random_combination_needs_a_basis():
