@@ -258,6 +258,27 @@ def test_failed_display_form_is_not_evaluated_again(zorn_peirce):
     assert calls == [(s.variant, s.frees)]
 
 
+def test_id_e_folds_its_inner_argument_through_the_run_memo(zorn_peirce,
+                                                            monkeypatch):
+    # D's collapsed e2 prefix is the outer prefix, so with the run's memo
+    # it is folded once per run, not once per sample
+    base = catalog_entry("ID-E")
+    alone = dataclasses.replace(base, inner_fold=False)
+    pairs = []
+    pair = st.jordan.jordan_star
+
+    def counted(x, y):
+        pairs.append(None)
+        return pair(x, y)
+
+    monkeypatch.setattr(st.jordan, "jordan_star", counted)
+    run = verify_identity(base, zorn_peirce, 7, 5, seed=1)
+    shared = len(pairs)
+    assert run == verify_identity(alone, zorn_peirce, 7, 5, seed=1)
+    # n - 3 prefix steps of D were made again in each of the 5 samples
+    assert len(pairs) - shared == shared + 5 * (7 - 3)
+
+
 def test_run_below_minimum_arity_is_skipped(m2_peirce):
     run = verify_identity(catalog_entry("ID-K"), m2_peirce, 2, 10, seed=1)
     assert run.skipped is not None
