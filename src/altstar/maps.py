@@ -16,22 +16,24 @@ Two checkers; each first gates its codomain (require_star_algebra_laws):
   Peirce-block preservation, each with a reproducible witness on failure.
 
 Every sampled law is a ``first_witnesses`` scan; the three equations share
-one pass over one stream of pairs.  An unpatched map is C-linear, or
-C-antilinear if it conjugates scalars, so additivity holds by construction,
-star preservation and multiplicativity hold everywhere when they hold on
-basis vectors and basis pairs, and Peirce-block preservation when each
-component's basis lands in its block.  These are decided there first
-(``scan_unproved``), when the basis cases are no more law calls than the
-scan; a law that holds is left out of the scan and reported as a scan
-without a witness reports it, so a report reads as the scan alone made
-it.  The jordan condition is always sampled.  A MapCheckReport holds both
-results and is refuted when some check is.
+one pass over one stream of pairs.  Each checker builds only the pool
+points its pairs read (a pool's first points do not depend on its size)
+and keeps nothing on the map, so a map is checked as it is.  An unpatched
+map is C-linear, or C-antilinear if it conjugates scalars, so additivity
+holds by construction, star preservation and multiplicativity hold
+everywhere when they hold on basis vectors and basis pairs, and
+Peirce-block preservation when each component's basis lands in its block.
+These are decided there first (``scan_unproved``), when the basis cases
+are no more law calls than the scan; a law that holds is left out of the
+scan and reported as a scan without a witness reports it, so a report
+reads as the scan alone made it.  The jordan condition is always sampled.
+A MapCheckReport holds both results and is refuted when some check is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import linalg
@@ -74,9 +76,6 @@ class AlgebraMap:
         if len(set(outs)) != len(outs):
             raise MapError("patch outputs must be pairwise distinct")
         self.patches = patches
-        # (Peirce system, pool size, seed): the sample pool and the images
-        # made of it so far, shared by both checkers of one mapcheck
-        self._pools: dict[tuple, tuple[list[Element], dict]] = {}
 
     @property
     def linear_part(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -169,11 +168,18 @@ def matrix_swap_conjugation(a: Algebra) -> AlgebraMap:
 
 # -- sample pools ----------------------------------------------------------
 
+# the pairs cross the pool's first _HEAD points before any seeded pick
+_HEAD = 12
+
 
 def sample_pool(phi: AlgebraMap, p: PeirceSystem, count: int,
                 seed: int) -> list[Element]:
     """Deterministic pool: patch points, unit, idempotents, halved and
-    i-scaled idempotents, then seeded Peirce-component and dense elements."""
+    i-scaled idempotents, then seeded Peirce-component and dense elements.
+
+    The points are pushed in a fixed order, so a pool's first points do not
+    depend on its size: a pool of count k is the first k of any larger one.
+    """
     if p.algebra is not phi.domain:
         raise MapError("Peirce system must live on the map's domain")
     a = phi.domain
@@ -205,7 +211,7 @@ def sample_pool(phi: AlgebraMap, p: PeirceSystem, count: int,
 
 def _pairs(pool: Sequence[Element], samples: int, seed: int):
     """First the structured head crossed with itself, then seeded picks."""
-    head = pool[: min(len(pool), 12)]
+    head = pool[:_HEAD]
     count = 0
     for x in head:
         for y in head:
@@ -225,36 +231,18 @@ def _mapped_pairs(phi: AlgebraMap, p: PeirceSystem, samples: int,
                   seed: int) -> Iterator[tuple[Element, ...]]:
     """The sampled pairs of the pool as cases (a, b, phi(a), phi(b)).
 
-    The pool is built at once, so a Peirce system on another algebra and
-    then a run without samples are rejected before any case is taken.  The
-    pool and its images are kept on phi per (p, pool size, seed), so the
-    two checkers of one mapcheck build one pool and phi maps each pool
-    element once.
+    Only the pool points the pairs read are built: up to _HEAD squared
+    samples the pairs stay in the head, so the pool is its _HEAD points,
+    and above that it is 64 points.  The pool is built at once, so a Peirce
+    system on another algebra and then a run without samples are rejected
+    before any case is taken.  phi maps each pool point once in this scan
+    and keeps nothing, so every call sees the map as it is.
     """
-    key = (p, max(16, min(samples, 64)), seed)
-    kept = phi._pools.get(key)
-    if kept is None:
-        kept = phi._pools[key] = (sample_pool(phi, p, key[1], seed), {})
+    pool = sample_pool(phi, p, _HEAD if samples <= _HEAD ** 2 else 64, seed)
     if samples < 1:
         raise MapError(f"samples must be >= 1, got {samples}")
-    pool, images = kept
-
-    def image(x: Element) -> Element:
-        if x not in images:
-            images[x] = phi(x)
-        return images[x]
-
+    image = cache(phi)
     return ((a, b, image(a), image(b)) for a, b in _pairs(pool, samples, seed))
-
-
-def _basis_pairs(phi: AlgebraMap) -> Iterator[tuple[Element, ...]]:
-    """The pairs of basis vectors as cases (a, b, phi(a), phi(b)); phi maps
-    each basis vector once, when the first case is taken."""
-    basis = phi.domain.basis()
-    images = [phi(b) for b in basis]
-    for a, fa in zip(basis, images):
-        for b, fb in zip(basis, images):
-            yield a, b, fa, fb
 
 
 # -- condition reports -----------------------------------------------------
@@ -370,13 +358,16 @@ def check_star_ring_isomorphism(phi: AlgebraMap, peirce: PeirceSystem,
     if not phi.patches:
         # an unpatched phi is C-linear or C-antilinear, so it is additive,
         # and both sides of each other law are linear or antilinear alike
-        # in each argument: they agree everywhere if on basis vectors
+        # in each argument: they agree everywhere if on basis vectors.  phi
+        # maps each basis vector once, when a proof first takes it
         basis = phi.domain.basis()
+        image = cache(phi)
         proofs = {
             "additivity": (0, ()),
-            "multiplicativity": (len(basis) ** 2, _basis_pairs(phi)),
+            "multiplicativity": (len(basis) ** 2, (
+                (a, b, image(a), image(b)) for a in basis for b in basis)),
             "star_preservation": (len(basis), (
-                (b, b, fb, fb) for b, fb in zip(basis, map(phi, basis)))),
+                (b, b, image(b), image(b)) for b in basis)),
         }
     reports = _reports(None, scan_unproved(
         pairs, samples, {check: partial(_equation, check, sides)

@@ -796,3 +796,17 @@ def test_jordan_pair_rejects_mixed_algebras(pair_algebras):
     for x, y in ((m2.unit, zorn.unit), (zorn.unit, m2.unit)):
         with pytest.raises(st.AlgebraError, match="mismatch in multiply"):
             st.jordan_star(x, y)
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda x, y: x * y, "algebra mismatch in multiply"),
+    (lambda x, y: x.algebra.star(y), "algebra mismatch in star"),
+    (lambda x, y: x + y, "algebra mismatch between operands"),
+    (lambda x, y: x - y, "algebra mismatch between operands"),
+], ids=["multiply", "star", "add", "sub"])
+def test_element_operations_reject_mixed_algebras(pair_algebras, op,
+                                                  message):
+    m2, zorn = pair_algebras["matrix:2"], pair_algebras["zorn"]
+    for x, y in ((m2.unit, zorn.unit), (zorn.unit, m2.unit)):
+        with pytest.raises(st.AlgebraError, match=message):
+            op(x, y)

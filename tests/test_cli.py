@@ -257,8 +257,12 @@ def test_mapcheck_decides_the_load_time_laws_once(tmp_path, m2,
                        ("check_involution", "matrix:2")]
 
 
-def test_mapcheck_builds_one_sample_pool(tmp_path, zorn, monkeypatch):
-    # both map checkers scan pairs of one pool, kept on the map
+@pytest.mark.parametrize("samples, count", [(40, 12), (144, 12),
+                                            (145, 64), (500, 64)])
+def test_each_map_checker_builds_the_pool_points_it_reads(
+        tmp_path, zorn, monkeypatch, samples, count):
+    # each checker builds its own pool: up to 12^2 samples the pairs read
+    # only the pool's first 12 points, and above that 64
     pools = []
     build = maps.sample_pool
 
@@ -268,9 +272,10 @@ def test_mapcheck_builds_one_sample_pool(tmp_path, zorn, monkeypatch):
 
     monkeypatch.setattr(maps, "sample_pool", counted)
     path = _write_map(tmp_path, st.zorn_rotation_map(zorn), "rot.map")
-    code, _ = run_json(["mapcheck", path, "--samples", "40", "--seed", "2"])
+    code, _ = run_json(["mapcheck", path, "--samples", str(samples),
+                        "--seed", "2"])
     assert code == 0
-    assert pools == [(40, 2)]
+    assert pools == [(count, 2), (count, 2)]
 
 
 def test_mapcheck_negative_and_deterministic(tmp_path, zorn):

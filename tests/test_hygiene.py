@@ -3,8 +3,9 @@ imports in the package or the tests, no private module-level name in the
 package that the package never reads, no typing generic built at run time
 in the package, no package code but ``cli.main`` writing to stdout, no
 package code writing a file, the CLI naming no load-time law check and
-working out no verdict, the package exports exactly what its __init__
-imports from its submodules, the README's library quick start runs as
+working out no verdict, no package module but linalg using linalg's
+Scalar edges, the package exports exactly what its __init__ imports from
+its submodules, the README's library quick start runs as
 written, and the package version has one source."""
 
 import ast
@@ -366,6 +367,48 @@ def test_load_time_law_name_detector():
     assert _names_of(tree, LOAD_LAW_NAMES) == [
         ("check_involution", 5), ("check_involution", 6), ("check_unit", 4),
         ("require_star_algebra_laws", 1)]
+
+
+# the library hands linalg's integer kernel (echelon, int_nullspace,
+# int_inverse) its numerators; the Scalar edges convert on every call and
+# are kept for the tests and the benchmark only
+SCALAR_LINALG_NAMES = ("rref", "nullspace", "inverse", "mat_vec")
+
+
+def _scalar_linalg_uses(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each linalg.<name> and each import of name from a
+    linalg module, for name in SCALAR_LINALG_NAMES."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name) and node.value.id == "linalg":
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module or "").split(".")[-1] == "linalg":
+            found += [(alias.name, node.lineno) for alias in node.names]
+    return sorted(f for f in found if f[0] in SCALAR_LINALG_NAMES)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "linalg.py"),
+                         ids=lambda p: p.name)
+def test_package_uses_no_scalar_linalg_edge(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _scalar_linalg_uses(tree) == []
+
+
+def test_scalar_linalg_edge_detector():
+    tree = ast.parse(
+        "from . import linalg\n"
+        "from .linalg import rref, echelon\n"
+        "from altstar.linalg import inverse as inv\n"
+        "def f(m, v, rows):\n"
+        "    linalg.echelon(rows, 2)\n"
+        "    linalg.int_nullspace(rows, 2)\n"
+        "    x = linalg.mat_vec(m, v)\n"
+        "    return linalg.nullspace(m), x.inverse\n")
+    assert _scalar_linalg_uses(tree) == [
+        ("inverse", 3), ("mat_vec", 7), ("nullspace", 8), ("rref", 2)]
 
 
 # every verdict (ok, refuted, derived_all_ok) is a field its report sets

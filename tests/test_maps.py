@@ -313,9 +313,9 @@ def test_map_checkers_refuse_a_codomain_that_fails_its_laws(
 
 def test_each_pool_element_is_mapped_once(zorn, zorn_peirce,
                                           zorn_patched_double, monkeypatch):
-    # 500 pairs over a pool of 64: phi runs once per pool element drawn;
-    # a fresh copy of the map, since a map keeps the pools it has made
-    phi = st.patched_map(zorn_patched_double, {})
+    # 500 pairs over a pool of 64: in one scan phi runs once per pool
+    # element drawn
+    phi = zorn_patched_double
     pool = sample_pool(phi, zorn_peirce, 64, 3)
     pairs = list(_pairs(pool, 500, 3))
     calls = []
@@ -329,11 +329,6 @@ def test_each_pool_element_is_mapped_once(zorn, zorn_peirce,
     cases = list(_mapped_pairs(phi, zorn_peirce, 500, 3))
     assert len(calls) == len(set(calls)) == len({x for ab in pairs
                                                  for x in ab}) <= 64
-    # a second scan of the same pool, as the second checker makes, maps
-    # nothing again
-    calls.clear()
-    assert list(_mapped_pairs(phi, zorn_peirce, 500, 3)) == cases
-    assert calls == []
     monkeypatch.undo()
     assert cases == [(a, b, phi(a), phi(b)) for a, b in pairs]
 
@@ -426,7 +421,7 @@ def _record_proofs(monkeypatch):
 
 
 def _iso_subject(name, zorn, m2):
-    """A fresh map each call, since a map keeps the pools it has made."""
+    """The test map called name, on zorn or on m2."""
     return {
         "zorn-identity": lambda: st.identity_map(zorn),
         "zorn-rotation": lambda: st.zorn_rotation_map(zorn),
@@ -497,6 +492,80 @@ def test_a_patched_map_gets_no_basis_proof(zorn, zorn_peirce,
     rep = st.check_star_ring_isomorphism(phi, zorn_peirce, 100, seed=1)
     assert held == [frozenset(), frozenset()]
     assert rep.check("additivity").refuted
+
+
+def test_isomorphism_proofs_map_each_basis_vector_once(zorn, zorn_peirce,
+                                                       monkeypatch):
+    # the phi calls made up to the end of the equations' proofs: phi(a b)
+    # for each of the dim^2 pairs, phi(b*) for each of the dim vectors, and
+    # each basis image once; none where the proofs do not run
+    calls, seen = [], []
+    apply, real = AlgebraMap.__call__, algebra.proved_laws
+
+    def counted(self, x):
+        calls.append(x)
+        return apply(self, x)
+
+    def spy(laws, proofs, budget):
+        held = real(laws, proofs, budget)
+        seen.append(len(calls))
+        return held
+
+    monkeypatch.setattr(AlgebraMap, "__call__", counted)
+    monkeypatch.setattr(algebra, "proved_laws", spy)
+    phi = st.zorn_rotation_map(zorn)
+    for samples, expected in ((40, zorn.dim ** 2 + 2 * zorn.dim), (2, 0)):
+        calls.clear()
+        seen.clear()
+        st.check_star_ring_isomorphism(phi, zorn_peirce, samples, seed=1)
+        assert seen[0] == expected
+
+
+# -- a map keeps nothing ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["zorn-identity", "zorn-rotation",
+                                  "patched-double", "m2-swap", "m2-star"])
+@pytest.mark.parametrize("seed", [0, 1, 3, 7919])
+def test_a_pool_head_does_not_depend_on_the_pool_size(
+        name, seed, zorn, zorn_peirce, m2, m2_peirce):
+    # up to 144 samples the pairs read only the first 12 pool points, so a
+    # checker builds just those
+    phi = _iso_subject(name, zorn, m2)
+    p = zorn_peirce if phi.domain is zorn else m2_peirce
+    assert sample_pool(phi, p, 12, seed) == sample_pool(phi, p, 64, seed)[:12]
+
+
+def _both_checks(phi, p, samples, seed):
+    return (st.check_jordan_condition(phi, p, 3, samples, seed),
+            st.check_star_ring_isomorphism(phi, p, samples, seed))
+
+
+def _fields(phi):
+    """vars(phi), with each dict in it copied."""
+    return {k: dict(v) if isinstance(v, dict) else v
+            for k, v in vars(phi).items()}
+
+
+@pytest.mark.parametrize("samples", [40, 500])
+def test_a_changed_patch_table_is_checked_as_it_now_is(zorn, zorn_peirce,
+                                                       samples):
+    # the checkers leave no state on the map, so a map checked once and then
+    # given two swapped pool points as patches gets the reports of a map
+    # built with those patches
+    phi = st.zorn_rotation_map(zorn)
+    before = _fields(phi)
+    assert not any(c.refuted for c in _both_checks(phi, zorn_peirce,
+                                                   samples, 3)[1].checks)
+    assert _fields(phi) == before
+    x, y = sample_pool(phi, zorn_peirce, 12, 3)[-2:]
+    phi.patches.update({x: y, y: x})
+    fresh = AlgebraMap(zorn, zorn, phi.linear_part, patches={x: y, y: x})
+    got = _both_checks(phi, zorn_peirce, samples, 3)
+    assert got == _both_checks(fresh, zorn_peirce, samples, 3)
+    assert got[0].refuted
+    assert {c.check for c in got[1].checks if c.refuted} == {
+        "additivity", "multiplicativity", "star_preservation"}
 
 # -- the one fold -------------------------------------------------------------
 
